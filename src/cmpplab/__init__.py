@@ -13,7 +13,7 @@ from .partitions import (Partition, conjugate, frequencies, n_stat,
                          partition_stats, partitions_iter)
 from .cmpp import FrequencyArray, gen_fun, gordon_series, max_path_sum
 from .products import (PochFactor, ProductSpec, ThetaFactor, char_product,
-                       expand, quotient_product, theta_q)
+                       expand, theta_q)
 from .hall_littlewood import (bailey_beta_check, hl_chain_sum, hl_inf_spec,
                               hl_ls_2r1s, hl_principal_finite,
                               hl_sum_over_bounded, hl_symmetrization,
@@ -34,7 +34,7 @@ __all__ = [
     "hl_principal_finite", "hl_sum_over_bounded", "hl_symmetrization",
     "hl_weighted_chain", "list_checks", "macdonald_sum", "max_path_sum",
     "n_stat", "partition_stats", "partitions_iter", "pi_product", "poch",
-    "prop_gow_sum", "qbin", "quotient_product", "residual", "s_series",
+    "prop_gow_sum", "qbin", "residual", "s_series",
     "shun2_sum", "shun_sum", "solve_d2_system", "specialized_character_sum",
     "theta_q", "wz_sum",
 ]

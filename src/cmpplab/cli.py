@@ -83,7 +83,11 @@ def run_check(check_id: str, params: dict, order: int,
 def _parse_value(text: str):
     text = text.strip()
     if ":" in text:
-        return tuple(int(v) for v in text.split(":"))
+        try:
+            return tuple(int(v) for v in text.split(":"))
+        except ValueError:
+            raise SystemExit("malformed value %r (expected ints joined by "
+                             "':')" % text) from None
     try:
         return int(text)
     except ValueError:
@@ -217,9 +221,9 @@ def parse_grid(text: str) -> list[dict]:
 
 
 def _sweep_worker(job):
-    check_id, params, order = job
+    check_id, params, order, timings = job
     try:
-        rep = run_check(check_id, params, order, timings=False)
+        rep = run_check(check_id, params, order, timings=timings)
     except ParamError:
         return None
     return rep
@@ -228,7 +232,7 @@ def _sweep_worker(job):
 def run_sweep(check_id: str, grid: list[dict], order: int,
               jobs: int = 1, timings: bool = False
               ) -> list[VerificationReport]:
-    tasks = [(check_id, p, order) for p in grid]
+    tasks = [(check_id, p, order, timings) for p in grid]
     if jobs > 1:
         import multiprocessing as mp
         with mp.Pool(jobs) as pool:
@@ -250,6 +254,11 @@ def _exit_code(reports) -> int:
     if "finding" in statuses:
         return 3
     return 0
+
+
+def _usage_error(msg) -> int:
+    print("error: %s" % msg, file=sys.stderr)
+    return 1
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -285,7 +294,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    if getattr(args, "order", 0) < 0:
+        return _usage_error("--order must be >= 0")
+    try:
+        return _run(args)
+    except SystemExit as exc:
+        # the parse helpers reject malformed input with a message
+        if isinstance(exc.code, str):
+            return _usage_error(exc.code)
+        raise
 
+
+def _run(args) -> int:
     if args.cmd == "expand":
         s = parse_series(args.series, args.order)
         if args.format == "tsv":
@@ -296,11 +316,13 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     if args.cmd == "verify":
         params = parse_params(args.params)
+        # parameter validation raises TypeError for a value of the wrong
+        # type; errors while evaluating a valid spec are not usage errors
         try:
-            rep = run_check(args.check, params, args.order)
-        except (ParamError, KeyError) as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 1
+            funceq.catalog(args.check, params)
+        except (KeyError, TypeError, ValueError) as exc:
+            return _usage_error(exc)
+        rep = run_check(args.check, params, args.order)
         print(rep.to_json())
         return _exit_code([rep])
 
@@ -311,8 +333,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                                 jobs=max(args.jobs, 1),
                                 timings=args.timings)
         except KeyError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 1
+            return _usage_error(exc)
         for rep in reports:
             print(rep.to_json())
         return _exit_code(reports)

@@ -140,7 +140,7 @@ class FrequencyArray:
         return sum(self.freq.values())
 
 
-def _freq_row(family: str, colour: int, size: int, n: int) -> int:
+def _freq_row(family: str, colour: int, size: int) -> int:
     """Row index (path order) holding f_size^{(colour)}."""
     if family == "A":
         return 2 * (colour - 1) + (size % 2)
@@ -196,15 +196,8 @@ def max_path_sum(array: FrequencyArray, boundary: tuple[int, ...]) -> int:
     vals = _build_vals(parities, bases, jmax)
     for (c, i), f in array.freq.items():
         if f:
-            vals[_freq_row(array.family, c, i, array.n)][i + 1] += f
+            vals[_freq_row(array.family, c, i)][i + 1] += f
     return _max_path(vals, parities, jmax)
-
-
-def is_admissible(array: FrequencyArray, boundary: tuple[int, ...]) -> bool:
-    return max_path_sum(array, boundary) <= sum(boundary)
-
-
-_GEN_FUN_CACHE: dict[tuple, QSeries] = {}
 
 
 def gen_fun(family: str, n: int, boundary: tuple[int, ...], N: int) -> QSeries:
@@ -218,19 +211,12 @@ def gen_fun(family: str, n: int, boundary: tuple[int, ...], N: int) -> QSeries:
     if N < 0:
         raise ValueError("N must be >= 0")
     boundary = tuple(boundary)
-    key = (family, n, boundary, N)
-    cached = _GEN_FUN_CACHE.get(key)
-    if cached is not None:
-        return cached
-
     parities, bases = _row_layout(family, n, boundary)
     level = sum(boundary)
     acc: dict[tuple[int, int], int] = {}
     if level == 0 or N == 0:
         # only the empty partition is admissible
-        result = QSeries({(0, 0, 0): 1}, N, 0, _clean=True)
-        _GEN_FUN_CACHE[key] = result
-        return result
+        return QSeries({(0, 0, 0): 1}, N, 0, _clean=True)
 
     rows_by_parity = ([r for r, p in enumerate(parities) if p == 0],
                       [r for r, p in enumerate(parities) if p == 1])
@@ -259,16 +245,8 @@ def gen_fun(family: str, n: int, boundary: tuple[int, ...], N: int) -> QSeries:
         row[i + 1] = 0
 
     rec(0, N, 0, 0, 0)
-    result = QSeries({(z, 0, d): c for (z, d), c in acc.items()}, N, 0,
-                     _clean=True)
-    _GEN_FUN_CACHE[key] = result
-    return result
-
-
-def gen_fun_weight(family: str, n: int, weight: tuple[int, ...],
-                   N: int) -> QSeries:
-    """gen_fun indexed by the weight coefficients (k_0, ..., k_n)."""
-    return gen_fun(family, n, weight, N)
+    return QSeries({(z, 0, d): c for (z, d), c in acc.items()}, N, 0,
+                   _clean=True)
 
 
 def gordon_series(k: int, a: int, N: int) -> QSeries:

@@ -30,173 +30,61 @@ class ParamError(ValueError):
 # -- series resolver ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _series(ref: tuple, N: int) -> QSeries:
-    kind = ref[0]
-    if kind == "gen":
-        _, fam, n, w = ref
-        return cmpp.gen_fun(fam, n, w, N)
-    if kind == "gordon_b":
-        _, k, a = ref
-        return cmpp.gordon_series(k, a, N)
-    if kind == "prodspec":
-        return products.expand(ref[1], N)
-    if kind == "charprod":
-        _, fam, kindp, n, w = ref
-        return products.char_product(fam, kindp, n, w, N)
-    if kind == "charprod-negpart":
-        _, fam, kindp, n, w = ref
-        s = products.char_product(fam, kindp, n, w, N)
-        return QSeries({k: c for k, c in s.terms.items() if c < 0},
-                       s.q_order, s.q_floor, _clean=True)
-    if kind == "c_n0_2var":
-        return products.c_n0_two_variable(ref[1], N)
-    if kind == "fsum":
-        _, n, a, delta = ref
-        return multisums.f_sum(n, a, delta, N)
-    if kind == "ag":
-        _, k, a = ref
-        return multisums.ag_sum(k, a, N)
-    if kind == "hlchain":
-        _, k, n = ref
-        return hl.hl_chain_sum(k, n, N)
-    if kind == "hlsum":
-        _, k, m, zshift = ref
-        return hl.hl_sum_over_bounded(k, m, N, z_shift=zshift)
-    if kind == "hlweighted":
-        _, variant, param = ref
-        return hl.hl_weighted_chain(variant, param, N)
-    if kind == "hlinf":
-        _, shape, m = ref
-        return hl.hl_inf_spec(shape, m, N)
-    if kind == "gow":
-        _, r, n, delta = ref
-        return hl.prop_gow_sum(r, n, delta, N)
-    if kind == "shun":
-        return multisums.shun_sum(ref[1], N)
-    if kind == "shun2":
-        _, k, variant = ref
-        return multisums.shun2_sum(k, variant, N)
-    if kind == "wz":
-        return multisums.wz_sum(ref[1], N, k=ref[2] if len(ref) > 2 else 2)
-    if kind == "sser":
-        _, k1, k2, l1, l2 = ref
-        return multisums.s_series(k1, k2, l1, l2, N)
-    if kind == "theta":
-        _, a, m = ref
-        return products.theta_q(a, m, N)
-    if kind == "poch":
-        _, c, m = ref
-        return poch(c, m, None, N)
-    if kind == "pi":
-        _, kd, exps, base, sigma, tau = ref
-        return macdonald.pi_product(kd, exps, base, sigma, tau, N)
-    if kind == "macsum":
-        _, kd, exps, base, sigma, tau = ref
-        return macdonald.macdonald_sum(kd, exps, base, sigma, tau, N)
-    if kind == "speccharsum":
-        _, fam, n, two_k, two_lambda = ref
-        return macdonald.specialized_character_sum(
-            fam, n, macdonald.HalfWeight(two_k, two_lambda), N)
-    if kind == "genw2":
-        # gen_fun evaluated at (w, q^2)
-        _, fam, n, w = ref
-        inner = cmpp.gen_fun(fam, n, w, (N + 2) // 2)
-        return inner.substitute(z=(0, 1, 0), qpow=2).truncate(N)
-    if kind == "agw_as_w":
-        # the AG multisum with (z, q) -> (w, q^2)
-        _, k, a = ref
-        inner = multisums.ag_sum(k, a, (N + 2) // 2)
-        return inner.substitute(z=(0, 1, 0), qpow=2).truncate(N)
-    if kind == "atomicres":
-        _, which, params = ref
-        return multisums.atomic_residual(which, params, N)
-    if kind == "hlsym":
-        _, shape, L, m, xstep = ref
-        return hl.hl_symmetrization(shape, L, m, N, xstep=xstep)
-    if kind == "hlls":
-        _, r, s, L, m = ref
-        return hl.hl_ls_2r1s(r, s, L, m, N)
-    if kind == "hlpf":
-        _, shape, L, m = ref
-        return hl.hl_principal_finite(shape, L, m, N)
-    if kind in ("baileyl", "baileyr"):
-        _, s, m, r_max = ref
-        idx = 0 if kind == "baileyl" else 1
-        sides = _bailey_sides(s, m, r_max, N)
-        return sides[idx]
-    if kind == "jtp_prod":
-        _, a, m = ref
-        th = products.theta_q(a, m, N)
-        pad = -min(th.q_floor, 0)
-        th = products.theta_q(a, m, N + pad)
-        return (th * poch(m, m, None, N + pad)).truncate(N)
-    if kind == "jtp_sum":
-        _, a, m = ref
-        terms: dict[tuple[int, int, int], int] = {}
-        floor = 0
-        for direction in (1, -1):
-            j = 0 if direction == 1 else -1
-            misses = 0
-            while misses < 3:
-                e = m * (j * (j - 1) // 2) + a * j
-                if e <= N:
-                    terms[(0, 0, e)] = terms.get((0, 0, e), 0) + \
-                        (1 if j % 2 == 0 else -1)
-                    floor = min(floor, e)
-                    misses = 0
-                else:
-                    misses += 1
-                j += direction
-        return QSeries(terms, N, floor)
-    if kind == "mac_cross":
-        _, kd, exps_sum, exps_pi, base, sigma, tau = ref
-        s1 = macdonald.macdonald_sum(kd, exps_sum, base, sigma, tau, N)
-        p1 = macdonald.pi_product(kd, exps_pi, base, sigma, tau, N)
-        pad = -min(s1.q_floor, 0) - min(p1.q_floor, 0)
-        s1 = macdonald.macdonald_sum(kd, exps_sum, base, sigma, tau, N + pad)
-        p1 = macdonald.pi_product(kd, exps_pi, base, sigma, tau, N + pad)
-        return (s1 * p1).truncate(N)
-    if kind == "d2solved":
-        return _d2_tagged(ref[1], N, solved=True)
-    if kind == "d2enum":
-        return _d2_tagged(ref[1], N, solved=False)
-    if kind == "zero":
-        return QSeries({}, None, 0, _clean=True)
-    if kind == "one":
-        return QSeries.one(None)
-    raise ValueError("unknown series kind %r" % (kind,))
+def _negative_part(s: QSeries) -> QSeries:
+    return QSeries({k: c for k, c in s.terms.items() if c < 0},
+                   s.q_order, s.q_floor, _clean=True)
 
 
-@lru_cache(maxsize=None)
-def _bailey_sides(s: int, m: int, r_max: int, N: int):
-    """Both Bailey beta routes, each tagged by z^r."""
-    from .hall_littlewood import _inv_geom, inv_poch_fin
-    from .series import qbin
-    lt: dict[tuple[int, int, int], int] = {}
-    rt: dict[tuple[int, int, int], int] = {}
-    for r in range(r_max + 1):
-        lhs = QSeries({}, N, 0, _clean=True)
-        for i in range(r + 1):
-            e = m * (i * (i - 1) // 2) + i * (i + s)
-            alpha = QSeries.monomial((-1) ** i, dq=e, order=None)
-            alpha = alpha * qbin(i + s, s, m)
-            if i > 0:
-                num = QSeries({(0, 0, 0): 1, (0, 0, m * (2 * i + s)): -1},
-                              None, 0, _clean=True)
-                alpha = alpha * num * _inv_geom(m * (i + s), N + e)
-            term = alpha * inv_poch_fin(1, r - i, N)
-            term = term * poch(s + 1, 1, r + i, N).invert(N)
-            lhs = lhs + term.truncate(N)
-        D = r * (r - 1) // 2 + (r + s) * (r + s - 1) // 2
-        shape = tuple([2] * r + [1] * s)
-        rhs = hl.hl_inf_spec(shape, m, N + D) * poch(1, 1, s, N + D)
-        rhs = (rhs * QSeries.monomial(1, dq=-D)).truncate(N)
-        for (_, _, dq), c in lhs.terms.items():
-            lt[(r, 0, dq)] = c
-        for (_, _, dq), c in rhs.terms.items():
-            rt[(r, 0, dq)] = c
-    return QSeries(lt, N, 0), QSeries(rt, N, 0)
+def _in_w_q2(build, args: tuple, N: int) -> QSeries:
+    """build(*args, order) with (z, q) -> (w, q^2), to order N."""
+    inner = build(*args, (N + 2) // 2)
+    return inner.substitute(z=(0, 1, 0), qpow=2).truncate(N)
+
+
+def _jtp_prod(a: int, m: int, N: int) -> QSeries:
+    th = products.theta_q(a, m, N)
+    pad = -min(th.q_floor, 0)
+    th = products.theta_q(a, m, N + pad)
+    return (th * poch(m, m, None, N + pad)).truncate(N)
+
+
+def _jtp_sum(a: int, m: int, N: int) -> QSeries:
+    terms: dict[tuple[int, int, int], int] = {}
+    floor = 0
+    for direction in (1, -1):
+        j = 0 if direction == 1 else -1
+        misses = 0
+        while misses < 3:
+            e = m * (j * (j - 1) // 2) + a * j
+            if e <= N:
+                terms[(0, 0, e)] = terms.get((0, 0, e), 0) + \
+                    (1 if j % 2 == 0 else -1)
+                floor = min(floor, e)
+                misses = 0
+            else:
+                misses += 1
+            j += direction
+    return QSeries(terms, N, floor)
+
+
+def _mac_cross(kd, exps_sum, exps_pi, base, sigma, tau, N: int) -> QSeries:
+    s1 = macdonald.macdonald_sum(kd, exps_sum, base, sigma, tau, N)
+    p1 = macdonald.pi_product(kd, exps_pi, base, sigma, tau, N)
+    pad = -min(s1.q_floor, 0) - min(p1.q_floor, 0)
+    s1 = macdonald.macdonald_sum(kd, exps_sum, base, sigma, tau, N + pad)
+    p1 = macdonald.pi_product(kd, exps_pi, base, sigma, tau, N + pad)
+    return (s1 * p1).truncate(N)
+
+
+def _bailey_tagged(side: int, s: int, m: int, r_max: int,
+                   N: int) -> QSeries:
+    """One side of hl.bailey_sides (0: from alpha, 1: Hall-Littlewood),
+    the term of each r tagged by z^r."""
+    acc: dict[tuple[int, int, int], int] = {}
+    for r, sides in enumerate(hl.bailey_sides(s, m, r_max, N)):
+        for (_, _, dq), c in sides[side].terms.items():
+            acc[(r, 0, dq)] = c
+    return QSeries(acc, N, 0)
 
 
 def _d2_tagged(k: int, N: int, solved: bool) -> QSeries:
@@ -212,6 +100,71 @@ def _d2_tagged(k: int, N: int, solved: bool) -> QSeries:
         for (dz, dw, dq), c in family[w].terms.items():
             acc[(dz, idx, dq)] = c
     return QSeries(acc, N, 0)
+
+
+# Series kind -> builder; a ref (kind, *args) is built at order N as
+# _BUILDERS[kind](*args, N).  Entries reach other modules' functions
+# through the module attribute at call time, never a stored function
+# object, so that rebinding that attribute (tracing, test patches) also
+# changes what the catalog builds.
+_BUILDERS: dict[str, Callable[..., QSeries]] = {
+    "gen": lambda fam, n, w, N: cmpp.gen_fun(fam, n, w, N),
+    "gordon_b": lambda k, a, N: cmpp.gordon_series(k, a, N),
+    "prodspec": lambda spec, N: products.expand(spec, N),
+    "charprod": lambda fam, kind, n, w, N: products.char_product(
+        fam, kind, n, w, N),
+    "charprod-negpart": lambda fam, kind, n, w, N: _negative_part(
+        products.char_product(fam, kind, n, w, N)),
+    "c_n0_2var": lambda k, N: products.c_n0_two_variable(k, N),
+    "fsum": lambda n, a, delta, N: multisums.f_sum(n, a, delta, N),
+    "ag": lambda k, a, N: multisums.ag_sum(k, a, N),
+    "hlchain": lambda k, n, N: hl.hl_chain_sum(k, n, N),
+    "hlsum": lambda k, m, zshift, N: hl.hl_sum_over_bounded(
+        k, m, N, z_shift=zshift),
+    "hlweighted": lambda variant, param, N: hl.hl_weighted_chain(
+        variant, param, N),
+    "hlinf": lambda shape, m, N: hl.hl_inf_spec(shape, m, N),
+    "gow": lambda r, n, delta, N: hl.prop_gow_sum(r, n, delta, N),
+    "shun": lambda k, N: multisums.shun_sum(k, N),
+    "shun2": lambda k, variant, N: multisums.shun2_sum(k, variant, N),
+    # ("wz", variant) or ("wz", variant, k)
+    "wz": lambda variant, *k_N: multisums.wz_sum(variant, k_N[-1],
+                                                 *k_N[:-1]),
+    "sser": lambda k1, k2, l1, l2, N: multisums.s_series(k1, k2, l1, l2, N),
+    "pi": lambda kd, exps, base, sigma, tau, N: macdonald.pi_product(
+        kd, exps, base, sigma, tau, N),
+    "macsum": lambda kd, exps, base, sigma, tau, N: macdonald.macdonald_sum(
+        kd, exps, base, sigma, tau, N),
+    "speccharsum": lambda fam, n, two_k, two_lambda, N:
+        macdonald.specialized_character_sum(
+            fam, n, macdonald.HalfWeight(two_k, two_lambda), N),
+    "genw2": lambda fam, n, w, N: _in_w_q2(cmpp.gen_fun, (fam, n, w), N),
+    "agw_as_w": lambda k, a, N: _in_w_q2(multisums.ag_sum, (k, a), N),
+    "atomicres": lambda which, params, N: multisums.atomic_residual(
+        which, params, N),
+    "hlsym": lambda shape, L, m, xstep, N: hl.hl_symmetrization(
+        shape, L, m, N, xstep=xstep),
+    "hlls": lambda r, s, L, m, N: hl.hl_ls_2r1s(r, s, L, m, N),
+    "hlpf": lambda shape, L, m, N: hl.hl_principal_finite(shape, L, m, N),
+    "baileyl": lambda s, m, r_max, N: _bailey_tagged(0, s, m, r_max, N),
+    "baileyr": lambda s, m, r_max, N: _bailey_tagged(1, s, m, r_max, N),
+    "jtp_prod": _jtp_prod,
+    "jtp_sum": _jtp_sum,
+    "mac_cross": _mac_cross,
+    "d2solved": lambda k, N: _d2_tagged(k, N, solved=True),
+    "d2enum": lambda k, N: _d2_tagged(k, N, solved=False),
+    "zero": lambda N: QSeries.zero(),
+    "one": lambda N: QSeries.one(None),
+}
+
+
+@lru_cache(maxsize=None)
+def _series(ref: tuple, N: int) -> QSeries:
+    try:
+        build = _BUILDERS[ref[0]]
+    except KeyError:
+        raise ValueError("unknown series kind %r" % (ref[0],)) from None
+    return build(*ref[1:], N)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
-from .partitions import (Partition, check_partition, conjugate, frequencies,
-                         n_stat, sub_partitions)
+from .partitions import (Partition, check_partition, frequencies, n_stat,
+                         sub_partitions)
 from .series import QSeries, poch, qbin
 
 
@@ -143,15 +143,11 @@ def hl_symmetrization(lam: Partition, L: int, m: int, N: int,
 # -- infinite principal specialisation via branching -------------------------
 
 
-def _mults(lam: Partition) -> dict[int, int]:
-    return frequencies(lam)
-
-
 @lru_cache(maxsize=None)
 def _psi_poly(mu: Partition, nu: Partition, m: int) -> tuple[tuple[int, int], ...]:
     """Branching weight of the horizontal strip nu/mu as (exponent, coeff)
     pairs: prod over {i: m_i(mu) = m_i(nu) + 1} of (1 - t^{m_i(mu)}), t=q^m."""
-    mm, mn = _mults(mu), _mults(nu)
+    mm, mn = frequencies(mu), frequencies(nu)
     poly = {0: 1}
     for i, f in mm.items():
         if f == mn.get(i, 0) + 1:
@@ -285,17 +281,11 @@ def _even_conjugate_tops(k: int, max_half: int) -> list[tuple[int, ...]]:
     return out
 
 
-_H_CACHE: dict[tuple, QSeries] = {}
-
-
+@lru_cache(maxsize=None)
 def _h_step(upper: Partition, lower: Partition, m: int) -> QSeries:
     """One chain-step weight: prod_i q^{lower_i} t^{C(upper_i - lower_i, 2)}
     qbin(upper_i - lower_{i+1}, upper_i - lower_i)_t with t = q^m; exact
     polynomial (entries beyond l(upper) contribute 1)."""
-    key = (upper, lower, m)
-    cached = _H_CACHE.get(key)
-    if cached is not None:
-        return cached
     lu = len(upper)
     e = sum(lower)
     out = None
@@ -309,8 +299,34 @@ def _h_step(upper: Partition, lower: Partition, m: int) -> QSeries:
     term = QSeries.monomial(1, dq=e, order=None)
     if out is not None:
         term = term * out
-    _H_CACHE[key] = term
     return term
+
+
+def _tops(k: int, n: int, N: int, lift: bool):
+    """Per top of a chain in S_{k,n}: (csum, mu0, lead) with csum = |c|,
+    mu0 the top partition and lead = q^e / prod_j (q^n; q^n)_{c_j -
+    c_{j+1}} to order N - e, where e = csum if lift else 0."""
+    for top in _even_conjugate_tops(k, N):
+        csum = sum(top)
+        mu0 = tuple(v for v in (c for c in top for _ in range(2)) if v)
+        e = csum if lift else 0
+        lead = QSeries.monomial(1, dq=e, order=None)
+        for j in range(k):
+            gap = top[j] - (top[j + 1] if j + 1 < k else 0)
+            if gap:
+                lead = lead * inv_poch_fin(n, gap, N - e)
+        yield csum, mu0, lead
+
+
+def _add_at_z(acc: dict, dz: int, term: QSeries, dq_shift: int = 0) -> None:
+    """Add the q-terms of term, times z^dz q^dq_shift, into acc."""
+    for (_, _, dq), c in term.terms.items():
+        kk = (dz, 0, dq + dq_shift)
+        s = acc.get(kk, 0) + c
+        if s:
+            acc[kk] = s
+        elif kk in acc:
+            del acc[kk]
 
 
 def _chain_dp(n: int, N: int, spent_bound):
@@ -356,22 +372,8 @@ def hl_chain_sum(k: int, n: int, N: int) -> QSeries:
     # the top carries q^{|mu0|/2} and each step above level a carries q^{|mu|}
     G = _chain_dp(n, N, lambda a, w: ((2 * a + 1) * w + 1) // 2)
     acc: dict[tuple[int, int, int], int] = {}
-    for top in _even_conjugate_tops(k, N):
-        csum = sum(top)
-        mu0 = tuple(v for v in (c for c in top for _ in range(2)) if v)
-        term = QSeries.monomial(1, dq=csum, order=None)
-        for j in range(k):
-            gap = top[j] - (top[j + 1] if j + 1 < k else 0)
-            if gap:
-                term = term * inv_poch_fin(n, gap, N - csum)
-        term = (term * G(0, mu0)).truncate(N)
-        for (_, _, dq), c in term.terms.items():
-            kk = (csum, 0, dq)
-            s = acc.get(kk, 0) + c
-            if s:
-                acc[kk] = s
-            elif kk in acc:
-                del acc[kk]
+    for csum, mu0, lead in _tops(k, n, N, lift=True):
+        _add_at_z(acc, csum, (lead * G(0, mu0)).truncate(N))
     return QSeries(acc, N, 0, _clean=True)
 
 
@@ -405,14 +407,7 @@ def hl_weighted_chain(variant: str, param: int, N: int) -> QSeries:
     # the z/q weight cancels the q^{|mu0|/2} of the top row
     G = _chain_dp(n, N, lambda a, w: a * w)
     acc: dict[tuple[int, int, int], int] = {}
-    for top in _even_conjugate_tops(k, N):
-        csum = sum(top)
-        mu0 = tuple(v for v in (c for c in top for _ in range(2)) if v)
-        gaps = QSeries.one(None)
-        for j in range(k):
-            gap = top[j] - (top[j + 1] if j + 1 < k else 0)
-            if gap:
-                gaps = gaps * inv_poch_fin(n, gap, N)
+    for csum, mu0, gaps in _tops(k, n, N, lift=False):
         for mu1 in sub_partitions(mu0):
             if sum(mu1) > N:
                 continue
@@ -420,14 +415,8 @@ def hl_weighted_chain(variant: str, param: int, N: int) -> QSeries:
             if e > N:
                 continue
             term = QSeries.monomial(1, dq=e, order=None) * gaps
-            term = (term * _h_step(mu0, mu1, n) * G(1, mu1)).truncate(N)
-            for (_, _, dq), c in term.terms.items():
-                kk = (csum, 0, dq)
-                s = acc.get(kk, 0) + c
-                if s:
-                    acc[kk] = s
-                elif kk in acc:
-                    del acc[kk]
+            _add_at_z(acc, csum, (term * _h_step(mu0, mu1, n) *
+                                  G(1, mu1)).truncate(N))
     return QSeries(acc, N, 0, _clean=True)
 
 
@@ -440,14 +429,8 @@ def hl_sum_over_bounded(k: int, m: int, N: int,
     def visit(lam: tuple[int, ...]):
         wl = sum(lam)
         two = tuple(2 * p for p in lam)
-        p = hl_inf_spec(two, m, N - z_shift * wl)
-        for (_, _, dq), c in p.terms.items():
-            kk = (wl, 0, dq + z_shift * wl)
-            s = total.get(kk, 0) + c
-            if s:
-                total[kk] = s
-            elif kk in total:
-                del total[kk]
+        _add_at_z(total, wl, hl_inf_spec(two, m, N - z_shift * wl),
+                  z_shift * wl)
 
     def rec(prev: int, acc: list[int]):
         visit(tuple(acc))
@@ -466,15 +449,13 @@ def hl_sum_over_bounded(k: int, m: int, N: int,
 # -- Bailey pair check -------------------------------------------------------
 
 
-def bailey_beta_check(s: int, m: int, r_max: int, N: int):
-    """For each r <= r_max, compare the beta built from the alpha sequence
-    (Bailey pair relative to q^s, t = q^m) with the Hall-Littlewood form
-    q^{-binom(r,2)-binom(r+s,2)} (q;q)_s P_{(2^r,1^s)}(1,q,...; q^m).
-
-    Returns a list of (r, equal, mismatch-or-None)."""
-    if r_max > 6:
-        raise ValueError("r_max <= 6")
-    results = []
+@lru_cache(maxsize=None)
+def bailey_sides(s: int, m: int, r_max: int, N: int):
+    """For r = 0..r_max, the pair (beta built from the alpha sequence of
+    the Bailey pair relative to q^s with t = q^m, the Hall-Littlewood form
+    q^{-binom(r,2)-binom(r+s,2)} (q;q)_s P_{(2^r,1^s)}(1,q,...; q^m)),
+    both to order N."""
+    out = []
     for r in range(r_max + 1):
         lhs = QSeries({}, N, 0, _clean=True)
         for i in range(r + 1):
@@ -492,6 +473,18 @@ def bailey_beta_check(s: int, m: int, r_max: int, N: int):
         shape = tuple([2] * r + [1] * s)
         rhs = hl_inf_spec(shape, m, N + D) * poch(1, 1, s, N + D)
         rhs = (rhs * QSeries.monomial(1, dq=-D)).truncate(N)
+        out.append((lhs, rhs))
+    return tuple(out)
+
+
+def bailey_beta_check(s: int, m: int, r_max: int, N: int):
+    """For each r <= r_max, compare the two sides of bailey_sides.
+
+    Returns a list of (r, equal, mismatch-or-None)."""
+    if r_max > 6:
+        raise ValueError("r_max <= 6")
+    results = []
+    for r, (lhs, rhs) in enumerate(bailey_sides(s, m, r_max, N)):
         mm = lhs.compare(rhs, N)
         results.append((r, mm is None, mm))
     return results

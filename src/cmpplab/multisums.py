@@ -16,57 +16,11 @@ from .hall_littlewood import inv_poch_fin
 from .series import QSeries
 
 
-def f_sum(n: int, a: int, delta: int, N: int) -> QSeries:
-    """F^{(n)}_{a,delta}(z,q): the n-fold sum over r_1 >= ... >= r_n >= 0 of
-    z^{r_1} q^{r_1^2+...+r_n^2+r_{a+1}+...+r_n} with denominators
-    (q;q)_{r_i - r_{i+1}} and a final (q^{2-delta}; q^{2-delta})_{r_n}."""
-    if not 0 <= a <= n:
-        raise ValueError("need 0 <= a <= n")
-    if delta not in (0, 1):
-        raise ValueError("delta in {0,1}")
-    acc: dict[tuple[int, int, int], int] = {}
-
-    def add_term(chain: list[int]):
-        e = sum(v * v for v in chain) + sum(chain[a:])
-        if e > N:
-            return
-        term = QSeries.monomial(1, dq=e, order=None)
-        for i in range(n - 1):
-            term = term * inv_poch_fin(1, chain[i] - chain[i + 1], N - e)
-        term = term * inv_poch_fin(2 - delta, chain[-1], N - e)
-        for (_, _, dq), c in term.truncate(N).terms.items():
-            kk = (chain[0], 0, dq)
-            s = acc.get(kk, 0) + c
-            if s:
-                acc[kk] = s
-            elif kk in acc:
-                del acc[kk]
-
-    def rec(chain: list[int]):
-        if len(chain) == n:
-            add_term(chain)
-            return
-        cap = chain[-1] if chain else isqrt(N)
-        base = sum(v * v for v in chain)
-        for v in range(cap + 1):
-            if base + v * v > N:
-                break
-            chain.append(v)
-            rec(chain)
-            chain.pop()
-
-    if n == 0:
-        raise ValueError("n >= 1")
-    rec([])
-    return QSeries(acc, N, 0)
-
-
-def ag_sum(k: int, a: int, N: int) -> QSeries:
-    """The Andrews-Gordon multisum: sum over r_1 >= ... >= r_k >= 0 of
-    z^{r_1+...+r_k} q^{r_1^2+...+r_k^2+r_{a+1}+...+r_k} /
-    ((q;q)_{r_1-r_2} ... (q;q)_{r_k})."""
-    if not 0 <= a <= k:
-        raise ValueError("need 0 <= a <= k")
+def _chain_sum(k: int, a: int, last_base: int, z_all: bool,
+               N: int) -> QSeries:
+    """sum over r_1 >= ... >= r_k >= 0 of z^{r_1+...+r_k if z_all else
+    r_1} q^{r_1^2+...+r_k^2+r_{a+1}+...+r_k} / ((q;q)_{r_1-r_2} ...
+    (q;q)_{r_{k-1}-r_k} (q^last_base; q^last_base)_{r_k}), k >= 1."""
     acc: dict[tuple[int, int, int], int] = {}
 
     def add_term(chain: list[int]):
@@ -76,8 +30,8 @@ def ag_sum(k: int, a: int, N: int) -> QSeries:
         term = QSeries.monomial(1, dq=e, order=None)
         for i in range(k - 1):
             term = term * inv_poch_fin(1, chain[i] - chain[i + 1], N - e)
-        term = term * inv_poch_fin(1, chain[-1] if k else 0, N - e)
-        zp = sum(chain)
+        term = term * inv_poch_fin(last_base, chain[-1], N - e)
+        zp = sum(chain) if z_all else chain[0]
         for (_, _, dq), c in term.truncate(N).terms.items():
             kk = (zp, 0, dq)
             s = acc.get(kk, 0) + c
@@ -99,10 +53,32 @@ def ag_sum(k: int, a: int, N: int) -> QSeries:
             rec(chain)
             chain.pop()
 
-    if k == 0:
-        return QSeries.one(N)
     rec([])
     return QSeries(acc, N, 0)
+
+
+def f_sum(n: int, a: int, delta: int, N: int) -> QSeries:
+    """F^{(n)}_{a,delta}(z,q): the n-fold sum over r_1 >= ... >= r_n >= 0 of
+    z^{r_1} q^{r_1^2+...+r_n^2+r_{a+1}+...+r_n} with denominators
+    (q;q)_{r_i - r_{i+1}} and a final (q^{2-delta}; q^{2-delta})_{r_n}."""
+    if not 0 <= a <= n:
+        raise ValueError("need 0 <= a <= n")
+    if delta not in (0, 1):
+        raise ValueError("delta in {0,1}")
+    if n == 0:
+        raise ValueError("n >= 1")
+    return _chain_sum(n, a, 2 - delta, False, N)
+
+
+def ag_sum(k: int, a: int, N: int) -> QSeries:
+    """The Andrews-Gordon multisum: sum over r_1 >= ... >= r_k >= 0 of
+    z^{r_1+...+r_k} q^{r_1^2+...+r_k^2+r_{a+1}+...+r_k} /
+    ((q;q)_{r_1-r_2} ... (q;q)_{r_k})."""
+    if not 0 <= a <= k:
+        raise ValueError("need 0 <= a <= k")
+    if k == 0:
+        return QSeries.one(N)
+    return _chain_sum(k, a, 1, True, N)
 
 
 # -- double (r, s) sums ------------------------------------------------------

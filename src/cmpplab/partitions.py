@@ -92,13 +92,6 @@ def partitions_iter(total_max: int, part_max: Optional[int] = None,
             yield tuple(lam)
 
 
-def contains(big: Partition, small: Partition) -> bool:
-    """Partition inclusion: small_i <= big_i for all i."""
-    if len(small) > len(big):
-        return False
-    return all(s <= b for s, b in zip(small, big))
-
-
 def sub_partitions(lam: Partition) -> list[Partition]:
     """All partitions contained in lam."""
     out: list[Partition] = []

@@ -113,9 +113,6 @@ def expand(spec: ProductSpec, N: int) -> QSeries:
     return out.truncate(N)
 
 
-quotient_product = expand
-
-
 # -- specialised character products ----------------------------------------
 
 

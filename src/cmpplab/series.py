@@ -15,6 +15,7 @@ Coefficients are plain Python ints, so everything is exact.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
 Key = tuple[int, int, int]  # (dz, dw, dq)
@@ -91,12 +92,6 @@ class QSeries:
         if not self.terms:
             return None
         return min(k[2] for k in self.terms)
-
-    def max_exponents(self) -> tuple[int, int, int]:
-        dz = max((k[0] for k in self.terms), default=0)
-        dw = max((k[1] for k in self.terms), default=0)
-        dq = max((k[2] for k in self.terms), default=0)
-        return dz, dw, dq
 
     # -- ring operations ---------------------------------------------------
 
@@ -363,26 +358,19 @@ def poch(c: int, m: int, count: Optional[int], n: int) -> QSeries:
     return out.truncate(n)
 
 
-_QBIN_CACHE: dict[tuple[int, int], dict[int, int]] = {}
-
-
+@lru_cache(maxsize=None)
 def _qbin_poly(n: int, k: int) -> dict[int, int]:
     """Gaussian binomial [n, k]_q as an exact coefficient dict."""
     if k < 0 or k > n:
         return {}
     if k == 0 or k == n:
         return {0: 1}
-    key = (n, k)
-    cached = _QBIN_CACHE.get(key)
-    if cached is not None:
-        return cached
     # [n,k] = [n-1,k-1] + q^k [n-1,k]
     a = _qbin_poly(n - 1, k - 1)
     b = _qbin_poly(n - 1, k)
     out = dict(a)
     for d, c in b.items():
         out[d + k] = out.get(d + k, 0) + c
-    _QBIN_CACHE[key] = out
     return out
 
 

@@ -158,3 +158,48 @@ def test_param_parsing():
     grid = cli.parse_grid("k=1:2,a=0:k")
     assert grid == [{"k": 1, "a": 0}, {"k": 1, "a": 1},
                     {"k": 2, "a": 0}, {"k": 2, "a": 1}, {"k": 2, "a": 2}]
+
+
+def test_sweep_timings_reach_run_check(monkeypatch, capsys):
+    seen = []
+    real = cli.run_check
+
+    def spy(check_id, params, order, timings=True):
+        seen.append(timings)
+        return real(check_id, params, order, timings=timings)
+
+    monkeypatch.setattr(cli, "run_check", spy)
+    args = ("sweep", "--check", "gordon", "--grid", "k=1:1,a=0:1",
+            "--order", "5", "--jobs", "1")
+    assert run(capsys, *args)[0] == 0
+    assert seen == [False, False]
+    seen.clear()
+    assert run(capsys, *args, "--timings")[0] == 0
+    assert seen == [True, True]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--check", "gordon", "--params", "k=1,a=1", "--order", "-3"),
+    ("expand", "--series", "theta(1,5)", "--order", "-2"),
+    ("sweep", "--check", "gordon", "--grid", "k=1:2,a=0:k", "--order", "-1"),
+    ("verify", "--check", "gordon", "--params", "k=abc,a=1", "--order", "5"),
+    ("verify", "--check", "con-a2n2", "--params", "n=2,weights=1:x",
+     "--order", "5"),
+    ("expand", "--series", "nonsense(1,2)", "--order", "5"),
+])
+def test_bad_input_is_a_one_line_usage_error(capsys, argv):
+    assert cli.main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_error_evaluating_a_valid_spec_propagates(monkeypatch, capsys):
+    def broken(spec, N):
+        raise ValueError("builder bug")
+
+    monkeypatch.setattr(cli.funceq, "residual", broken)
+    with pytest.raises(ValueError, match="builder bug"):
+        cli.main(["verify", "--check", "gordon", "--params", "k=1,a=1",
+                  "--order", "5"])

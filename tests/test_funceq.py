@@ -2,6 +2,7 @@ import pytest
 
 from cmpplab.cmpp import gen_fun
 from cmpplab.d2solver import solve_d2_system
+from cmpplab import funceq
 from cmpplab.funceq import ParamError, catalog, list_checks, residual
 
 
@@ -204,3 +205,58 @@ def test_list_checks_complete():
                      "bailey", "jtp", "macdonald-b", "macdonald-d",
                      "spec-char", "d2-unique", "ag-type-product"):
         assert required in ids, required
+
+
+# Catalog points (from the tests above and acceptance criterion 3) that
+# between them reference every series kind; ("one",) only appears in
+# synthetic checks.
+RESOLVER_POINTS = [
+    ("jtp", {"a": 3, "m": 8}),
+    ("level-rank-n1", {"k": 1, "i": 1}),
+    ("con-cn1", {"n": 0, "weights": (3,)}),
+    ("hl-triangle", {"r": 1, "s": 1, "L": 3, "m": 2, "route": 0}),
+    ("hl-triangle", {"r": 1, "s": 1, "L": 3, "m": 2, "route": 1}),
+    ("guess-reduction", {"k": 1, "which": "kL0", "edge": "w0"}),
+    ("guess-reduction", {"k": 1, "which": "kL0", "edge": "z0"}),
+    ("gow", {"r": 2, "n": 1, "delta": 0}),
+    ("toshow", {"i": 4}),
+    ("ag-two-var", {"k": 2, "a": 1}),
+    ("c-n0-closed", {"k": 2}),
+    ("gordon-fsum", {"k": 2, "a": 0}),
+    ("macdonald-b", {"base": 7, "sigma": -1, "e1": 3, "e2": 1}),
+    ("mac-quasiperiod",
+     {"kind": "B", "base": 7, "sigma": 1, "e1": 3, "e2": 1}),
+    ("wz-edge", {"which": "A", "edge": "z0"}),
+    ("s-shift", {"k1": 0, "k2": 1, "l1": 1, "l2": 0, "m": 2, "n": 1}),
+    ("spec-char", {"family": "A", "n": 1, "two_k": 2, "two_lambda": (2,)}),
+    ("ag-type-product", {"k": 2, "which": "d-kL1"}),
+    ("con-shun", {"k": 2}),
+    ("d2-unique", {"k": 1}),
+    ("bailey", {"s": 0, "m": 2, "r_max": 3}),
+    ("con-a2n2-qseries", {"n": 2, "k": 1, "which": 0}),
+    ("hl-variant1", {"n": 2}),
+    ("a-product-positivity", {"n": 1, "weights": (1, 1)}),
+]
+
+
+def _resolver_refs() -> list[tuple]:
+    refs = {("one",)}
+    for cid, params in RESOLVER_POINTS:
+        refs.update(t.series for t in catalog(cid, params).terms)
+    return sorted(refs, key=repr)
+
+
+def test_resolver_table_is_exactly_the_referenced_kinds():
+    kinds = {ref[0] for ref in _resolver_refs()}
+    assert kinds == set(funceq._BUILDERS)
+
+
+@pytest.mark.parametrize("N, M", [(10, 6), (9, 4), (12, 7)])
+def test_resolver_truncation_soundness(N, M):
+    # a build at order N, cut to M, is the build at order M
+    for ref in _resolver_refs():
+        cut, small = funceq._series(ref, N).truncate(M), funceq._series(ref, M)
+        assert cut.terms == small.terms, (ref, N, M)
+        assert cut.q_floor == small.q_floor, (ref, N, M)
+        if small.q_order is not None:
+            assert cut.q_order == small.q_order, (ref, N, M)
