@@ -198,6 +198,14 @@ def parse_grid(text: str) -> list[dict]:
             axes.append((name, _parse_value(val)))
     points: list[dict] = []
 
+    def bound(text: str, acc: dict) -> int:
+        if text.lstrip("-").isdigit():
+            return int(text)
+        if not isinstance(acc.get(text), int):
+            raise SystemExit("grid bound %r is neither an int nor an "
+                             "earlier int parameter" % text)
+        return acc[text]
+
     def rec(i: int, acc: dict):
         if i == len(axes):
             points.append(dict(acc))
@@ -205,8 +213,7 @@ def parse_grid(text: str) -> list[dict]:
         name, val = axes[i]
         if isinstance(val, tuple) and len(val) == 2 and \
                 isinstance(val[0], str):
-            lo = int(val[0]) if val[0].lstrip("-").isdigit() else acc[val[0]]
-            hi = int(val[1]) if val[1].lstrip("-").isdigit() else acc[val[1]]
+            lo, hi = bound(val[0], acc), bound(val[1], acc)
             for v in range(lo, hi + 1):
                 acc[name] = v
                 rec(i + 1, acc)
@@ -283,7 +290,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_sw.add_argument("--grid", required=True)
     p_sw.add_argument("--order", type=int, required=True)
     p_sw.add_argument("--jobs", type=int,
-                      default=int(os.environ.get("CMPPLAB_JOBS", "1")))
+                      help="worker processes (default: $CMPPLAB_JOBS or 1)")
     p_sw.add_argument("--timings", action="store_true",
                       help="include wall-clock times (breaks byte-for-byte "
                            "reproducibility)")
@@ -305,6 +312,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         raise
 
 
+# what a check's validator raises for an unknown check or a malformed
+# point: KeyError, TypeError for a value of the wrong type, ValueError
+# (ParamError) out of range; errors while evaluating a valid spec are not
+# usage errors
+_BAD_PARAMS = (KeyError, TypeError, ValueError)
+
+
 def _run(args) -> int:
     if args.cmd == "expand":
         s = parse_series(args.series, args.order)
@@ -316,24 +330,31 @@ def _run(args) -> int:
 
     if args.cmd == "verify":
         params = parse_params(args.params)
-        # parameter validation raises TypeError for a value of the wrong
-        # type; errors while evaluating a valid spec are not usage errors
         try:
             funceq.catalog(args.check, params)
-        except (KeyError, TypeError, ValueError) as exc:
+        except _BAD_PARAMS as exc:
             return _usage_error(exc)
         rep = run_check(args.check, params, args.order)
         print(rep.to_json())
         return _exit_code([rep])
 
     if args.cmd == "sweep":
+        jobs = args.jobs
+        if jobs is None:
+            try:
+                jobs = int(os.environ.get("CMPPLAB_JOBS", "1"))
+            except ValueError:
+                return _usage_error("CMPPLAB_JOBS must be an integer")
         grid = parse_grid(args.grid)
-        try:
-            reports = run_sweep(args.check, grid, args.order,
-                                jobs=max(args.jobs, 1),
-                                timings=args.timings)
-        except KeyError as exc:
-            return _usage_error(exc)
+        for params in grid:
+            try:
+                funceq.catalog(args.check, params)
+            except ParamError:
+                continue  # out of the check's range: run_sweep skips it
+            except _BAD_PARAMS as exc:
+                return _usage_error(exc)
+        reports = run_sweep(args.check, grid, args.order, jobs=max(jobs, 1),
+                            timings=args.timings)
         for rep in reports:
             print(rep.to_json())
         return _exit_code(reports)

@@ -80,11 +80,9 @@ def _bailey_tagged(side: int, s: int, m: int, r_max: int,
                    N: int) -> QSeries:
     """One side of hl.bailey_sides (0: from alpha, 1: Hall-Littlewood),
     the term of each r tagged by z^r."""
-    acc: dict[tuple[int, int, int], int] = {}
-    for r, sides in enumerate(hl.bailey_sides(s, m, r_max, N)):
-        for (_, _, dq), c in sides[side].terms.items():
-            acc[(r, 0, dq)] = c
-    return QSeries(acc, N, 0)
+    return QSeries.collect(
+        (((r, 0, 0), sides[side])
+         for r, sides in enumerate(hl.bailey_sides(s, m, r_max, N))), N, 0)
 
 
 def _d2_tagged(k: int, N: int, solved: bool) -> QSeries:
@@ -95,11 +93,8 @@ def _d2_tagged(k: int, N: int, solved: bool) -> QSeries:
         family = solve_d2_system(k, N)
     else:
         family = {w: cmpp.gen_fun("D", 2, w, N) for w in ws}
-    acc: dict[tuple[int, int, int], int] = {}
-    for idx, w in enumerate(sorted(ws)):
-        for (dz, dw, dq), c in family[w].terms.items():
-            acc[(dz, idx, dq)] = c
-    return QSeries(acc, N, 0)
+    return QSeries.collect((((0, idx, 0), family[w])
+                            for idx, w in enumerate(sorted(ws))), N, 0)
 
 
 # Series kind -> builder; a ref (kind, *args) is built at order N as
@@ -209,15 +204,14 @@ def _eval_term(term: Term, N: int) -> QSeries:
 
 
 def evaluate_sides(spec: EquationSpec, N: int) -> tuple[QSeries, QSeries]:
-    lhs = QSeries({}, N, 0, _clean=True)
-    rhs = QSeries({}, N, 0, _clean=True)
+    sides: tuple[list[QSeries], list[QSeries]] = ([], [])
     for t in spec.terms:
-        v = _eval_term(t, N)
-        if t.side > 0:
-            lhs = lhs + v
-        else:
-            rhs = rhs + v
-    return lhs, rhs
+        sides[t.side <= 0].append(_eval_term(t, N))
+    return tuple(
+        QSeries.collect((((0, 0, 0), v) for v in vs),
+                        min([N] + [v.q_order for v in vs]),
+                        min([0] + [v.q_floor for v in vs]))
+        for vs in sides)
 
 
 def residual(spec: EquationSpec, N: int):
@@ -256,15 +250,10 @@ def _mono(c: int, dz: int = 0, dw: int = 0, dq: int = 0):
 
 def _mprod(*polys):
     """Product of prefactor polynomials given as monomial tuples."""
-    acc = {(0, 0, 0): 1}
+    out = QSeries.one()
     for poly in polys:
-        new: dict[tuple[int, int, int], int] = {}
-        for (c1, z1, w1, d1) in poly:
-            for (z2, w2, d2), c2 in acc.items():
-                k = (z1 + z2, w1 + w2, d1 + d2)
-                new[k] = new.get(k, 0) + c1 * c2
-        acc = {k: c for k, c in new.items() if c}
-    return tuple((c, z, w, d) for (z, w, d), c in sorted(acc.items()))
+        out = out * QSeries({(z, w, d): c for c, z, w, d in poly})
+    return tuple((c, z, w, d) for (z, w, d), c in sorted(out.terms.items()))
 
 
 # -- check registry -----------------------------------------------------------
@@ -1186,6 +1175,8 @@ def _bailey(p):
            "bilateral alternating sum")
 def _jtp(p):
     a, m = p["a"], p["m"]
+    if m < 1:
+        raise ParamError("m >= 1")
     terms = [Term(1, ("jtp_prod", a, m)), Term(-1, ("jtp_sum", a, m))]
     return _spec("jtp", p, terms, "proved")
 

@@ -42,6 +42,27 @@ def inv_poch_fin(base: int, count: int, order: int) -> QSeries:
     return poch(base, base, count, order).invert()
 
 
+def multisum_term(e: int, factors, N: int) -> QSeries:
+    """q^e / prod over (base, count) in factors of (q^base; q^base)_count,
+    to order N (each inverse to order N - e); count 0 factors are 1."""
+    term = QSeries.monomial(1, dq=e, order=None)
+    for base, count in factors:
+        if count:
+            term = term * inv_poch_fin(base, count, N - e)
+    return term
+
+
+def _ls_factor(i: int, s: int, m: int, e: int, N: int) -> QSeries:
+    """(-1)^i q^e [i+s, s]_t (1 - t^{2i+s}) / (1 - t^{i+s}) at t = q^m,
+    to order N; the i = 0 ratio counts as 1."""
+    out = QSeries.monomial((-1) ** i, dq=e, order=None) * qbin(i + s, s, m)
+    if i > 0:
+        num = QSeries({(0, 0, 0): 1, (0, 0, m * (2 * i + s)): -1},
+                      None, 0, _clean=True)
+        out = out * num * _inv_geom(m * (i + s), N + e)
+    return out
+
+
 def hl_principal_finite(lam: Partition, kvars: int, m: int, N: int) -> QSeries:
     """P_lambda(1, t, ..., t^{kvars-1}; t) at t = q^m via the closed form
     t^{n(lambda)} (t;t)_kvars / prod_{i>=0} (t;t)_{f_i}, f_0 = kvars - l."""
@@ -63,20 +84,15 @@ def hl_ls_2r1s(r: int, s: int, kvars: int, m: int, N: int) -> QSeries:
     sum over i = 0..r; the i = 0 ratio (1-t^s)/(1-t^s) counts as 1."""
     if r < 0 or s < 0:
         raise ValueError("r, s >= 0")
-    total = QSeries({}, N, 0, _clean=True)
-    for i in range(r + 1):
+
+    def term(i: int) -> QSeries:
         e = m * (i * (i - 1) // 2) + \
             (r - i) * (r - i - 1) // 2 + (r + s + i) * (r + s + i - 1) // 2
-        term = QSeries.monomial((-1) ** i, dq=e, order=None)
-        term = term * qbin(i + s, s, m)
-        term = term * qbin(kvars, r - i, 1)
-        term = term * qbin(kvars, r + s + i, 1)
-        if i > 0:
-            num = QSeries({(0, 0, 0): 1, (0, 0, m * (2 * i + s)): -1},
-                          None, 0, _clean=True)
-            term = term * num * _inv_geom(m * (i + s), N + e)
-        total = total + term.truncate(N)
-    return total
+        return (_ls_factor(i, s, m, e, N) * qbin(kvars, r - i, 1) *
+                qbin(kvars, r + s + i, 1))
+
+    return QSeries.collect((((0, 0, 0), term(i)) for i in range(r + 1)),
+                           N, 0)
 
 
 def hl_symmetrization(lam: Partition, L: int, m: int, N: int,
@@ -95,7 +111,7 @@ def hl_symmetrization(lam: Partition, L: int, m: int, N: int,
     padded = list(lam) + [0] * (L - len(lam))
     pairs = [(i, j) for i in range(L) for j in range(L)
              if padded[i] > padded[j]]
-    total = QSeries({}, N, 0, _clean=True)
+    parts: list[tuple[tuple[int, int, int], QSeries]] = []
     for alpha in sorted(set(permutations(padded)), reverse=True):
         # order-preserving assignment of original indices to positions
         w = [0] * L
@@ -136,8 +152,9 @@ def hl_symmetrization(lam: Partition, L: int, m: int, N: int,
                                    _clean=True)).truncate(inner)
         for v in den_factors:
             unit = unit * _inv_geom(v, inner)
-        total = total + (QSeries.monomial(sign, dq=shift) * unit).truncate(N)
-    return total
+        parts.append(((0, 0, shift), unit if sign > 0 else -unit))
+    return QSeries.collect(parts, N,
+                           min([0] + [shift for (_, _, shift), _ in parts]))
 
 
 # -- infinite principal specialisation via branching -------------------------
@@ -215,12 +232,14 @@ def hl_inf_spec(lam: Partition, m: int, N: int) -> QSeries:
                         e = d + grow + pd
                         if e + step * rem > N:
                             continue
-                        s = acc.get(e, 0) + c * pc
-                        if s:
-                            acc[e] = s
-                        elif e in acc:
-                            del acc[e]
-        state = {nu: cs for nu, cs in new.items() if cs}
+                        acc[e] = acc.get(e, 0) + c * pc
+        # drop zeros first: an empty nu leaves the state, which can end
+        # the loop early
+        state = {}
+        for nu, cs in new.items():
+            cs = {e: c for e, c in cs.items() if c}
+            if cs:
+                state[nu] = cs
         if list(state) == [lam]:
             # every next step multiplies by psi = 1 with grow = 0
             break
@@ -236,28 +255,21 @@ def prop_gow_sum(r: int, n: int, delta: int, N: int) -> QSeries:
     q^{2-delta})_{r_n})."""
     if delta not in (0, 1):
         raise ValueError("delta in {0,1}")
-    total = QSeries({}, N, 0, _clean=True)
-    base_last = 2 - delta
 
-    def rec(chain: list[int]):
-        nonlocal total
+    def terms(chain: list[int]):
         if len(chain) == n + 1:
             e = chain[0] * (chain[0] - 1) + sum(v * v + v for v in chain[1:])
-            if e > N:
-                return
-            term = QSeries.monomial(1, dq=e, order=None)
-            for i in range(n):
-                term = term * inv_poch_fin(1, chain[i] - chain[i + 1], N - e)
-            term = term * inv_poch_fin(base_last, chain[-1], N - e)
-            total = total + term.truncate(N)
+            if e <= N:
+                yield (0, 0, 0), multisum_term(
+                    e, [(1, chain[i] - chain[i + 1]) for i in range(n)] +
+                    [(2 - delta, chain[-1])], N)
             return
         for v in range(chain[-1], -1, -1):
             chain.append(v)
-            rec(chain)
+            yield from terms(chain)
             chain.pop()
 
-    rec([r])
-    return total
+    return QSeries.collect(terms([r]), N, 0)
 
 
 # -- chain multisums ---------------------------------------------------------
@@ -305,28 +317,15 @@ def _h_step(upper: Partition, lower: Partition, m: int) -> QSeries:
 def _tops(k: int, n: int, N: int, lift: bool):
     """Per top of a chain in S_{k,n}: (csum, mu0, lead) with csum = |c|,
     mu0 the top partition and lead = q^e / prod_j (q^n; q^n)_{c_j -
-    c_{j+1}} to order N - e, where e = csum if lift else 0."""
+    c_{j+1}} (multisum_term), where e = csum if lift else 0."""
     for top in _even_conjugate_tops(k, N):
         csum = sum(top)
         mu0 = tuple(v for v in (c for c in top for _ in range(2)) if v)
-        e = csum if lift else 0
-        lead = QSeries.monomial(1, dq=e, order=None)
-        for j in range(k):
-            gap = top[j] - (top[j + 1] if j + 1 < k else 0)
-            if gap:
-                lead = lead * inv_poch_fin(n, gap, N - e)
+        lead = multisum_term(
+            csum if lift else 0,
+            [(n, top[j] - (top[j + 1] if j + 1 < k else 0))
+             for j in range(k)], N)
         yield csum, mu0, lead
-
-
-def _add_at_z(acc: dict, dz: int, term: QSeries, dq_shift: int = 0) -> None:
-    """Add the q-terms of term, times z^dz q^dq_shift, into acc."""
-    for (_, _, dq), c in term.terms.items():
-        kk = (dz, 0, dq + dq_shift)
-        s = acc.get(kk, 0) + c
-        if s:
-            acc[kk] = s
-        elif kk in acc:
-            del acc[kk]
 
 
 def _chain_dp(n: int, N: int, spent_bound):
@@ -347,12 +346,10 @@ def _chain_dp(n: int, N: int, spent_bound):
         if got is not None:
             return got
         my_ord = N - spent_bound(a, sum(mu))
-        total = QSeries({}, my_ord, 0, _clean=True)
-        for nu in sub_partitions(mu):
-            if spent_bound(a + 1, sum(nu)) > N:
-                continue
-            total = total + (_h_step(mu, nu, n) *
-                             G(a + 1, nu)).truncate(my_ord)
+        total = QSeries.collect(
+            (((0, 0, 0), _h_step(mu, nu, n) * G(a + 1, nu))
+             for nu in sub_partitions(mu)
+             if spent_bound(a + 1, sum(nu)) <= N), my_ord, 0)
         memo[key] = total
         return total
 
@@ -371,10 +368,9 @@ def hl_chain_sum(k: int, n: int, N: int) -> QSeries:
         raise ValueError("k >= 0")
     # the top carries q^{|mu0|/2} and each step above level a carries q^{|mu|}
     G = _chain_dp(n, N, lambda a, w: ((2 * a + 1) * w + 1) // 2)
-    acc: dict[tuple[int, int, int], int] = {}
-    for csum, mu0, lead in _tops(k, n, N, lift=True):
-        _add_at_z(acc, csum, (lead * G(0, mu0)).truncate(N))
-    return QSeries(acc, N, 0, _clean=True)
+    return QSeries.collect(
+        (((csum, 0, 0), lead * G(0, mu0))
+         for csum, mu0, lead in _tops(k, n, N, lift=True)), N, 0)
 
 
 def hl_weighted_chain(variant: str, param: int, N: int) -> QSeries:
@@ -406,44 +402,36 @@ def hl_weighted_chain(variant: str, param: int, N: int) -> QSeries:
         raise ValueError(variant)
     # the z/q weight cancels the q^{|mu0|/2} of the top row
     G = _chain_dp(n, N, lambda a, w: a * w)
-    acc: dict[tuple[int, int, int], int] = {}
-    for csum, mu0, gaps in _tops(k, n, N, lift=False):
-        for mu1 in sub_partitions(mu0):
-            if sum(mu1) > N:
-                continue
-            e = csum + extra(csum, mu1[0] if mu1 else 0)
-            if e > N:
-                continue
-            term = QSeries.monomial(1, dq=e, order=None) * gaps
-            _add_at_z(acc, csum, (term * _h_step(mu0, mu1, n) *
-                                  G(1, mu1)).truncate(N))
-    return QSeries(acc, N, 0, _clean=True)
+
+    def parts():
+        for csum, mu0, gaps in _tops(k, n, N, lift=False):
+            for mu1 in sub_partitions(mu0):
+                if sum(mu1) > N:
+                    continue
+                e = csum + extra(csum, mu1[0] if mu1 else 0)
+                if e > N:
+                    continue
+                yield (csum, 0, e), gaps * _h_step(mu0, mu1, n) * G(1, mu1)
+
+    return QSeries.collect(parts(), N, 0)
 
 
 def hl_sum_over_bounded(k: int, m: int, N: int,
                         z_shift: int = 1) -> QSeries:
     """sum_{lambda_1 <= k} (z q^{z_shift})^{|lambda|} P_{2 lambda}(1, q,
     ...; q^m), assembled from hl_inf_spec; the oracle for hl_chain_sum."""
-    total: dict[tuple[int, int, int], int] = {}
-
-    def visit(lam: tuple[int, ...]):
-        wl = sum(lam)
-        two = tuple(2 * p for p in lam)
-        _add_at_z(total, wl, hl_inf_spec(two, m, N - z_shift * wl),
-                  z_shift * wl)
-
-    def rec(prev: int, acc: list[int]):
-        visit(tuple(acc))
+    def parts(prev: int, acc: list[int]):
         wl = sum(acc)
+        yield (wl, 0, z_shift * wl), hl_inf_spec(
+            tuple(2 * p for p in acc), m, N - z_shift * wl)
         for v in range(1, min(prev, k) + 1):
             if (wl + v) * z_shift > N:
                 break
             acc.append(v)
-            rec(v, acc)
+            yield from parts(v, acc)
             acc.pop()
 
-    rec(k, [])
-    return QSeries(total, N, 0, _clean=True)
+    return QSeries.collect(parts(k, []), N, 0)
 
 
 # -- Bailey pair check -------------------------------------------------------
@@ -455,20 +443,15 @@ def bailey_sides(s: int, m: int, r_max: int, N: int):
     the Bailey pair relative to q^s with t = q^m, the Hall-Littlewood form
     q^{-binom(r,2)-binom(r+s,2)} (q;q)_s P_{(2^r,1^s)}(1,q,...; q^m)),
     both to order N."""
+    def term(r: int, i: int) -> QSeries:
+        e = m * (i * (i - 1) // 2) + i * (i + s)
+        return (_ls_factor(i, s, m, e, N) * inv_poch_fin(1, r - i, N) *
+                poch(s + 1, 1, r + i, N).invert(N))
+
     out = []
     for r in range(r_max + 1):
-        lhs = QSeries({}, N, 0, _clean=True)
-        for i in range(r + 1):
-            e = m * (i * (i - 1) // 2) + i * (i + s)
-            alpha = QSeries.monomial((-1) ** i, dq=e, order=None)
-            alpha = alpha * qbin(i + s, s, m)
-            if i > 0:
-                num = QSeries({(0, 0, 0): 1, (0, 0, m * (2 * i + s)): -1},
-                              None, 0, _clean=True)
-                alpha = alpha * num * _inv_geom(m * (i + s), N + e)
-            term = alpha * inv_poch_fin(1, r - i, N)
-            term = term * poch(s + 1, 1, r + i, N).invert(N)
-            lhs = lhs + term.truncate(N)
+        lhs = QSeries.collect((((0, 0, 0), term(r, i)) for i in range(r + 1)),
+                              N, 0)
         D = r * (r - 1) // 2 + (r + s) * (r + s - 1) // 2
         shape = tuple([2] * r + [1] * s)
         rhs = hl_inf_spec(shape, m, N + D) * poch(1, 1, s, N + D)

@@ -180,14 +180,10 @@ def _lattice_det_sum(n: int, pref_exp, pref_sign, entry_monomials,
                 c = sgn0 * psign
                 for m in combo:
                     c *= m[0]
-                s = acc.get(e, 0) + c
-                if s:
-                    acc[e] = s
-                elif e in acc:
-                    del acc[e]
-    floor = min(acc, default=0)
-    return QSeries({(0, 0, e): c for e, c in acc.items()}, N, min(floor, 0),
-                   _clean=True)
+                acc[e] = acc.get(e, 0) + c
+    # the floor is the lowest exponent that survives cancellation
+    floor = min([0] + [e for e, c in acc.items() if c])
+    return QSeries({(0, 0, e): c for e, c in acc.items()}, N, floor)
 
 
 def pi_product(kind: str, exps: tuple[int, ...], base: int, sigma: int,

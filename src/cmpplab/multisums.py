@@ -10,9 +10,10 @@ skipped (the usual 1/(q;q)_{negative} = 0 convention).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from math import isqrt
 
-from .hall_littlewood import inv_poch_fin
+from .hall_littlewood import multisum_term
 from .series import QSeries
 
 
@@ -21,28 +22,13 @@ def _chain_sum(k: int, a: int, last_base: int, z_all: bool,
     """sum over r_1 >= ... >= r_k >= 0 of z^{r_1+...+r_k if z_all else
     r_1} q^{r_1^2+...+r_k^2+r_{a+1}+...+r_k} / ((q;q)_{r_1-r_2} ...
     (q;q)_{r_{k-1}-r_k} (q^last_base; q^last_base)_{r_k}), k >= 1."""
-    acc: dict[tuple[int, int, int], int] = {}
-
-    def add_term(chain: list[int]):
-        e = sum(v * v for v in chain) + sum(chain[a:])
-        if e > N:
-            return
-        term = QSeries.monomial(1, dq=e, order=None)
-        for i in range(k - 1):
-            term = term * inv_poch_fin(1, chain[i] - chain[i + 1], N - e)
-        term = term * inv_poch_fin(last_base, chain[-1], N - e)
-        zp = sum(chain) if z_all else chain[0]
-        for (_, _, dq), c in term.truncate(N).terms.items():
-            kk = (zp, 0, dq)
-            s = acc.get(kk, 0) + c
-            if s:
-                acc[kk] = s
-            elif kk in acc:
-                del acc[kk]
-
-    def rec(chain: list[int]):
+    def parts(chain: list[int]):
         if len(chain) == k:
-            add_term(chain)
+            e = sum(v * v for v in chain) + sum(chain[a:])
+            if e <= N:
+                yield (sum(chain) if z_all else chain[0], 0, 0), multisum_term(
+                    e, [(1, chain[i] - chain[i + 1]) for i in range(k - 1)] +
+                    [(last_base, chain[-1])], N)
             return
         cap = chain[-1] if chain else isqrt(N)
         base = sum(v * v for v in chain)
@@ -50,11 +36,10 @@ def _chain_sum(k: int, a: int, last_base: int, z_all: bool,
             if base + v * v > N:
                 break
             chain.append(v)
-            rec(chain)
+            yield from parts(chain)
             chain.pop()
 
-    rec([])
-    return QSeries(acc, N, 0)
+    return QSeries.collect(parts([]), N, 0)
 
 
 def f_sum(n: int, a: int, delta: int, N: int) -> QSeries:
@@ -131,36 +116,26 @@ def _double_sum(k: int, N: int, exp_fn, z_fn, omega: bool = False,
     """
     if k == 0:
         return QSeries.one(N)
-    acc: dict[tuple[int, int, int], int] = {}
-    for r, s in _rs_tuples(k, N, exp_fn):
-        e = exp_fn(r, s)
-        term = QSeries.monomial(1, dq=e, order=None)
-        for i in range(k):
-            rnext = r[i + 1] if i + 1 < k else 0
-            term = term * inv_poch_fin(1, r[i] - rnext, N - e)
-            sprev = s[i - 1] if i else 0
-            term = term * inv_poch_fin(2, s[i] - sprev, N - e)
-        if omega:
-            om: dict[int, int] = {}
-            for i in range(k - 1):
-                d1 = r[i] + 2 * s[i]
-                om[d1] = om.get(d1, 0) + 1
-                d2 = d1 + 2 * (s[i + 1] - s[i])
-                om[d2] = om.get(d2, 0) - 1
-            dk = r[k - 1] + 2 * s[k - 1]
-            om[dk] = om.get(dk, 0) + 1
-            term = term * QSeries({(0, 0, d): c for d, c in om.items() if c},
-                                  None, 0, _clean=True)
-        zp = z_fn(r, s)
-        wp = w_powers(r, s) if w_powers else 0
-        for (_, _, dq), c in term.truncate(N).terms.items():
-            kk = (zp, wp, dq)
-            v = acc.get(kk, 0) + c
-            if v:
-                acc[kk] = v
-            elif kk in acc:
-                del acc[kk]
-    return QSeries(acc, N, 0)
+
+    def parts():
+        for r, s in _rs_tuples(k, N, exp_fn):
+            term = multisum_term(exp_fn(r, s), [
+                f for i in range(k)
+                for f in ((1, r[i] - (r[i + 1] if i + 1 < k else 0)),
+                          (2, s[i] - (s[i - 1] if i else 0)))], N)
+            if omega:
+                om: dict[int, int] = {}
+                for i in range(k - 1):
+                    d1 = r[i] + 2 * s[i]
+                    om[d1] = om.get(d1, 0) + 1
+                    d2 = d1 + 2 * (s[i + 1] - s[i])
+                    om[d2] = om.get(d2, 0) - 1
+                dk = r[k - 1] + 2 * s[k - 1]
+                om[dk] = om.get(dk, 0) + 1
+                term = term * QSeries({(0, 0, d): c for d, c in om.items()})
+            yield (z_fn(r, s), w_powers(r, s) if w_powers else 0, 0), term
+
+    return QSeries.collect(parts(), N, 0)
 
 
 def shun_sum(k: int, N: int) -> QSeries:
@@ -289,31 +264,18 @@ def s_series(k1: int, k2: int, l1: int, l2: int, N: int) -> QSeries:
         return max(v, 0)
 
     caps = (axis_cap(k1), axis_cap(k2), axis_cap(2 * l1), axis_cap(2 * l2))
-    acc: dict[tuple[int, int, int], int] = {}
-    for m1 in range(caps[0] + 1):
-        for m2 in range(caps[1] + 1):
-            for n1 in range(caps[2] + 1):
-                for n2 in range(caps[3] + 1):
-                    M1, M2 = m1 + m2, m2
-                    N1, N2 = n1 + n2, n2
-                    e = ((M1 + N2) ** 2 + (M2 + N1) ** 2 + N1 * N1 + N2 * N2
-                         + k1 * m1 + k2 * m2 + 2 * l1 * n1 + 2 * l2 * n2)
-                    if e > N:
-                        continue
-                    term = QSeries.monomial(1, dq=e, order=None)
-                    term = term * inv_poch_fin(1, m1, N - e)
-                    term = term * inv_poch_fin(1, m2, N - e)
-                    term = term * inv_poch_fin(2, n1, N - e)
-                    term = term * inv_poch_fin(2, n2, N - e)
-                    zp, wp = M1 + M2, N1 + N2
-                    for (_, _, dq), c in term.truncate(N).terms.items():
-                        kk = (zp, wp, dq)
-                        s = acc.get(kk, 0) + c
-                        if s:
-                            acc[kk] = s
-                        elif kk in acc:
-                            del acc[kk]
-    return QSeries(acc, N, 0)
+
+    def parts():
+        for m1, m2, n1, n2 in product(*(range(c + 1) for c in caps)):
+            M1, M2 = m1 + m2, m2
+            N1, N2 = n1 + n2, n2
+            e = ((M1 + N2) ** 2 + (M2 + N1) ** 2 + N1 * N1 + N2 * N2
+                 + k1 * m1 + k2 * m2 + 2 * l1 * n1 + 2 * l2 * n2)
+            if e <= N:
+                yield (M1 + M2, N1 + N2, 0), multisum_term(
+                    e, ((1, m1), (1, m2), (2, n1), (2, n2)), N)
+
+    return QSeries.collect(parts(), N, 0)
 
 
 def _monom(c: int, dz: int = 0, dw: int = 0, dq: int = 0) -> QSeries:

@@ -10,7 +10,14 @@ zero series).  All arithmetic keeps the tightest provable window:
 * add/sub:  order = min of the operands' orders
 * mul:      order = min(a.order + b.floor, b.order + a.floor)
 
-Coefficients are plain Python ints, so everything is exact.
+Coefficients are plain Python ints, so everything is exact.  Two rules
+hold throughout:
+
+* ``terms`` never stores a zero coefficient.  Arithmetic accumulates
+  plainly and leaves the dropping of zeros to the constructor.
+* A sum of many series, each times a monomial, goes through the one
+  accumulator ``QSeries.collect`` rather than a chain of ``+``, which
+  would copy the running sum once per term.
 """
 
 from __future__ import annotations
@@ -70,6 +77,21 @@ class QSeries:
         terms = {(0, 0, d): c for d, c in enumerate(coeffs) if c}
         return QSeries(terms, order, 0, _clean=True)
 
+    @staticmethod
+    def collect(parts: Iterable[tuple[Key, "QSeries"]],
+                order: Optional[int], floor: int) -> "QSeries":
+        """sum of z^a w^b q^c * s over the ((a, b, c), s) in parts, cut at
+        q^order (None: exact), with the window (order, floor) the caller
+        states for the sum."""
+        terms: dict[Key, int] = {}
+        for (a, b, c), s in parts:
+            for (dz, dw, dq), v in s.terms.items():
+                k = (dz + a, dw + b, dq + c)
+                terms[k] = terms.get(k, 0) + v
+        if order is not None:
+            terms = {k: v for k, v in terms.items() if k[2] <= order}
+        return QSeries(terms, order, floor)
+
     # -- basic queries ----------------------------------------------------
 
     def is_exact_zero(self) -> bool:
@@ -102,18 +124,10 @@ class QSeries:
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        order = _min_order(self.q_order, other.q_order)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k, 0) + c
-            if s:
-                terms[k] = s
-            elif k in terms:
-                del terms[k]
-        if order is not None:
-            terms = {k: c for k, c in terms.items() if k[2] <= order}
-        return QSeries(terms, order, min(self.q_floor, other.q_floor),
-                       _clean=True)
+        return QSeries.collect(
+            (((0, 0, 0), self), ((0, 0, 0), other)),
+            _min_order(self.q_order, other.q_order),
+            min(self.q_floor, other.q_floor))
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
@@ -139,12 +153,8 @@ class QSeries:
                 if order is not None and d > order:
                     break
                 k = (z1 + z2, w1 + w2, d)
-                s = terms.get(k, 0) + c1 * c2
-                if s:
-                    terms[k] = s
-                elif k in terms:
-                    del terms[k]
-        return QSeries(terms, order, floor, _clean=True)
+                terms[k] = terms.get(k, 0) + c1 * c2
+        return QSeries(terms, order, floor)
 
     def __pow__(self, n: int) -> "QSeries":
         if n < 0:
@@ -208,12 +218,8 @@ class QSeries:
                  qpow * dq + zi[2] * dz + wi[2] * dw)
             if order is not None and k[2] > order:
                 continue
-            s = terms.get(k, 0) + c
-            if s:
-                terms[k] = s
-            elif k in terms:
-                del terms[k]
-        return QSeries(terms, order, qpow * self.q_floor, _clean=True)
+            terms[k] = terms.get(k, 0) + c
+        return QSeries(terms, order, qpow * self.q_floor)
 
     def at_one(self, var: str = "z") -> "QSeries":
         """Set z (or w) to 1 by collapsing its exponent."""
@@ -266,13 +272,11 @@ class QSeries:
                 for (z1, w1, c1) in lay:
                     for (z2, w2), c2 in prev.items():
                         k = (z1 + z2, w1 + w2)
-                        s = acc.get(k, 0) + c1 * c2
-                        if s:
-                            acc[k] = s
-                        elif k in acc:
-                            del acc[k]
-            if acc:
-                inv_layers[d] = {k: -c0 * v for k, v in acc.items()}
+                        acc[k] = acc.get(k, 0) + c1 * c2
+            # an all-zero layer is left out, so `prev` above skips it
+            layer = {k: -c0 * v for k, v in acc.items() if v}
+            if layer:
+                inv_layers[d] = layer
         terms = {(z, w, d): c
                  for d, lay in inv_layers.items() for (z, w), c in lay.items()}
         return QSeries(terms, order, 0, _clean=True)

@@ -186,6 +186,9 @@ def test_sweep_timings_reach_run_check(monkeypatch, capsys):
     ("verify", "--check", "con-a2n2", "--params", "n=2,weights=1:x",
      "--order", "5"),
     ("expand", "--series", "nonsense(1,2)", "--order", "5"),
+    ("sweep", "--check", "gordon", "--grid", "k=abc,a=0:1", "--order", "3"),
+    ("sweep", "--check", "gordon", "--grid", "k=1:2,a=0:z", "--order", "3"),
+    ("verify", "--check", "jtp", "--params", "a=1,m=0", "--order", "5"),
 ])
 def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     assert cli.main(list(argv)) == 1
@@ -193,6 +196,25 @@ def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_bad_jobs_variable_is_a_usage_error_for_sweep_only(monkeypatch,
+                                                           capsys):
+    monkeypatch.setenv("CMPPLAB_JOBS", "x")
+    assert run(capsys, "list-checks")[0] == 0
+    assert cli.main(["sweep", "--check", "gordon", "--grid", "k=1:1,a=0:1",
+                     "--order", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: CMPPLAB_JOBS must be an integer\n"
+
+
+def test_sweep_skips_out_of_range_jtp_points(capsys):
+    code, out = run(capsys, "sweep", "--check", "jtp",
+                    "--grid", "a=1:2,m=0:1", "--order", "5")
+    assert code == 0
+    params = [json.loads(ln)["params"] for ln in out.strip().splitlines()]
+    assert params == [{"a": 1, "m": 1}, {"a": 2, "m": 1}]
 
 
 def test_error_evaluating_a_valid_spec_propagates(monkeypatch, capsys):

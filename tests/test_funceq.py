@@ -253,9 +253,13 @@ def test_resolver_table_is_exactly_the_referenced_kinds():
 
 @pytest.mark.parametrize("N, M", [(10, 6), (9, 4), (12, 7)])
 def test_resolver_truncation_soundness(N, M):
-    # a build at order N, cut to M, is the build at order M
+    # a build at order N, cut to M, is the build at order M; no build
+    # stores a zero coefficient
     for ref in _resolver_refs():
-        cut, small = funceq._series(ref, N).truncate(M), funceq._series(ref, M)
+        full, small = funceq._series(ref, N), funceq._series(ref, M)
+        assert 0 not in full.terms.values(), (ref, N)
+        assert 0 not in small.terms.values(), (ref, M)
+        cut = full.truncate(M)
         assert cut.terms == small.terms, (ref, N, M)
         assert cut.q_floor == small.q_floor, (ref, N, M)
         if small.q_order is not None:

@@ -49,6 +49,22 @@ def test_ring_axioms_random():
         up = min(o for o in (lhs.q_order, rhs.q_order) if o is not None)
         assert lhs.compare(rhs, up) is None
         assert (a * (b + c)).compare(a * b + a * c, 10) is None
+        # collect over shifted parts, a and -a cancelling, is the `+` chain
+        sh = [(rng.randint(0, 2), rng.randint(0, 2), rng.randint(-3, 3))
+              for _ in range(4)]
+        parts = [(sh[0], a), (sh[1], b), (sh[0], -a), (sh[2], c),
+                 (sh[3], b * c)]
+        shifted = [QSeries.monomial(1, *k) * s for k, s in parts]
+        chain = QSeries.zero()
+        for p in shifted:
+            chain = chain + p
+        got = QSeries.collect(parts, chain.q_order, chain.q_floor)
+        assert got == chain
+        assert 0 not in got.terms.values()
+        # and coefficientwise, without `+`
+        for k in set(got.terms).union(*(p.terms for p in shifted)):
+            want = sum(p.coeff(*k) for p in shifted)
+            assert got.coeff(*k) == (want if k[2] <= got.q_order else 0)
 
 
 def test_pentagonal_numbers():
