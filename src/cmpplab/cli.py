@@ -264,6 +264,8 @@ def _exit_code(reports) -> int:
 
 
 def _usage_error(msg) -> int:
+    if isinstance(msg, KeyError) and msg.args:
+        msg = msg.args[0]  # str() of a KeyError quotes its message
     print("error: %s" % msg, file=sys.stderr)
     return 1
 

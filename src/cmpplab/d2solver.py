@@ -12,6 +12,7 @@ the uniqueness claim and raises.
 
 from __future__ import annotations
 
+from . import funceq
 from .series import QSeries
 
 
@@ -25,12 +26,25 @@ def _weights(k: int) -> list[tuple[int, int, int]]:
             for b in range(k - a + 1)]
 
 
+def _equation(check_id: str, **params):
+    """A d2-fun (expansion) or d2-nis2 (difference) equation of the
+    catalog as (weights of the unshifted terms, left side first; (pz, pq,
+    w) of the right side's terms z^pz q^pq X_w(zq^2))."""
+    terms = funceq.catalog(check_id, params).terms
+    return ([t.series[3] for t in terms if t.subst == (0, 0, 1)],
+            [(t.pref[0][1], t.pref[0][3], t.series[3]) for t in terms
+             if t.subst != (0, 0, 1)])
+
+
 def solve_d2_system(k: int, N: int) -> dict[tuple[int, int, int], QSeries]:
     """Solve for all level-k series through order N; returns the full
     weight-indexed family (canonical representatives share storage)."""
     canon_ws = sorted({_canon(w) for w in _weights(k)})
     X: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {
         w: {(0, 0): 1} for w in canon_ws}
+    expansions = [_equation("d2-fun", k=k, a=a) for a in range(k + 1)]
+    differences = [_equation("d2-nis2", k=k, a=a, b=b)
+                   for a in range(k + 1) for b in range(k - a)]
 
     def coeff(w, dz, dq):
         if dq < 0 or dz < 0 or dz > dq:
@@ -48,25 +62,11 @@ def solve_d2_system(k: int, N: int) -> dict[tuple[int, int, int], QSeries]:
 
     for d in range(1, N + 1):
         for dz in range(1, d + 1):
-            known: dict[tuple[int, int, int], int] = {}
-            # expansion equations: X_{(a,0,k-a)}(z) = sum (zq^2)^{i+j} ...
-            for a in range(k + 1):
-                inner = [(i + j, 2 * (i + j), (i, k - i - j, j))
-                         for i in range(a + 1) for j in range(k - a + 1)]
-                known[_canon((a, 0, k - a))] = rhs_value(inner, dz, d)
-            # difference equations as edges
-            edges = []
-            for a in range(k + 1):
-                for b in range(k - a):
-                    c = k - a - b
-                    inner = []
-                    for i in range(a + 1):
-                        for j in range(k - a + 1):
-                            e = k + i - a + min(0, j - b)
-                            inner.append((e, e + i + j, (i, k - i - j, j)))
-                    edges.append((_canon((a, c, b)),
-                                  _canon((a + 1, c - 1, b)),
-                                  rhs_value(inner, dz, d)))
+            # an expansion pins its left side, a difference links two sides
+            known = {_canon(lhs): rhs_value(inner, dz, d)
+                     for (lhs,), inner in expansions}
+            edges = [(_canon(lhs), _canon(w), rhs_value(inner, dz, d))
+                     for (lhs, w), inner in differences]
             progress = True
             while progress:
                 progress = False

@@ -326,8 +326,8 @@ def _rs(p):
 def _mr(p):
     n, a, br = p["n"], p["a"], p["branch"]
     if br == 1:
-        if not 0 <= a <= n // 2:
-            raise ParamError("branch 1 needs 0 <= a <= floor(n/2)")
+        if n < 1 or not 0 <= a <= n // 2:
+            raise ParamError("branch 1 needs n >= 1, 0 <= a <= floor(n/2)")
         terms = [Term(1, ("gen", "A", n, _unit(n, a))),
                  Term(-1, ("gen", "A", n, _unit(n, n - a)), subst=(1, 0, 1))]
         for i in range(1, a + 1):
@@ -558,6 +558,8 @@ def _auto(p):
            "frequency partitions f_i + f_{i+1} <= k0+k1, f_1 <= k1")
 def _bb(p):
     k0, k1 = p["k0"], p["k1"]
+    if k0 < 0 or k1 < 0:
+        raise ParamError("k0, k1 >= 0")
     terms = [Term(1, ("gen", "A", 1, (k0, k1))),
              Term(-1, ("gordon_b", k0 + k1, k1))]
     return _spec("b-b", p, terms, "proved")
@@ -604,8 +606,8 @@ def _agtv(p):
            "gen_fun(A,1,(k-a,a)) at z=1 equals the F-multisum at z=1")
 def _gfsum(p):
     k, a = p["k"], p["a"]
-    if not 0 <= a <= k:
-        raise ParamError("0 <= a <= k")
+    if k < 1 or not 0 <= a <= k:
+        raise ParamError("k >= 1, 0 <= a <= k")
     terms = [Term(1, ("gen", "A", 1, (k - a, a)), post="z1"),
              Term(-1, ("fsum", k, a, 1), post="z1")]
     return _spec("gordon-fsum", p, terms, "proved")
@@ -615,6 +617,8 @@ def _gfsum(p):
            "level-one A-family counts equal the modulus-(2n+3) product")
 def _jms(p):
     n, a = p["n"], p["a"]
+    if n < 1:
+        raise ParamError("n >= 1")
     terms = [Term(1, ("gen", "A", n, _unit(n, a)), post="z1"),
              Term(-1, ("prodspec", products.jms_product(n, a)))]
     return _spec("jms", p, terms, "proved")
@@ -624,6 +628,8 @@ def _jms(p):
            "two-variable bridge to F^{(n)}_{2a,1} / F^{(n)}_{2n-2a+1,1}")
 def _af(p):
     n, a = p["n"], p["a"]
+    if n < 1:
+        raise ParamError("n >= 1")
     aa = 2 * a if a <= n // 2 else 2 * n - 2 * a + 1
     terms = [Term(1, ("gen", "A", n, _unit(n, a))),
              Term(-1, ("fsum", n, aa, 1))]
@@ -644,6 +650,8 @@ def _cf(p):
            "two-variable bridge to F^{(n)}_{2a,0} / F^{(n)}_{2n-2a,0}")
 def _df(p):
     n, a = p["n"], p["a"]
+    if n < 1:
+        raise ParamError("n >= 1")
     aa = 2 * a if a <= n // 2 else 2 * n - 2 * a
     terms = [Term(1, ("gen", "D", n, _unit(n, a))),
              Term(-1, ("fsum", n, aa, 0))]
@@ -654,6 +662,8 @@ def _df(p):
            "level-one D-family counts equal the modulus-(2n+2) product")
 def _dk1(p):
     n, a = p["n"], p["a"]
+    if n < 1:
+        raise ParamError("n >= 1")
     terms = [Term(1, ("gen", "D", n, _unit(n, a)), post="z1"),
              Term(-1, ("prodspec", products.d_level1_product(n, a)))]
     return _spec("dk1", p, terms, "proved")
@@ -673,6 +683,8 @@ def _cl1(p):
            "two-variable product")
 def _cn0(p):
     k = p["k"]
+    if k < 0:
+        raise ParamError("k >= 0")
     terms = [Term(1, ("gen", "C", 0, (k,))), Term(-1, ("c_n0_2var", k))]
     return _spec("c-n0-closed", p, terms, "proved")
 
@@ -873,6 +885,8 @@ def _condq(p):
            "the double multisum equals sum (zq)^{|lam|} P_{2 lam}(...;q^2)")
 def _conshun(p):
     k = p["k"]
+    if k < 0:
+        raise ParamError("k >= 0")
     status = "proved" if k <= 1 else "conjectural"
     terms = [Term(1, ("shun", k)), Term(-1, ("hlsum", k, 2, 1))]
     return _spec("con-shun", p, terms, status)
@@ -1123,6 +1137,8 @@ def _hlcd(p):
            "HL_{k,1}(z,q) is the Andrews-Gordon multisum at a=k")
 def _hlca(p):
     k = p["k"]
+    if k < 0:
+        raise ParamError("k >= 0")
     terms = [Term(1, ("hlchain", k, 1)), Term(-1, ("ag", k, k))]
     return _spec("hl-chain-ag", p, terms, "proved")
 
@@ -1132,8 +1148,8 @@ def _hlca(p):
            "branching evaluation")
 def _gow(p):
     r, n, delta = p["r"], p["n"], p["delta"]
-    if 2 * n + delta < 1:
-        raise ParamError("2n + delta >= 1")
+    if delta not in (0, 1) or 2 * n + delta < 1:
+        raise ParamError("delta in {0, 1}, 2n + delta >= 1")
     terms = [Term(1, ("gow", r, n, delta)),
              Term(-1, ("hlinf", tuple([2] * r), 2 * n + delta))]
     return _spec("gow", p, terms, "proved")
@@ -1146,6 +1162,8 @@ def _gow(p):
            {"route": 0})
 def _hltri(p):
     r, s, L, m, route = p["r"], p["s"], p["L"], p["m"], p["route"]
+    if min(r, s) < 0 or not r + s <= L <= 9 or m < 1:
+        raise ParamError("r, s >= 0, r + s <= L <= 9, m >= 1")
     shape = tuple([2] * r + [1] * s)
     if route == 0:
         terms = [Term(1, ("hlsym", shape, L, m, 1)),
@@ -1163,8 +1181,8 @@ def _hltri(p):
            "beta, r tagged by the z-exponent", {"r_max": 4})
 def _bailey(p):
     s, m, r_max = p["s"], p["m"], p["r_max"]
-    if r_max > 6:
-        raise ParamError("r_max <= 6")
+    if s < 0 or m < 1 or r_max > 6:
+        raise ParamError("s >= 0, m >= 1, r_max <= 6")
     terms = [Term(1, ("baileyl", s, m, r_max)),
              Term(-1, ("baileyr", s, m, r_max))]
     return _spec("bailey", p, terms, "proved")
@@ -1242,7 +1260,11 @@ def _macqp(p):
 def _specchar(p):
     fam, n, two_k = p["family"], p["n"], p["two_k"]
     tl = tuple(p["two_lambda"])
-    hw = macdonald.HalfWeight(two_k, tl)
+    try:
+        hw = macdonald.HalfWeight(two_k, tl)
+        macdonald.check_character_data(fam, n, hw)
+    except ValueError as exc:
+        raise ParamError(str(exc)) from None
     terms = [Term(1, ("speccharsum", fam, n, two_k, tl))]
     if hw.k_integral and hw.lambda_integral:
         w = hw.weight()

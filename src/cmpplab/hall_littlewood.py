@@ -26,20 +26,7 @@ from itertools import permutations
 
 from .partitions import (Partition, check_partition, frequencies, n_stat,
                          sub_partitions)
-from .series import QSeries, poch, qbin
-
-
-@lru_cache(maxsize=None)
-def _inv_geom(d: int, order: int) -> QSeries:
-    """1 / (1 - q^d) to the given order."""
-    return QSeries({(0, 0, 0): 1, (0, 0, d): -1}, None, 0,
-                   _clean=True).invert(order)
-
-
-@lru_cache(maxsize=None)
-def inv_poch_fin(base: int, count: int, order: int) -> QSeries:
-    """1 / (q^base; q^base)_count to the given order."""
-    return poch(base, base, count, order).invert()
+from .series import QSeries, inv_poch, poch, qbin
 
 
 def multisum_term(e: int, factors, N: int) -> QSeries:
@@ -48,7 +35,7 @@ def multisum_term(e: int, factors, N: int) -> QSeries:
     term = QSeries.monomial(1, dq=e, order=None)
     for base, count in factors:
         if count:
-            term = term * inv_poch_fin(base, count, N - e)
+            term = term * inv_poch(base, base, count, N - e)
     return term
 
 
@@ -59,7 +46,8 @@ def _ls_factor(i: int, s: int, m: int, e: int, N: int) -> QSeries:
     if i > 0:
         num = QSeries({(0, 0, 0): 1, (0, 0, m * (2 * i + s)): -1},
                       None, 0, _clean=True)
-        out = out * num * _inv_geom(m * (i + s), N + e)
+        d = m * (i + s)
+        out = out * num * inv_poch(d, d, 1, N + e)
     return out
 
 
@@ -73,9 +61,9 @@ def hl_principal_finite(lam: Partition, kvars: int, m: int, N: int) -> QSeries:
         return QSeries({}, N, 0, _clean=True)
     out = QSeries.monomial(1, dq=m * n_stat(lam), order=None)
     out = out * poch(m, m, kvars, N + m * n_stat(lam))
-    out = out * inv_poch_fin(m, kvars - len(lam), N)
+    out = out * inv_poch(m, m, kvars - len(lam), N)
     for f in frequencies(lam).values():
-        out = out * inv_poch_fin(m, f, N)
+        out = out * inv_poch(m, m, f, N)
     return out.truncate(N)
 
 
@@ -151,7 +139,7 @@ def hl_symmetrization(lam: Partition, L: int, m: int, N: int,
             unit = (unit * QSeries({(0, 0, 0): 1, (0, 0, u): -1}, None, 0,
                                    _clean=True)).truncate(inner)
         for v in den_factors:
-            unit = unit * _inv_geom(v, inner)
+            unit = unit * inv_poch(v, v, 1, inner)
         parts.append(((0, 0, shift), unit if sign > 0 else -unit))
     return QSeries.collect(parts, N,
                            min([0] + [shift for (_, _, shift), _ in parts]))
@@ -445,8 +433,8 @@ def bailey_sides(s: int, m: int, r_max: int, N: int):
     both to order N."""
     def term(r: int, i: int) -> QSeries:
         e = m * (i * (i - 1) // 2) + i * (i + s)
-        return (_ls_factor(i, s, m, e, N) * inv_poch_fin(1, r - i, N) *
-                poch(s + 1, 1, r + i, N).invert(N))
+        return (_ls_factor(i, s, m, e, N) * inv_poch(1, 1, r - i, N) *
+                inv_poch(s + 1, 1, r + i, N))
 
     out = []
     for r in range(r_max + 1):

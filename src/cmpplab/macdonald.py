@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 
 from .products import char_product, theta_q
-from .series import QSeries, poch
+from .series import QSeries, inv_poch, poch
 
 
 @dataclass(frozen=True)
@@ -226,42 +226,51 @@ def macdonald_sum(kind: str, exps: tuple[int, ...], base: int, sigma: int,
         raise ValueError("n >= 1")
     if sigma not in (1, -1) or tau not in (1, -1):
         raise ValueError("sigma, tau in {-1, 1}")
+    if kind not in ("B", "D"):
+        raise ValueError(kind)
+    if kind == "D" and n < 2:
+        raise ValueError("type D needs n >= 2")
     a = list(exps)
-    if kind == "B":
-        c2 = 2 * n - 1
+    # (c2, sign twist, second-entry coefficient, lift) of the two
+    # identities in the module docstring
+    c2, twist, coeff2, lift = ((2 * n - 1, -sigma, -1, 1) if kind == "B"
+                               else (2 * (n - 1), sigma, tau, 0))
 
-        def pref_exp(j, r):
-            return base * (c2 * (r * (r - 1) // 2) + j * r) + a[j] * (n - 1 - j)
+    def pref_exp(j, r):
+        return base * (c2 * (r * (r - 1) // 2) + j * r) + a[j] * (n - 1 - j)
 
-        def pref_sign(j, r):  # (-sigma)^r
-            return 1 if r % 2 == 0 else -sigma
+    def pref_sign(j, r):
+        return 1 if r % 2 == 0 else twist
 
-        def entries_T(i, j, r):
-            # the display attaches r to the column; transposing the
-            # determinant attaches it to the row index i instead
-            e1 = a[j] * (c2 * r + (i + 1) - n)
-            e2 = a[j] * (-c2 * r + n - (i + 1) + 1)
-            return ((1, e1), (-1, e2))
+    def entries_T(i, j, r):
+        # the display attaches r to the column; transposing the
+        # determinant attaches it to the row index i instead
+        e1 = a[j] * (c2 * r + (i + 1) - n)
+        e2 = a[j] * (-c2 * r + n - (i + 1) + lift)
+        return ((1, e1), (coeff2, e2))
 
-        return _lattice_det_sum(n, pref_exp, pref_sign, entries_T, N)
-    if kind == "D":
+    return _lattice_det_sum(n, pref_exp, pref_sign, entries_T, N)
+
+
+def check_character_data(family: str, n: int, hw: HalfWeight) -> None:
+    """Raise ValueError unless specialized_character_sum is defined at
+    (family, n, hw)."""
+    if len(hw.two_lambda) != n:
+        raise ValueError("two_lambda needs n entries")
+    if family == "A":
+        if n < 1:
+            raise ValueError("family A needs n >= 1")
+        if not hw.lambda_integral:
+            raise ValueError("family A needs an integral partition")
+        if hw.two_lambda and hw.two_lambda[0] > 2 * ((hw.two_k) // 2):
+            raise ValueError("lambda_1 <= floor(k)")
+    elif family == "D":
         if n < 2:
-            raise ValueError("type D needs n >= 2")
-        c2 = 2 * (n - 1)
-
-        def pref_exp(j, r):
-            return base * (c2 * (r * (r - 1) // 2) + j * r) + a[j] * (n - 1 - j)
-
-        def pref_sign(j, r):
-            return 1 if r % 2 == 0 else sigma
-
-        def entries_T(i, j, r):
-            e1 = a[j] * (c2 * r + (i + 1) - n)
-            e2 = a[j] * (-c2 * r + n - (i + 1))
-            return ((1, e1), (tau, e2))
-
-        return _lattice_det_sum(n, pref_exp, pref_sign, entries_T, N)
-    raise ValueError(kind)
+            raise ValueError("family D needs n >= 2")
+        if hw.two_lambda and hw.two_lambda[0] > hw.two_k:
+            raise ValueError("lambda_1 <= k")
+    else:
+        raise ValueError(family)
 
 
 def specialized_character_sum(family: str, n: int, hw: HalfWeight,
@@ -270,13 +279,8 @@ def specialized_character_sum(family: str, n: int, hw: HalfWeight,
     character with highest-weight data hw; equals the corresponding
     char_product for integral data and vanishes for half-integral level
     (both families) or half-partition weight (family D)."""
-    if len(hw.two_lambda) != n:
-        raise ValueError("two_lambda needs n entries")
+    check_character_data(family, n, hw)
     if family == "A":
-        if not hw.lambda_integral:
-            raise ValueError("family A needs an integral partition")
-        if hw.two_lambda and hw.two_lambda[0] > 2 * ((hw.two_k) // 2):
-            raise ValueError("lambda_1 <= floor(k)")
         kappa = hw.two_k + 2 * n + 1
         lam = [v // 2 for v in hw.two_lambda]
         y = [lam[i] + n - i for i in range(n)]  # exponent of y_{i+1}
@@ -296,46 +300,40 @@ def specialized_character_sum(family: str, n: int, hw: HalfWeight,
             return ((1, e1), (-1, e2))
 
         raw = _lattice_det_sum(n, pref_exp, pref_sign, entries, N)
-        den = poch(1, 1, None, N - min(raw.q_floor, 0)).invert() ** n
+        den = inv_poch(1, 1, None, N - min(raw.q_floor, 0)) ** n
         out = (raw * den).truncate(N)
         return _halve(out, 2, N)
-    if family == "D":
-        if n < 2:
-            raise ValueError("family D needs n >= 2")
-        if hw.two_lambda and hw.two_lambda[0] > hw.two_k:
-            raise ValueError("lambda_1 <= k")
-        kappa = hw.two_k + 2 * n
-        yu = [hw.two_lambda[i] + 2 * (n - i) - 1 for i in range(n)]
-        sigma = 1 if hw.k_integral else -1
-        tau = 1 if hw.lambda_integral else -1
-        c2 = 2 * (n - 1)
-        Nu = 2 * N + 1
+    kappa = hw.two_k + 2 * n
+    yu = [hw.two_lambda[i] + 2 * (n - i) - 1 for i in range(n)]
+    sigma = 1 if hw.k_integral else -1
+    tau = 1 if hw.lambda_integral else -1
+    c2 = 2 * (n - 1)
+    Nu = 2 * N + 1
 
-        def pref_exp(i, r):
-            return 2 * kappa * (c2 * (r * (r + 1) // 2) - i * r) \
-                + yu[i] * (n - 1 - i)
+    def pref_exp(i, r):
+        return 2 * kappa * (c2 * (r * (r + 1) // 2) - i * r) \
+            + yu[i] * (n - 1 - i)
 
-        def pref_sign(i, r):
-            return 1 if r % 2 == 0 else sigma
+    def pref_sign(i, r):
+        return 1 if r % 2 == 0 else sigma
 
-        def entries(i, j, r):
-            e1 = yu[j] * (-c2 * r + (i + 1) - n)
-            e2 = yu[j] * (c2 * r + n - (i + 1))
-            return ((1, e1), (tau, e2))
+    def entries(i, j, r):
+        e1 = yu[j] * (-c2 * r + (i + 1) - n)
+        e2 = yu[j] * (c2 * r + n - (i + 1))
+        return ((1, e1), (tau, e2))
 
-        raw = _lattice_det_sum(n, pref_exp, pref_sign, entries, Nu)
-        inner = Nu - min(raw.q_floor, 0)
-        den = poch(2, 2, None, inner).invert() ** (n - 1)
-        den = den * poch(4, 4, None, inner).invert()
-        out = (raw * den).truncate(Nu)
-        out = _halve(out, 4, Nu)
-        terms: dict[tuple[int, int, int], int] = {}
-        for (dz, dw, du), c in out.terms.items():
-            if du % 2:
-                raise AssertionError("odd half-exponent survived: u^%d" % du)
-            terms[(dz, dw, du // 2)] = c
-        return QSeries(terms, N, min(out.q_floor // 2, 0), _clean=True)
-    raise ValueError(family)
+    raw = _lattice_det_sum(n, pref_exp, pref_sign, entries, Nu)
+    inner = Nu - min(raw.q_floor, 0)
+    den = inv_poch(2, 2, None, inner) ** (n - 1)
+    den = den * inv_poch(4, 4, None, inner)
+    out = (raw * den).truncate(Nu)
+    out = _halve(out, 4, Nu)
+    terms: dict[tuple[int, int, int], int] = {}
+    for (dz, dw, du), c in out.terms.items():
+        if du % 2:
+            raise AssertionError("odd half-exponent survived: u^%d" % du)
+        terms[(dz, dw, du // 2)] = c
+    return QSeries(terms, N, min(out.q_floor // 2, 0), _clean=True)
 
 
 def _halve(s: QSeries, d: int, N: int) -> QSeries:

@@ -5,6 +5,12 @@ and its four-fold auxiliary S-series with the atomic shift relations.
 All sums are evaluated with exact lower bounds derived from their
 quadratic exponents; index tuples violating the chain inequalities are
 skipped (the usual 1/(q;q)_{negative} = 0 convention).
+
+Every double sum has the exponent sum_i (r_i+s_i)^2 + s_i^2 plus a
+linear term sum_i lin_r[i] r_i + lin_s[i] s_i.  A variant is data: the
+tables _SHUN2_ROWS and _WZ_ROWS map it to (lin_r, lin_s, omega), its two
+coefficient rows and whether it carries the Omega weight, and
+_double_sum evaluates them all.
 """
 
 from __future__ import annotations
@@ -69,123 +75,96 @@ def ag_sum(k: int, a: int, N: int) -> QSeries:
 # -- double (r, s) sums ------------------------------------------------------
 
 
-def _rs_tuples(k: int, N: int, exp_fn):
-    """All (r_1..r_k, s_1..s_k) with r descending, s ascending (s_0 = 0)
-    whose exponent exp_fn(r, s) is <= N.
+def _double_sum(k: int, N: int, lin_r, lin_s, w_apart: bool = False,
+                omega: bool = False) -> QSeries:
+    """sum over r_1 >= ... >= r_k >= 0 and 0 <= s_1 <= ... <= s_k of
+    z^{|r|+|s|} (w_apart: z^{|r|} w^{|s|}) q^{sum_i (r_i+s_i)^2 + s_i^2 +
+    lin_r[i] r_i + lin_s[i] s_i} / prod_i ((q;q)_{r_i-r_{i+1}}
+    (q^2;q^2)_{s_i-s_{i-1}}), times Omega = sum_{i<k} q^{r_i+2s_i}
+    (1-q^{2s_{i+1}-2s_i}) + q^{r_k+2s_k} if omega.
 
-    Built pairwise from index k down to 1 (so r grows, s shrinks along
-    the recursion), pruning on the accumulated quadratic minimum
-    (r_i + s_i)^2 + s_i^2 of each factor.
+    A row shorter than k repeats its last entry.  Entries are >= 0, so the
+    exponent grows with every r_i and s_i; the enumeration prunes on that.
     """
-    out: list[tuple[list[int], list[int]]] = []
-    cap = isqrt(N) + 1
-
-    def rec(i: int, rlo: int, rs: list[int], ss: list[int], emin: int):
-        if i == 0:
-            r, s = rs[::-1], ss[::-1]
-            if exp_fn(r, s) <= N:
-                out.append((r, s))
-            return
-        for ri in range(rlo, cap + 1):
-            grew = False
-            for si in range(0, (ss[-1] if ss else cap) + 1):
-                contrib = (ri + si) ** 2 + si * si
-                if emin + contrib > N:
-                    break
-                grew = True
-                rs.append(ri)
-                ss.append(si)
-                rec(i - 1, ri, rs, ss, emin + contrib)
-                rs.pop()
-                ss.pop()
-            if not grew:
-                break  # si = 0 already over budget; larger ri only worse
-
-    rec(k, 0, [], [], 0)
-    return out
-
-
-def _double_sum(k: int, N: int, exp_fn, z_fn, omega: bool = False,
-                w_powers=None) -> QSeries:
-    """Shared evaluator for the (r, s) double sums.
-
-    exp_fn(r, s) gives the q-exponent; z_fn(r, s) the z-power; w_powers
-    (if set) maps (r, s) to the w-power (else everything is carried by z);
-    omega multiplies by Omega = sum_{i<k} q^{r_i+2s_i}(1-q^{2s_{i+1}-2s_i})
-    + q^{r_k+2s_k}.
-    """
+    if k < 0:
+        raise ValueError("k >= 0")
     if k == 0:
         return QSeries.one(N)
+    lin_r = [lin_r[min(i, len(lin_r) - 1)] for i in range(k)]
+    lin_s = [lin_s[min(i, len(lin_s) - 1)] for i in range(k)]
+    cap = isqrt(N) + 1
+    r, s = [0] * k, [0] * k
 
-    def parts():
-        for r, s in _rs_tuples(k, N, exp_fn):
-            term = multisum_term(exp_fn(r, s), [
-                f for i in range(k)
-                for f in ((1, r[i] - (r[i + 1] if i + 1 < k else 0)),
-                          (2, s[i] - (s[i - 1] if i else 0)))], N)
-            if omega:
-                om: dict[int, int] = {}
-                for i in range(k - 1):
-                    d1 = r[i] + 2 * s[i]
-                    om[d1] = om.get(d1, 0) + 1
-                    d2 = d1 + 2 * (s[i + 1] - s[i])
-                    om[d2] = om.get(d2, 0) - 1
-                dk = r[k - 1] + 2 * s[k - 1]
-                om[dk] = om.get(dk, 0) + 1
-                term = term * QSeries({(0, 0, d): c for d, c in om.items()})
-            yield (z_fn(r, s), w_powers(r, s) if w_powers else 0, 0), term
+    def term(e: int) -> QSeries:
+        out = multisum_term(e, [
+            f for i in range(k)
+            for f in ((1, r[i] - (r[i + 1] if i + 1 < k else 0)),
+                      (2, s[i] - (s[i - 1] if i else 0)))], N)
+        if omega:
+            om: dict[int, int] = {}
+            for i in range(k - 1):
+                d1 = r[i] + 2 * s[i]
+                om[d1] = om.get(d1, 0) + 1
+                d2 = d1 + 2 * (s[i + 1] - s[i])
+                om[d2] = om.get(d2, 0) - 1
+            dk = r[k - 1] + 2 * s[k - 1]
+            om[dk] = om.get(dk, 0) + 1
+            out = out * QSeries({(0, 0, d): c for d, c in om.items()})
+        return out
 
-    return QSeries.collect(parts(), N, 0)
+    def parts(i: int, e: int):
+        # index i is filled after i+1 .. k-1, so r only grows and s only
+        # shrinks along the recursion
+        if i < 0:
+            key = ((sum(r), sum(s), 0) if w_apart
+                   else (sum(r) + sum(s), 0, 0))
+            yield key, term(e)
+            return
+        r_lo = r[i + 1] if i + 1 < k else 0
+        s_hi = s[i + 1] if i + 1 < k else cap
+        for r[i] in range(r_lo, cap + 1):
+            if e + r[i] ** 2 + lin_r[i] * r[i] > N:
+                break  # s_i = 0 is already over budget
+            for s[i] in range(s_hi + 1):
+                f = (e + (r[i] + s[i]) ** 2 + s[i] ** 2 + lin_r[i] * r[i]
+                     + lin_s[i] * s[i])
+                if f > N:
+                    break
+                yield from parts(i - 1, f)
+
+    return QSeries.collect(parts(k - 1, 0), N, 0)
+
+
+_SHUN2_ROWS = {"kL0": ((1,), (2,), False), "kL1": ((0,), (0,), False),
+               "omega": ((0,), (0,), True), "omega_r1": ((1, 0), (0,), True)}
 
 
 def shun_sum(k: int, N: int) -> QSeries:
     """sum prod_i z^{r_i+s_i} q^{(r_i+s_i)^2 + s_i^2 + s_i} /
     ((q;q)_{r_i-r_{i+1}} (q^2;q^2)_{s_i-s_{i-1}}): the conjectured
     expansion of sum_{lambda_1<=k} (zq)^{|lambda|} P_{2 lambda}(...; q^2)."""
-    return _double_sum(
-        k, N,
-        lambda r, s: sum((r[i] + s[i]) ** 2 + s[i] * s[i] + s[i]
-                         for i in range(k)),
-        lambda r, s: sum(r) + sum(s))
+    return _double_sum(k, N, (0,), (1,))
 
 
 def shun2_sum(k: int, variant: str, N: int) -> QSeries:
     """The three conjectured multisums for the rank-2 even-parity family:
     variant "kL0" (exponent extra r_i + 2s_i), "kL1" (no extra), or
-    "omega" (Omega-weighted, weight Lambda_0 + (k-1) Lambda_1)."""
-    if variant == "kL0":
-        return _double_sum(
-            k, N,
-            lambda r, s: sum((r[i] + s[i]) ** 2 + s[i] * s[i] + r[i]
-                             + 2 * s[i] for i in range(k)),
-            lambda r, s: sum(r) + sum(s))
-    if variant == "kL1":
-        return _double_sum(
-            k, N,
-            lambda r, s: sum((r[i] + s[i]) ** 2 + s[i] * s[i]
-                             for i in range(k)),
-            lambda r, s: sum(r) + sum(s))
-    if variant == "omega":
-        if k < 1:
-            raise ValueError("omega variant needs k >= 1")
-        return _double_sum(
-            k, N,
-            lambda r, s: sum((r[i] + s[i]) ** 2 + s[i] * s[i]
-                             for i in range(k)),
-            lambda r, s: sum(r) + sum(s), omega=True)
-    if variant == "omega_r1":
-        # the second single-Omega rewriting: extra exponent r_1
-        if k < 1:
-            raise ValueError("omega_r1 variant needs k >= 1")
-        return _double_sum(
-            k, N,
-            lambda r, s: sum((r[i] + s[i]) ** 2 + s[i] * s[i]
-                             for i in range(k)) + r[0],
-            lambda r, s: sum(r) + sum(s), omega=True)
-    raise ValueError(variant)
+    "omega" (Omega-weighted, weight Lambda_0 + (k-1) Lambda_1); "omega_r1"
+    is the second single-Omega rewriting (extra exponent r_1)."""
+    if variant not in _SHUN2_ROWS:
+        raise ValueError(variant)
+    lin_r, lin_s, omega = _SHUN2_ROWS[variant]
+    if omega and k < 1:
+        raise ValueError("%s variant needs k >= 1" % variant)
+    return _double_sum(k, N, lin_r, lin_s, omega=omega)
 
 
 # -- the w-deformed k=2 series and guesses -----------------------------------
+
+_WZ_ROWS = {"A": ((1,), (2,), False), "B": ((0,), (0,), False),
+            "C": ((0, 1), (0, 2), False), "D": ((1,), (0, 2), False),
+            "guess_B": ((0,), (0,), False),
+            "guess_omega": ((0,), (0,), True)}
 
 
 def wz_sum(variant: str, N: int, k: int = 2) -> QSeries:
@@ -196,55 +175,19 @@ def wz_sum(variant: str, N: int, k: int = 2) -> QSeries:
     1 + w q^{2 + sum_i (r_i + 2 s_i)}); "guess_B" / "guess_omega" give the
     conjectured k-fold interwoven sums.
     """
+    if variant not in _WZ_ROWS:
+        raise ValueError(variant)
+    lin_r, lin_s, omega = _WZ_ROWS[variant]
     if variant in ("A", "B", "C", "D"):
         k = 2
-
-        def zf(r, s):
-            return sum(r)
-
-        def wf(r, s):
-            return sum(s)
-
-        if variant == "A":
-            return _double_sum(
-                2, N,
-                lambda r, s: sum((r[i] + s[i]) ** 2 + s[i] * s[i] + r[i]
-                                 + 2 * s[i] for i in range(2)),
-                zf, w_powers=wf)
-        if variant == "B":
-            return _double_sum(
-                2, N,
-                lambda r, s: sum((r[i] + s[i]) ** 2 + s[i] * s[i]
-                                 for i in range(2)),
-                zf, w_powers=wf)
-        # C and D: base exponent plus the two-term trailing factor
-        if variant == "C":
-            def exp_fn(r, s):
-                return sum((r[i] + s[i]) ** 2 + s[i] * s[i]
-                           for i in range(2)) + r[1] + 2 * s[1]
-        else:
-            def exp_fn(r, s):
-                return sum((r[i] + s[i]) ** 2 + s[i] * s[i] + r[i]
-                           for i in range(2)) + 2 * s[1]
-        base = _double_sum(2, N, exp_fn, zf, w_powers=wf)
-        tail = _double_sum(
-            2, N,
-            lambda r, s: exp_fn(r, s) + 2 + sum(r) + 2 * sum(s),
-            zf, w_powers=lambda r, s: sum(s) + 1)
-        return base + tail
-    if variant == "guess_B":
-        return _double_sum(
-            k, N,
-            lambda r, s: sum((r[i] + s[i]) ** 2 + s[i] * s[i]
-                             for i in range(k)),
-            lambda r, s: sum(r), w_powers=lambda r, s: sum(s))
-    if variant == "guess_omega":
-        return _double_sum(
-            k, N,
-            lambda r, s: sum((r[i] + s[i]) ** 2 + s[i] * s[i]
-                             for i in range(k)),
-            lambda r, s: sum(r), w_powers=lambda r, s: sum(s), omega=True)
-    raise ValueError(variant)
+    base = _double_sum(k, N, lin_r, lin_s, w_apart=True, omega=omega)
+    if variant not in ("C", "D") or N < 2:
+        return base
+    # the trailing w q^{2 + sum_i (r_i + 2 s_i)}: the same sum with rows
+    # +1 / +2, built at order N - 2 and shifted by w q^2
+    tail = _double_sum(2, N - 2, [c + 1 for c in lin_r],
+                       [c + 2 for c in lin_s], w_apart=True)
+    return QSeries.collect((((0, 0, 0), base), ((0, 1, 2), tail)), N, 0)
 
 
 # -- the four-fold S-series and its atomic relations -------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .series import QSeries, poch
+from .series import QSeries, inv_poch, poch
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,6 @@ def theta_q(a: int, m: int, N: int) -> QSeries:
     return s.scale(sign) * QSeries.monomial(1, dq=shift)
 
 
-@lru_cache(maxsize=None)
-def _inv_poch_inf(c: int, m: int, N: int) -> QSeries:
-    return poch(c, m, None, N).invert()
-
-
 def expand(spec: ProductSpec, N: int) -> QSeries:
     """Expand a ProductSpec to order N (exact).
 
@@ -106,8 +101,8 @@ def expand(spec: ProductSpec, N: int) -> QSeries:
             for _ in range(p.power):
                 out = out * factor
         else:
-            factor = _inv_poch_inf(p.c, p.m, inner if out.q_floor >= 0
-                                   else inner - out.q_floor)
+            factor = inv_poch(p.c, p.m, None, inner if out.q_floor >= 0
+                              else inner - out.q_floor)
             for _ in range(-p.power):
                 out = out * factor
     return out.truncate(N)

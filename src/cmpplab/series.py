@@ -363,6 +363,12 @@ def poch(c: int, m: int, count: Optional[int], n: int) -> QSeries:
 
 
 @lru_cache(maxsize=None)
+def inv_poch(c: int, m: int, count: Optional[int], n: int) -> QSeries:
+    """1 / poch(c, m, count, n): the one cached Pochhammer inverse."""
+    return poch(c, m, count, n).invert()
+
+
+@lru_cache(maxsize=None)
 def _qbin_poly(n: int, k: int) -> dict[int, int]:
     """Gaussian binomial [n, k]_q as an exact coefficient dict."""
     if k < 0 or k > n:

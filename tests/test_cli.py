@@ -209,6 +209,16 @@ def test_bad_jobs_variable_is_a_usage_error_for_sweep_only(monkeypatch,
     assert captured.err == "error: CMPPLAB_JOBS must be an integer\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--check", "bogus", "--order", "3"),
+    ("sweep", "--check", "bogus", "--grid", "k=1:2", "--order", "3"),
+])
+def test_unknown_check_message_is_unquoted(capsys, argv):
+    assert cli.main(list(argv)) == 1
+    assert capsys.readouterr().err == \
+        "error: unknown check 'bogus' (see list-checks)\n"
+
+
 def test_sweep_skips_out_of_range_jtp_points(capsys):
     code, out = run(capsys, "sweep", "--check", "jtp",
                     "--grid", "a=1:2,m=0:1", "--order", "5")

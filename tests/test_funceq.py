@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from cmpplab.cmpp import gen_fun
@@ -27,6 +29,29 @@ def test_param_validation():
         catalog("mr-system", {"n": 2, "a": 2, "branch": 1})
     with pytest.raises(ParamError):
         catalog("gordon", {"k": 1})
+    for cid, params in [
+            ("spec-char", {"family": "A", "n": 0, "two_k": 2}),
+            ("spec-char", {"family": "D", "n": 1, "two_k": 2,
+                           "two_lambda": (2,)}),
+            ("spec-char", {"family": "A", "n": 1, "two_k": 2,
+                           "two_lambda": (4,)}),
+            ("hl-triangle", {"r": 1, "s": 1, "L": 10, "m": 1}),
+            ("bailey", {"s": -1, "m": 1, "r_max": 1})]:
+        with pytest.raises(ParamError):
+            catalog(cid, params)
+
+
+def test_points_the_validators_pass_build():
+    # every point over {-1, 0, 1, 2} that a check's validator lets through
+    # builds at order 3; a builder error there is a gap in the validator
+    for chk in list_checks():
+        for values in product((-1, 0, 1, 2), repeat=len(chk.param_names)):
+            params = dict(zip(chk.param_names, values))
+            try:
+                spec = catalog(chk.check_id, params)
+            except ParamError:
+                continue
+            residual(spec, 3)
 
 
 def test_rogers_selberg_small():
@@ -236,6 +261,7 @@ RESOLVER_POINTS = [
     ("con-a2n2-qseries", {"n": 2, "k": 1, "which": 0}),
     ("hl-variant1", {"n": 2}),
     ("a-product-positivity", {"n": 1, "weights": (1, 1)}),
+    ("wz-funceq", {"idx": 4}),
 ]
 
 
@@ -251,7 +277,8 @@ def test_resolver_table_is_exactly_the_referenced_kinds():
     assert kinds == set(funceq._BUILDERS)
 
 
-@pytest.mark.parametrize("N, M", [(10, 6), (9, 4), (12, 7)])
+@pytest.mark.parametrize("N, M", [(10, 6), (9, 4), (12, 7), (6, 0), (5, 1),
+                                  (4, 2)])
 def test_resolver_truncation_soundness(N, M):
     # a build at order N, cut to M, is the build at order M; no build
     # stores a zero coefficient
