@@ -165,7 +165,7 @@ def parse_series(text: str, order: int) -> QSeries:
             kwargs[key] = (kwargs[key],)
     try:
         return SERIES_BUILDERS[name](args, kwargs, order)
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, ValueError) as exc:
         raise SystemExit("bad arguments for %s: %s" % (name, exc))
 
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from . import cmpp, hall_littlewood as hl, macdonald, multisums, products
-from .series import QSeries, poch
+from .series import QSeries
 
 
 class ParamError(ValueError):
@@ -39,13 +39,6 @@ def _in_w_q2(build, args: tuple, N: int) -> QSeries:
     """build(*args, order) with (z, q) -> (w, q^2), to order N."""
     inner = build(*args, (N + 2) // 2)
     return inner.substitute(z=(0, 1, 0), qpow=2).truncate(N)
-
-
-def _jtp_prod(a: int, m: int, N: int) -> QSeries:
-    th = products.theta_q(a, m, N)
-    pad = -min(th.q_floor, 0)
-    th = products.theta_q(a, m, N + pad)
-    return (th * poch(m, m, None, N + pad)).truncate(N)
 
 
 def _jtp_sum(a: int, m: int, N: int) -> QSeries:
@@ -143,7 +136,6 @@ _BUILDERS: dict[str, Callable[..., QSeries]] = {
     "hlpf": lambda shape, L, m, N: hl.hl_principal_finite(shape, L, m, N),
     "baileyl": lambda s, m, r_max, N: _bailey_tagged(0, s, m, r_max, N),
     "baileyr": lambda s, m, r_max, N: _bailey_tagged(1, s, m, r_max, N),
-    "jtp_prod": _jtp_prod,
     "jtp_sum": _jtp_sum,
     "mac_cross": _mac_cross,
     "d2solved": lambda k, N: _d2_tagged(k, N, solved=True),
@@ -1195,7 +1187,9 @@ def _jtp(p):
     a, m = p["a"], p["m"]
     if m < 1:
         raise ParamError("m >= 1")
-    terms = [Term(1, ("jtp_prod", a, m)), Term(-1, ("jtp_sum", a, m))]
+    prod = products.ProductSpec((products.ThetaFactor(a, m),),
+                                (products.PochFactor(m, m, 1),))
+    terms = [Term(1, ("prodspec", prod)), Term(-1, ("jtp_sum", a, m))]
     return _spec("jtp", p, terms, "proved")
 
 

@@ -153,15 +153,11 @@ def _psi_poly(mu: Partition, nu: Partition, m: int) -> tuple[tuple[int, int], ..
     """Branching weight of the horizontal strip nu/mu as (exponent, coeff)
     pairs: prod over {i: m_i(mu) = m_i(nu) + 1} of (1 - t^{m_i(mu)}), t=q^m."""
     mm, mn = frequencies(mu), frequencies(nu)
-    poly = {0: 1}
+    poly = QSeries.one()
     for i, f in mm.items():
         if f == mn.get(i, 0) + 1:
-            new = {}
-            for d, c in poly.items():
-                new[d] = new.get(d, 0) + c
-                new[d + m * f] = new.get(d + m * f, 0) - c
-            poly = {d: c for d, c in new.items() if c}
-    return tuple(sorted(poly.items()))
+            poly = poly * (QSeries.one() - QSeries.monomial(1, dq=m * f))
+    return tuple(sorted((dq, c) for (_, _, dq), c in poly.terms.items()))
 
 
 @lru_cache(maxsize=None)

@@ -11,16 +11,21 @@ The two lattice identities are
 
 evaluated at x_i = q^{a_i} and p = q^base.  Pi_{B;-1} = 0 and
 Pi_{D;sigma,-1} = 0, so those cases assert exact vanishing of the sums.
+The product sides are theta products expanded by products.expand.
 
 The r-lattice ranges are derived per call from the quadratic exponents:
 each coordinate gets a candidate set from a separable lower bound on the
 q-exponent of every determinant monomial, so no term at or below the
 truncation order can be missed.
 
-The character sums work the same way; the half-integral exponents of the
-rank-2 twisted family are handled in doubled coordinates (the whole sum
-is computed in u = q^{1/2} and re-indexed, asserting that all odd
-u-exponents cancel).
+The specialised character sums are these Macdonald sums at a special
+point: substituting r -> -r turns the family-A display into the type-B
+sum at x_i = q^{lambda_i + n - i + 1}, p = q^{2k + 2n + 1}, and the
+family-D display into the type-D sum at x_i = q^{lambda_i + n - i + 1/2},
+p = q^{2k + 2n}, with sigma = -1 for half-integral k and tau = -1 for a
+half-partition lambda.  The half-integral exponents of family D are
+handled in doubled coordinates (the whole sum is computed in u = q^{1/2}
+and re-indexed, asserting that all odd u-exponents cancel).
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .products import char_product, theta_q
-from .series import QSeries, inv_poch, poch
+from .products import (PochFactor, ProductSpec, ThetaFactor, expand,
+                       theta_reduce)
+from .series import QSeries, inv_poch
 
 
 @dataclass(frozen=True)
@@ -139,88 +145,30 @@ def _candidate_sets(n: int, variants, N: int) -> list[list[int]]:
     return sets
 
 
-def _lattice_det_sum(n: int, pref_exp, pref_sign, entry_monomials,
-                     N: int) -> QSeries:
-    """sum over r in Z^n of sign(r) q^{pref} det(entries), truncated at N.
-
-    entry_monomials(i, j, r) yields the (coeff, exponent) monomials of the
-    (i, j) entry, with r attached to index i (the determinant convention
-    of the character sums; for the Macdonald identities the roles of the
-    indices are symmetric under transposition)."""
-    def h(i: int, r: int) -> int:
-        return pref_exp(i, r) + min(
-            min(e for _, e in entry_monomials(i, j, r)) for j in range(n))
-
-    def variants(i: int):
-        out = []
-        for j in range(n):
-            for t in range(len(entry_monomials(i, j, 0))):
-                out.append(lambda r, i=i, j=j, t=t:
-                           pref_exp(i, r) + entry_monomials(i, j, r)[t][1])
-        return out
-
-    sets = _candidate_sets(n, variants, N)
-    perms = _perms_with_sign(n)
-    acc: dict[int, int] = {}
-    for rvec in product(*sets):
-        base_e = sum(pref_exp(i, rvec[i]) for i in range(n))
-        if sum(h(i, rvec[i]) for i in range(n)) > N:
-            continue
-        sgn0 = 1
-        for i in range(n):
-            sgn0 *= pref_sign(i, rvec[i])
-        rows = [[list(entry_monomials(i, j, rvec[i])) for j in range(n)]
-                for i in range(n)]
-        for perm, psign in perms:
-            chosen = [rows[i][perm[i]] for i in range(n)]
-            for combo in product(*chosen):
-                e = base_e + sum(m[1] for m in combo)
-                if e > N:
-                    continue
-                c = sgn0 * psign
-                for m in combo:
-                    c *= m[0]
-                acc[e] = acc.get(e, 0) + c
-    # the floor is the lowest exponent that survives cancellation
-    floor = min([0] + [e for e, c in acc.items() if c])
-    return QSeries({(0, 0, e): c for e, c in acc.items()}, N, floor)
-
-
 def pi_product(kind: str, exps: tuple[int, ...], base: int, sigma: int,
                tau: int = 1, N: int = 0) -> QSeries:
     """Pi_{B;sigma}(x, p) (kind "B") or Pi_{D;sigma,tau}(x, p) (kind "D")
     at x_i = q^{exps[i]}, p = q^base; zero for sigma = -1 (B) and for
     sigma = -1 or tau = -1 (D)."""
-    n = len(exps)
-    if kind == "B":
-        if sigma == -1:
-            return QSeries.zero()
-    elif kind == "D":
-        if sigma == -1 or tau == -1:
-            return QSeries.zero()
-    else:
+    if kind not in ("B", "D"):
         raise ValueError(kind)
-    args: list[int] = []
-    if kind == "B":
-        args.extend(exps)
+    n = len(exps)
+    args = list(exps) if kind == "B" else []
     for i in range(n):
         for j in range(i + 1, n):
-            args.append(exps[i] - exps[j])
-            args.append(exps[i] + exps[j])
-    from .products import theta_reduce
-    pad = -sum(min(theta_reduce(a, base)[1], 0) for a in args)
-    out = poch(base, base, None, N + pad) ** n
-    for a in args:
-        out = out * theta_q(a, base, N + pad)
-        if out.is_exact_zero():
-            return QSeries.zero()
-    return out.truncate(N)
+            args += [exps[i] - exps[j], exps[i] + exps[j]]
+    # a vanishing product is the exact zero, not a zero series cut at N
+    if sigma == -1 or (kind == "D" and tau == -1) or \
+            any(theta_reduce(a, base)[2] == 0 for a in args):
+        return QSeries.zero()
+    return expand(ProductSpec(tuple(ThetaFactor(a, base) for a in args),
+                              (PochFactor(base, base, n),)), N)
 
 
 def macdonald_sum(kind: str, exps: tuple[int, ...], base: int, sigma: int,
                   tau: int = 1, N: int = 0) -> QSeries:
     """The determinant lattice sum equal to 2 Pi_{B;sigma} (kind "B",
-    n >= 1) or 4 Pi_{D;sigma,tau} (kind "D", n >= 2)."""
+    n >= 1) or 4 Pi_{D;sigma,tau} (kind "D", n >= 2), truncated at N."""
     n = len(exps)
     if n == 0:
         raise ValueError("n >= 1")
@@ -236,20 +184,44 @@ def macdonald_sum(kind: str, exps: tuple[int, ...], base: int, sigma: int,
     c2, twist, coeff2, lift = ((2 * n - 1, -sigma, -1, 1) if kind == "B"
                                else (2 * (n - 1), sigma, tau, 0))
 
-    def pref_exp(j, r):
-        return base * (c2 * (r * (r - 1) // 2) + j * r) + a[j] * (n - 1 - j)
+    def pref_exp(i, r):
+        return base * (c2 * (r * (r - 1) // 2) + i * r) + a[i] * (n - 1 - i)
 
-    def pref_sign(j, r):
-        return 1 if r % 2 == 0 else twist
+    def entries(i, j, r):
+        # the (coeff, exponent) monomials of entry (i, j); the display
+        # attaches r to the column, the transposed determinant to row i
+        return ((1, a[j] * (c2 * r + (i + 1) - n)),
+                (coeff2, a[j] * (-c2 * r + n - (i + 1) + lift)))
 
-    def entries_T(i, j, r):
-        # the display attaches r to the column; transposing the
-        # determinant attaches it to the row index i instead
-        e1 = a[j] * (c2 * r + (i + 1) - n)
-        e2 = a[j] * (-c2 * r + n - (i + 1) + lift)
-        return ((1, e1), (coeff2, e2))
+    def h(i, r):
+        return pref_exp(i, r) + min(e for j in range(n)
+                                    for _, e in entries(i, j, r))
 
-    return _lattice_det_sum(n, pref_exp, pref_sign, entries_T, N)
+    def variants(i):
+        return [lambda r, j=j, t=t: pref_exp(i, r) + entries(i, j, r)[t][1]
+                for j in range(n) for t in range(2)]
+
+    sets = _candidate_sets(n, variants, N)
+    perms = _perms_with_sign(n)
+    acc: dict[int, int] = {}
+    for rvec in product(*sets):
+        if sum(h(i, rvec[i]) for i in range(n)) > N:
+            continue
+        base_e = sum(pref_exp(i, rvec[i]) for i in range(n))
+        sgn0 = twist ** (sum(rvec) % 2)
+        rows = [[entries(i, j, rvec[i]) for j in range(n)] for i in range(n)]
+        for perm, psign in perms:
+            for combo in product(*(rows[i][perm[i]] for i in range(n))):
+                e = base_e + sum(m[1] for m in combo)
+                if e > N:
+                    continue
+                c = sgn0 * psign
+                for m in combo:
+                    c *= m[0]
+                acc[e] = acc.get(e, 0) + c
+    # the floor is the lowest exponent that survives cancellation
+    floor = min([0] + [e for e, c in acc.items() if c])
+    return QSeries({(0, 0, e): c for e, c in acc.items()}, N, floor)
 
 
 def check_character_data(family: str, n: int, hw: HalfWeight) -> None:
@@ -278,51 +250,21 @@ def specialized_character_sum(family: str, n: int, hw: HalfWeight,
     """The determinant-sum value of the non-standard specialisation of the
     character with highest-weight data hw; equals the corresponding
     char_product for integral data and vanishes for half-integral level
-    (both families) or half-partition weight (family D)."""
+    (both families) or half-partition weight (family D).
+
+    Substituting r -> -r turns the character's lattice sum into the
+    Macdonald sum of type B (family A) or D (family D)."""
     check_character_data(family, n, hw)
-    if family == "A":
-        kappa = hw.two_k + 2 * n + 1
-        lam = [v // 2 for v in hw.two_lambda]
-        y = [lam[i] + n - i for i in range(n)]  # exponent of y_{i+1}
-        sigma = 1 if hw.k_integral else -1
-        c2 = 2 * n - 1
-
-        def pref_exp(i, r):
-            return kappa * (c2 * (r * (r - 1) // 2) + (2 * n - 1 - i) * r) \
-                + y[i] * (n - 1 - i)
-
-        def pref_sign(i, r):
-            return 1 if r % 2 == 0 else -sigma
-
-        def entries(i, j, r):
-            e1 = y[j] * (-c2 * r + (i + 1) - n)
-            e2 = y[j] * (c2 * r + n - (i + 1) + 1)
-            return ((1, e1), (-1, e2))
-
-        raw = _lattice_det_sum(n, pref_exp, pref_sign, entries, N)
-        den = inv_poch(1, 1, None, N - min(raw.q_floor, 0)) ** n
-        out = (raw * den).truncate(N)
-        return _halve(out, 2, N)
-    kappa = hw.two_k + 2 * n
-    yu = [hw.two_lambda[i] + 2 * (n - i) - 1 for i in range(n)]
     sigma = 1 if hw.k_integral else -1
+    if family == "A":
+        y = tuple(hw.two_lambda[i] // 2 + n - i for i in range(n))
+        raw = macdonald_sum("B", y, hw.two_k + 2 * n + 1, sigma, 1, N)
+        den = inv_poch(1, 1, None, N - min(raw.q_floor, 0)) ** n
+        return _halve((raw * den).truncate(N), 2, N)
     tau = 1 if hw.lambda_integral else -1
-    c2 = 2 * (n - 1)
+    yu = tuple(hw.two_lambda[i] + 2 * (n - i) - 1 for i in range(n))
     Nu = 2 * N + 1
-
-    def pref_exp(i, r):
-        return 2 * kappa * (c2 * (r * (r + 1) // 2) - i * r) \
-            + yu[i] * (n - 1 - i)
-
-    def pref_sign(i, r):
-        return 1 if r % 2 == 0 else sigma
-
-    def entries(i, j, r):
-        e1 = yu[j] * (-c2 * r + (i + 1) - n)
-        e2 = yu[j] * (c2 * r + n - (i + 1))
-        return ((1, e1), (tau, e2))
-
-    raw = _lattice_det_sum(n, pref_exp, pref_sign, entries, Nu)
+    raw = macdonald_sum("D", yu, 2 * (hw.two_k + 2 * n), sigma, tau, Nu)
     inner = Nu - min(raw.q_floor, 0)
     den = inv_poch(2, 2, None, inner) ** (n - 1)
     den = den * inv_poch(4, 4, None, inner)

@@ -83,28 +83,23 @@ def expand(spec: ProductSpec, N: int) -> QSeries:
     for t in spec.thetas:
         if t.power >= 0:
             factor = theta_q(t.a, t.m, inner)
-            for _ in range(t.power):
-                out = out * factor
         else:
             # theta in a denominator: invert the reduced unit part
             sign, shift, r = theta_reduce(t.a, t.m)
             if r == 0:
                 raise ValueError("division by a vanishing theta")
-            for _ in range(-t.power):
-                base = poch(r, t.m, None, inner - shift) * \
-                    poch(t.m - r, t.m, None, inner - shift)
-                out = out * base.invert() * \
-                    QSeries.monomial(sign, dq=-shift)
+            factor = inv_poch(r, t.m, None, inner - shift) * \
+                inv_poch(t.m - r, t.m, None, inner - shift) * \
+                QSeries.monomial(sign, dq=-shift)
+        for _ in range(abs(t.power)):
+            out = out * factor
     for p in spec.pochs:
         if p.power >= 0:
             factor = poch(p.c, p.m, None, inner)
-            for _ in range(p.power):
-                out = out * factor
         else:
-            factor = inv_poch(p.c, p.m, None, inner if out.q_floor >= 0
-                              else inner - out.q_floor)
-            for _ in range(-p.power):
-                out = out * factor
+            factor = inv_poch(p.c, p.m, None, inner - min(out.q_floor, 0))
+        for _ in range(abs(p.power)):
+            out = out * factor
     return out.truncate(N)
 
 
@@ -150,11 +145,6 @@ def char_product(family: str, spec_kind: str, n: int,
             for i in range(1, n + 1):
                 thetas.append(ThetaFactor(2 * k - 2 * lam[i - 1] + 2 * i - 1,
                                           2 * kappa))
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                li, lj = lam[i - 1], lam[j - 1]
-                thetas.append(ThetaFactor(li - lj - i + j, kappa))
-                thetas.append(ThetaFactor(li + lj + 2 * n - i - j + 2, kappa))
     elif family == "C":
         kappa = 2 * k + 2 * n + 2
         pochs.append(PochFactor(k + n + 1, kappa, 1))
@@ -163,11 +153,6 @@ def char_product(family: str, spec_kind: str, n: int,
         pochs.append(PochFactor(1, 1, -n))
         for i in range(1, n + 1):
             thetas.append(ThetaFactor(lam[i - 1] + n - i + 1, k + n + 1))
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                li, lj = lam[i - 1], lam[j - 1]
-                thetas.append(ThetaFactor(li - lj - i + j, kappa))
-                thetas.append(ThetaFactor(li + lj + 2 * n - i - j + 2, kappa))
     elif family == "D":
         kappa = 2 * k + 2 * n
         pochs.append(PochFactor(kappa, kappa, n))
@@ -181,13 +166,15 @@ def char_product(family: str, spec_kind: str, n: int,
             for i in range(1, n + 1):
                 thetas.append(ThetaFactor(2 * lam[i - 1] + 2 * n - 2 * i + 1,
                                           kappa))
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                li, lj = lam[i - 1], lam[j - 1]
-                thetas.append(ThetaFactor(li - lj - i + j, kappa))
-                thetas.append(ThetaFactor(li + lj + 2 * n - i - j + 1, kappa))
     else:
         raise ValueError("unknown family %r" % (family,))
+    pair_shift = 1 if family == "D" else 2
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            li, lj = lam[i - 1], lam[j - 1]
+            thetas.append(ThetaFactor(li - lj - i + j, kappa))
+            thetas.append(ThetaFactor(li + lj + 2 * n - i - j + pair_shift,
+                                      kappa))
     return expand(ProductSpec(tuple(thetas), tuple(pochs)), N)
 
 

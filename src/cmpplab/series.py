@@ -369,19 +369,15 @@ def inv_poch(c: int, m: int, count: Optional[int], n: int) -> QSeries:
 
 
 @lru_cache(maxsize=None)
-def _qbin_poly(n: int, k: int) -> dict[int, int]:
-    """Gaussian binomial [n, k]_q as an exact coefficient dict."""
+def _qbin_poly(n: int, k: int) -> QSeries:
+    """Gaussian binomial [n, k]_q as an exact polynomial."""
     if k < 0 or k > n:
-        return {}
+        return QSeries.zero()
     if k == 0 or k == n:
-        return {0: 1}
+        return QSeries.one()
     # [n,k] = [n-1,k-1] + q^k [n-1,k]
-    a = _qbin_poly(n - 1, k - 1)
-    b = _qbin_poly(n - 1, k)
-    out = dict(a)
-    for d, c in b.items():
-        out[d + k] = out.get(d + k, 0) + c
-    return out
+    return QSeries.collect((((0, 0, 0), _qbin_poly(n - 1, k - 1)),
+                            ((0, 0, k), _qbin_poly(n - 1, k))), None, 0)
 
 
 def qbin(n: int, k: int, m: int = 1) -> QSeries:
@@ -389,6 +385,8 @@ def qbin(n: int, k: int, m: int = 1) -> QSeries:
 
     Zero when k < 0 or k > n.
     """
-    poly = _qbin_poly(n, k)
-    return QSeries({(0, 0, m * d): c for d, c in poly.items()}, None, 0,
-                   _clean=True)
+    if m < 1:
+        raise ValueError("base exponent m must be >= 1")
+    return QSeries({(0, 0, m * d): c
+                    for (_, _, d), c in _qbin_poly(n, k).terms.items()},
+                   None, 0, _clean=True)

@@ -189,7 +189,10 @@ def test_sweep_timings_reach_run_check(monkeypatch, capsys):
     ("sweep", "--check", "gordon", "--grid", "k=abc,a=0:1", "--order", "3"),
     ("sweep", "--check", "gordon", "--grid", "k=1:2,a=0:z", "--order", "3"),
     ("verify", "--check", "jtp", "--params", "a=1,m=0", "--order", "5"),
-])
+] + [("expand", "--series", text, "--order", "3")
+     for text in ("shun(-1)", "f_sum(0,0,1)", "theta(1,0)", "hl_chain(1,0)",
+                  "poch(0,1)", "gen_fun(Q,1,boundary=1:0)", "qbin(2,1,0)",
+                  "qbin(3,1,-1)")])
 def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     assert cli.main(list(argv)) == 1
     captured = capsys.readouterr()

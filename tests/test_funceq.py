@@ -1,10 +1,11 @@
+import random
 from itertools import product
 
 import pytest
 
 from cmpplab.cmpp import gen_fun
 from cmpplab.d2solver import solve_d2_system
-from cmpplab import funceq
+from cmpplab import funceq, macdonald, products
 from cmpplab.funceq import ParamError, catalog, list_checks, residual
 
 
@@ -286,8 +287,79 @@ def test_resolver_truncation_soundness(N, M):
         full, small = funceq._series(ref, N), funceq._series(ref, M)
         assert 0 not in full.terms.values(), (ref, N)
         assert 0 not in small.terms.values(), (ref, M)
-        cut = full.truncate(M)
-        assert cut.terms == small.terms, (ref, N, M)
-        assert cut.q_floor == small.q_floor, (ref, N, M)
-        if small.q_order is not None:
-            assert cut.q_order == small.q_order, (ref, N, M)
+        _assert_cut_is_build(full, small, M, (ref, N, M))
+
+
+def _assert_cut_is_build(full, small, M, ctx):
+    cut = full.truncate(M)
+    assert cut.terms == small.terms, ctx
+    assert cut.q_floor == small.q_floor, ctx
+    if small.q_order is not None:
+        assert cut.q_order == small.q_order, ctx
+
+
+def _assert_window_honest(small, deeper, ctx):
+    # small claims exact coefficients through its q_order (every order
+    # when None); a build at a higher order must agree there
+    o = small.q_order
+    if o is None:
+        o = deeper.q_order
+    else:
+        assert deeper.q_order is None or deeper.q_order >= o, ctx
+
+    def upto(s):
+        return {k: c for k, c in s.terms.items() if o is None or k[2] <= o}
+    assert upto(small) == upto(deeper), ctx
+
+
+def _random_lattice_and_product_refs(rng) -> list[tuple]:
+    """Small random refs of the kinds built from Macdonald lattice sums
+    and theta products, with negative exponents and vanishing cases."""
+    refs = []
+    pm = (1, -1)
+    for _ in range(30):
+        kind = rng.choice("BD")
+        n = rng.randint(1 if kind == "B" else 2, 3)
+        exps = tuple(rng.randint(-3, 5) for _ in range(n))
+        args = (kind, exps, rng.randint(3, 9), rng.choice(pm), rng.choice(pm))
+        refs += [("macsum",) + args, ("pi",) + args]
+    while sum(ref[0] == "speccharsum" for ref in refs) < 30:
+        fam = rng.choice("AD")
+        n, two_k = rng.randint(1, 3), rng.randint(0, 5)
+        tl = tuple(sorted((rng.randint(0, two_k) for _ in range(n)),
+                          reverse=True))
+        try:
+            macdonald.check_character_data(
+                fam, n, macdonald.HalfWeight(two_k, tl))
+        except ValueError:
+            continue
+        refs.append(("speccharsum", fam, n, two_k, tl))
+    for _ in range(30):
+        thetas = []
+        for _ in range(rng.randint(0, 3)):
+            a, m, power = rng.randint(-6, 10), rng.randint(1, 7), \
+                rng.randint(-1, 2)
+            if power >= 0 or a % m:
+                thetas.append(products.ThetaFactor(a, m, power))
+        pochs = tuple(products.PochFactor(rng.randint(1, 5), rng.randint(1, 4),
+                                          rng.randint(-2, 2))
+                      for _ in range(rng.randint(0, 3)))
+        refs.append(("prodspec", products.ProductSpec(tuple(thetas), pochs)))
+    for _ in range(30):
+        refs.append(("jtp_sum", rng.randint(-6, 10), rng.randint(1, 8)))
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        w = tuple(rng.randint(0, 3 - n // 2) for _ in range(n + 1))
+        refs.append(("charprod", rng.choice("ACD"),
+                     rng.choice(("nonstandard", "principal")), n, w))
+    return refs
+
+
+def test_random_lattice_and_product_windows():
+    rng = random.Random(20261018)
+    for ref in _random_lattice_and_product_refs(rng):
+        N = rng.randint(2, 9)
+        M = rng.randint(0, N)
+        full = funceq._series(ref, N)
+        _assert_cut_is_build(full, funceq._series(ref, M), M, (ref, N, M))
+        _assert_window_honest(full, funceq._series(ref, N + 3), (ref, N))

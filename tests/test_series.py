@@ -158,6 +158,16 @@ def test_qbin_examples():
             assert lhs.compare(poch(1, 1, n, 40), 40) is None
 
 
+def test_qbin_in_base_q_m():
+    # [4, 2] = 1 + q + 2q^2 + q^3 + q^4, read in base q^2
+    assert qbin(4, 2, 2).terms == {(0, 0, 0): 1, (0, 0, 2): 1, (0, 0, 4): 2,
+                                   (0, 0, 6): 1, (0, 0, 8): 1}
+    # base q^0 would sum the coefficients, base q^-1 leave the window
+    for m in (0, -1):
+        with pytest.raises(ValueError):
+            qbin(2, 1, m)
+
+
 def test_compare_reports_first_mismatch():
     a = QSeries.one(10)
     b = q_only([1, 0, 0, 1], 10)
