@@ -26,11 +26,15 @@ used anywhere).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .series import QSeries
 
 _NEG = -(1 << 60)
+_ID_BITS = 32
+_ID_MASK = (1 << _ID_BITS) - 1
 
 FAMILIES = ("A", "C", "D")
 
@@ -200,13 +204,216 @@ def max_path_sum(array: FrequencyArray, boundary: tuple[int, ...]) -> int:
     return _max_path(vals, parities, jmax)
 
 
+class _ScanTable:
+    """The column moves of ``gen_fun``'s part-size scan, for one row layout
+    and level, explored lazily and shared by every boundary and order.
+
+    A state summarises the array in the columns scanned so far (all part
+    sizes <= j) by the best path segments there, each either -inf or a
+    sum in 0..level:
+
+    * A[r1, r2]: from row r1 to row r2, both ends in column j;
+    * S[r]: from row 0 (any column) to row r in column j;
+    * E[r]: from row r in column j to the last row (any column).
+
+    It is interned as ``bytes`` (the column parity, then the entries plus
+    one, 0 for -inf; a tuple when level > 254) with an int id.  The moves
+    of a state are the admissible next columns, as (sum of entries, id of
+    the next state) packed into one int, sorted; they depend only on the
+    state, so a table holds no result of any one boundary.
+    """
+
+    def __init__(self, parities: tuple[int, ...], level: int):
+        self.m = len(parities)
+        self.level = level
+        # rows alternate in parity, so between two rows of one column lie
+        # the rows of the other column, every second row
+        self.rows = tuple(tuple(r for r, p in enumerate(parities) if p == par)
+                          for par in (0, 1))
+        self.pairs = tuple([(a, b) for i, a in enumerate(rows)
+                            for b in rows[i:]] for rows in self.rows)
+        self.pack = bytes if level < 255 else tuple
+        self.ids: dict = {}
+        self.states: list = []
+        self.caps: list[int] = []  # per state: the sum its moves reach
+        self.moves: list[array | None] = []
+
+    def intern(self, state) -> int:
+        sid = self.ids.get(state)
+        if sid is None:
+            sid = self.ids[state] = len(self.states)
+            self.states.append(state)
+            self.caps.append(-1)
+            self.moves.append(None)
+        return sid
+
+    def start(self, bases: list[int]) -> int:
+        """The state after the boundary columns -1 and 0."""
+        state = self.pack([0] * (1 + len(self.pairs[0])
+                                 + 2 * len(self.rows[0])))
+        for _ in range(2):
+            [(_, state)] = self.successors(state, 0, bases)
+        return self.intern(state)
+
+    def column_moves(self, sid: int, cap: int) -> array:
+        """The moves of state ``sid`` with sum <= cap (maybe more)."""
+        state = self.states[sid]
+        cap = min(cap, self.level * len(self.rows[1 - state[0]]))
+        if self.caps[sid] < cap:
+            self.moves[sid] = array("Q", sorted(
+                (total << _ID_BITS) | self.intern(nxt)
+                for total, nxt in self.successors(state, cap)))
+            self.caps[sid] = cap
+        return self.moves[sid]
+
+    def successors(self, state, cap: int, fixed: list[int] | None = None):
+        """Every admissible next column with entry sum <= cap (or with
+        the given entries) as (sum, next state).
+
+        Rows are chosen from the bottom up.  The paths that enter the new
+        column first at row r are checked as soon as row r is chosen:
+        S[r - 1] (0 at row 0) + E'[r] <= level, where E'[r] is the best
+        path from row r of the new column to the last row.  Every entry of
+        A', S' and E' is non-decreasing in each cell, so a row's loop ends
+        at its first failing value, and a failure at a row's smallest value
+        ends the loop of the row below as well.
+        """
+        m, level, NEG = self.m, self.level, _NEG
+        par = state[0]
+        old, new = self.rows[par], self.rows[1 - par]
+        npairs = len(self.pairs[par])
+        vals = [v - 1 if v else NEG for v in state[1:]]
+        A = [[NEG] * m for _ in range(m)]
+        for (a, b), v in zip(self.pairs[par], vals):
+            A[a][b] = v
+        # S[m] = E[m] = 0, so S[-1] lets a path start in the new column at
+        # row 0 and E[m] lets it end there at the last row
+        S = [NEG] * (m + 1)
+        E = [NEG] * (m + 1)
+        S[m] = E[m] = 0
+        for i, r in enumerate(old):
+            S[r] = vals[npairs + i]
+            E[r] = vals[npairs + len(old) + i]
+        An = [[NEG] * m for _ in range(m)]
+        En = [NEG] * m
+        order = new[::-1]
+        out = []
+
+        def leaf(total: int) -> None:
+            Sn = [max([S[s] + An[s + 1][r] for s in range(r - 1, -2, -2)])
+                  for r in new]
+            vals = [An[a][b] for a, b in self.pairs[1 - par]] + Sn + \
+                [En[r] for r in new]
+            out.append((total, self.pack([1 - par] + [
+                v + 1 if v >= 0 else 0 for v in vals])))
+
+        def choose(k: int, rem: int, total: int) -> bool:
+            if k == len(order):
+                leaf(total)
+                return True
+            r1 = order[k]
+            # segments from row r1 to each new row below, less r1's entry
+            rel = [(r1, 0)] + [
+                (r2, max([A[r1 + 1][s] + An[s + 1][r2]
+                          for s in range(r1 + 1, r2, 2)]))
+                for r2 in reversed(order[:k])]
+            e0 = max([b + E[s + 1] for s, b in rel])
+            pre = S[r1 - 1]
+            hi = level - pre - e0 if pre >= 0 and e0 >= 0 else level
+            if fixed is None:
+                lo, hi = 0, min(hi, rem)
+            else:
+                lo = fixed[r1]
+                if lo > hi:
+                    return False
+                hi = lo
+            row = An[r1]
+            for v in range(lo, hi + 1):
+                for r2, b in rel:
+                    row[r2] = v + b if b >= 0 else NEG
+                En[r1] = v + e0 if e0 >= 0 else NEG
+                if not choose(k + 1, rem - v, total + v):
+                    if v == lo:
+                        return False
+                    break
+            return hi >= lo
+
+        choose(0, cap, 0)
+        return out
+
+
+@lru_cache(maxsize=64)  # bounded: a table keeps every state it explored
+def _scan_table(parities: tuple[int, ...], level: int) -> _ScanTable:
+    return _ScanTable(parities, level)
+
+
 def gen_fun(family: str, n: int, boundary: tuple[int, ...], N: int) -> QSeries:
     """Two-variable generating function sum z^{l} q^{|lambda|} over
     admissible coloured partitions with |lambda| <= N.
 
-    Reference enumerator: assigns frequencies by decreasing part size and
-    prunes with the max-path bound of the partially built array (entries
-    not yet assigned are zero, so the bound only grows).
+    Scans the part sizes j = 1..N as columns of the frequency array (see
+    ``_ScanTable``): each state of the scan carries the counts of the
+    (length, weight) pairs reaching it, and a column with entry sum s
+    adds z^s q^{j s}.  Columns above a partition's weight budget are
+    zero, and zero columns at j >= 1 never fail the path bound (a path's
+    visits to such a column fold back two columns onto entries >= 0), so
+    a pair leaves the scan as soon as no nonzero column fits its budget.
+    """
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    boundary = tuple(boundary)
+    parities, bases = _row_layout(family, n, boundary)
+    level = sum(boundary)
+    if level == 0 or N == 0:
+        # only the empty partition is admissible
+        return QSeries({(0, 0, 0): 1}, N, 0, _clean=True)
+
+    table = _scan_table(tuple(parities), level)
+    W = N + 1  # a (length z, weight w) pair is the key w * W + z
+    cur = {table.start(bases): {0: 1}}
+    out: dict[int, int] = {}
+    for j in range(1, N + 2):
+        nxt: dict[int, dict[int, int]] = {}
+        done = (N - j + 1) * W  # keys from here have no room for part j
+        for sid, keys in cur.items():
+            live = []
+            for key, cnt in keys.items():
+                if key >= done:
+                    out[key] = out.get(key, 0) + cnt
+                else:
+                    live.append((key, cnt))
+            if not live:
+                continue
+            cap = (N - min(live)[0] // W) // j
+            total = -1
+            for mv in table.column_moves(sid, cap):
+                if mv >> _ID_BITS != total:
+                    total = mv >> _ID_BITS
+                    if total > cap:
+                        break
+                    shift = total * (j * W + 1)
+                    lim = (N - j * total + 1) * W
+                    moved = [(key + shift, cnt) for key, cnt in live
+                             if key < lim]
+                d = nxt.get(mv & _ID_MASK)
+                if d is None:
+                    d = nxt[mv & _ID_MASK] = {}
+                for key, cnt in moved:
+                    d[key] = d.get(key, 0) + cnt
+        cur = nxt
+    return QSeries({(key % W, 0, key // W): c for key, c in out.items()},
+                   N, 0, _clean=True)
+
+
+def gen_fun_reference(family: str, n: int, boundary: tuple[int, ...],
+                      N: int) -> QSeries:
+    """``gen_fun`` by brute force: the independent oracle of the tests.
+
+    Assigns frequencies by decreasing part size and prunes with the
+    max-path bound of the partially built array (entries not yet assigned
+    are zero, so the bound only grows).  It recurses once per array cell,
+    about N * rows / 2 frames deep, so for A2 it reaches Python's default
+    1000-frame limit near N = 500.
     """
     if N < 0:
         raise ValueError("N must be >= 0")

@@ -1196,21 +1196,29 @@ def _jtp(p):
 # -- appendix checks -----------------------------------------------------------
 
 
-def _exps_from(p) -> tuple[int, ...]:
-    exps = []
-    for name in ("e1", "e2", "e3", "e4"):
-        if p.get(name) is not None:
-            exps.append(p[name])
+def _mac_exps(p, kind) -> tuple[int, ...]:
+    """The exponents e1..e4 of a Macdonald check, after checking every
+    parameter its lattice sum and product need."""
+    exps = tuple(p[name] for name in ("e1", "e2", "e3", "e4")
+                 if p.get(name) is not None)
     if not exps:
         raise ParamError("at least e1 required")
-    return tuple(exps)
+    if kind not in ("B", "D"):
+        raise ParamError("kind in {B, D}")
+    if kind == "D" and len(exps) < 2:
+        raise ParamError("type D needs n >= 2")
+    if p["base"] < 1:
+        raise ParamError("base >= 1")
+    if p["sigma"] not in (1, -1) or p.get("tau", 1) not in (1, -1):
+        raise ParamError("sigma, tau in {-1, 1}")
+    return exps
 
 
 @_register("macdonald-b", ("base", "sigma"),
            "the type-B determinant sum equals 2 Pi_{B;sigma}",
            {"sigma": 1, "e1": None, "e2": None, "e3": None, "e4": None})
 def _macb(p):
-    exps = _exps_from(p)
+    exps = _mac_exps(p, "B")
     base, sigma = p["base"], p["sigma"]
     terms = [Term(1, ("macsum", "B", exps, base, sigma, 1)),
              Term(-1, ("pi", "B", exps, base, sigma, 1),
@@ -1223,9 +1231,7 @@ def _macb(p):
            {"sigma": 1, "tau": 1, "e1": None, "e2": None, "e3": None,
             "e4": None})
 def _macd(p):
-    exps = _exps_from(p)
-    if len(exps) < 2:
-        raise ParamError("type D needs n >= 2")
+    exps = _mac_exps(p, "D")
     base, sigma, tau = p["base"], p["sigma"], p["tau"]
     terms = [Term(1, ("macsum", "D", exps, base, sigma, tau)),
              Term(-1, ("pi", "D", exps, base, sigma, tau),
@@ -1239,7 +1245,7 @@ def _macd(p):
            {"sigma": 1, "tau": 1, "e1": None, "e2": None, "e3": None,
             "e4": None})
 def _macqp(p):
-    exps = _exps_from(p)
+    exps = _mac_exps(p, p["kind"])
     kind, base, sigma, tau = p["kind"], p["base"], p["sigma"], p["tau"]
     shifted = (exps[0] + base,) + exps[1:]
     terms = [Term(1, ("mac_cross", kind, exps, shifted, base, sigma, tau)),

@@ -192,7 +192,11 @@ def test_sweep_timings_reach_run_check(monkeypatch, capsys):
 ] + [("expand", "--series", text, "--order", "3")
      for text in ("shun(-1)", "f_sum(0,0,1)", "theta(1,0)", "hl_chain(1,0)",
                   "poch(0,1)", "gen_fun(Q,1,boundary=1:0)", "qbin(2,1,0)",
-                  "qbin(3,1,-1)")])
+                  "qbin(3,1,-1)")
+] + [("verify", "--check", check, "--params", params, "--order", "3")
+     for check, params in (("macdonald-b", "base=0,e1=1"),
+                           ("macdonald-d", "base=-2,e1=1,e2=2"),
+                           ("mac-quasiperiod", "kind=B,base=0,e1=1"))])
 def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     assert cli.main(list(argv)) == 1
     captured = capsys.readouterr()

@@ -1,7 +1,9 @@
+from itertools import product
+
 import pytest
 
 from cmpplab.cmpp import (FrequencyArray, family_rows, gen_fun,
-                          gordon_series, max_path_sum)
+                          gen_fun_reference, gordon_series, max_path_sum)
 
 
 def test_family_rows():
@@ -146,5 +148,31 @@ def test_brute_force_oracle_small():
             f += 1
 
     rec(0, N, {})
-    g = gen_fun(fam, n, boundary, N)
-    assert {(z, d): c for (z, _, d), c in g.terms.items()} == counts
+    for build in (gen_fun, gen_fun_reference):
+        g = build(fam, n, boundary, N)
+        assert {(z, d): c for (z, _, d), c in g.terms.items()} == counts
+
+
+def test_scan_matches_reference():
+    # the column scan against the brute force: A with n <= 3, C with
+    # n <= 3, D with n <= 4, every boundary of level <= 3 (<= 2 from n = 3)
+    cases = 0
+    for fam, ns in (("A", (1, 2, 3)), ("C", (0, 1, 2, 3)),
+                    ("D", (1, 2, 3, 4))):
+        for n in ns:
+            top = 3 if n < 3 else 2
+            for w in product(range(top + 1), repeat=n + 1):
+                if sum(w) > top:
+                    continue
+                for N in (0, 1, 5, 10):
+                    a = gen_fun(fam, n, w, N)
+                    b = gen_fun_reference(fam, n, w, N)
+                    assert (a.terms, a.q_order, a.q_floor) == \
+                        (b.terms, b.q_order, b.q_floor), (fam, n, w, N)
+                    cases += 1
+    assert cases == 640
+    # levels above 254 keep their states as tuples instead of bytes
+    for fam, n, w, N in (("A", 1, (300, 2), 8), ("C", 1, (255, 0), 6),
+                         ("A", 2, (0, 300, 1), 5)):
+        a, b = gen_fun(fam, n, w, N), gen_fun_reference(fam, n, w, N)
+        assert a.terms == b.terms, (fam, n, w, N)

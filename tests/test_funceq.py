@@ -44,10 +44,15 @@ def test_param_validation():
 
 def test_points_the_validators_pass_build():
     # every point over {-1, 0, 1, 2} that a check's validator lets through
-    # builds at order 3; a builder error there is a gap in the validator
+    # builds at order 3; a builder error there is a gap in the validator.
+    # The Macdonald checks need e1 to get past their first test.
     for chk in list_checks():
-        for values in product((-1, 0, 1, 2), repeat=len(chk.param_names)):
-            params = dict(zip(chk.param_names, values))
+        exps = [{}]
+        if "e1" in chk.defaults:
+            exps += [{"e1": 1}, {"e1": 2, "e2": -1}]
+        for extra, values in product(
+                exps, product((-1, 0, 1, 2), repeat=len(chk.param_names))):
+            params = dict(zip(chk.param_names, values), **extra)
             try:
                 spec = catalog(chk.check_id, params)
             except ParamError:
@@ -355,11 +360,43 @@ def _random_lattice_and_product_refs(rng) -> list[tuple]:
     return refs
 
 
-def test_random_lattice_and_product_windows():
-    rng = random.Random(20261018)
-    for ref in _random_lattice_and_product_refs(rng):
-        N = rng.randint(2, 9)
+def _assert_random_windows(rng, refs, top):
+    # for each ref, at a random order N <= top and M <= N: the cut of
+    # build(N) to M is build(M), and build(N) is honest against build(N+3)
+    for ref in refs:
+        N = rng.randint(2, top)
         M = rng.randint(0, N)
         full = funceq._series(ref, N)
         _assert_cut_is_build(full, funceq._series(ref, M), M, (ref, N, M))
         _assert_window_honest(full, funceq._series(ref, N + 3), (ref, N))
+
+
+def test_random_lattice_and_product_windows():
+    rng = random.Random(20261018)
+    _assert_random_windows(rng, _random_lattice_and_product_refs(rng), 9)
+
+
+def _random_enumeration_refs(rng) -> list[tuple]:
+    """``gen`` and ``genw2`` refs of every shape the tests cover: the empty
+    boundary, a full one (every label positive) where its level is <= 3,
+    and random boundaries of level 0..3."""
+    refs = []
+    for fam, n in (("A", 1), ("A", 2), ("A", 3), ("C", 0), ("C", 1),
+                   ("C", 2), ("C", 3), ("D", 1), ("D", 2), ("D", 3),
+                   ("D", 4)):
+        ws = {(0,) * (n + 1)}
+        if n < 3:
+            ws.add((1,) * (n + 1))
+        for _ in range(3):
+            w = [0] * (n + 1)
+            for _ in range(rng.randint(0, 3)):
+                w[rng.randrange(n + 1)] += 1
+            ws.add(tuple(w))
+        for w in sorted(ws):
+            refs += [("gen", fam, n, w), ("genw2", fam, n, w)]
+    return refs
+
+
+def test_random_enumeration_windows():
+    rng = random.Random(20261019)
+    _assert_random_windows(rng, _random_enumeration_refs(rng), 14)
