@@ -45,13 +45,16 @@ def test_param_validation():
 def test_points_the_validators_pass_build():
     # every point over {-1, 0, 1, 2} that a check's validator lets through
     # builds at order 3; a builder error there is a gap in the validator.
-    # The Macdonald checks need e1 to get past their first test.
+    # The Macdonald checks need e1, and a kind, to get past their first
+    # tests.
     for chk in list_checks():
-        exps = [{}]
+        extras = [{}]
         if "e1" in chk.defaults:
-            exps += [{"e1": 1}, {"e1": 2, "e2": -1}]
+            extras += [{"e1": 1}, {"e1": 2, "e2": -1}]
+        if "kind" in chk.param_names:
+            extras = [dict(e, kind=kind) for e in extras for kind in "BD"]
         for extra, values in product(
-                exps, product((-1, 0, 1, 2), repeat=len(chk.param_names))):
+                extras, product((-1, 0, 1, 2), repeat=len(chk.param_names))):
             params = dict(zip(chk.param_names, values), **extra)
             try:
                 spec = catalog(chk.check_id, params)
