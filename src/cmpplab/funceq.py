@@ -41,25 +41,6 @@ def _in_w_q2(build, args: tuple, N: int) -> QSeries:
     return inner.substitute(z=(0, 1, 0), qpow=2).truncate(N)
 
 
-def _jtp_sum(a: int, m: int, N: int) -> QSeries:
-    terms: dict[tuple[int, int, int], int] = {}
-    floor = 0
-    for direction in (1, -1):
-        j = 0 if direction == 1 else -1
-        misses = 0
-        while misses < 3:
-            e = m * (j * (j - 1) // 2) + a * j
-            if e <= N:
-                terms[(0, 0, e)] = terms.get((0, 0, e), 0) + \
-                    (1 if j % 2 == 0 else -1)
-                floor = min(floor, e)
-                misses = 0
-            else:
-                misses += 1
-            j += direction
-    return QSeries(terms, N, floor)
-
-
 def _mac_cross(kd, exps_sum, exps_pi, base, sigma, tau, N: int) -> QSeries:
     s1 = macdonald.macdonald_sum(kd, exps_sum, base, sigma, tau, N)
     p1 = macdonald.pi_product(kd, exps_pi, base, sigma, tau, N)
@@ -136,7 +117,7 @@ _BUILDERS: dict[str, Callable[..., QSeries]] = {
     "hlpf": lambda shape, L, m, N: hl.hl_principal_finite(shape, L, m, N),
     "baileyl": lambda s, m, r_max, N: _bailey_tagged(0, s, m, r_max, N),
     "baileyr": lambda s, m, r_max, N: _bailey_tagged(1, s, m, r_max, N),
-    "jtp_sum": _jtp_sum,
+    "jtp_sum": lambda a, m, N: products.theta_sum(m, a, N),
     "mac_cross": _mac_cross,
     "d2solved": lambda k, N: _d2_tagged(k, N, solved=True),
     "d2enum": lambda k, N: _d2_tagged(k, N, solved=False),

@@ -13,10 +13,15 @@ evaluated at x_i = q^{a_i} and p = q^base.  Pi_{B;-1} = 0 and
 Pi_{D;sigma,-1} = 0, so those cases assert exact vanishing of the sums.
 The product sides are theta products expanded by products.expand.
 
-The r-lattice ranges are derived per call from the quadratic exponents:
-each coordinate gets a candidate set from a separable lower bound on the
-q-exponent of every determinant monomial, so no term at or below the
-truncation order can be missed.
+Row i of the (transposed) summand depends only on r_i: its prefactor,
+its sign twist and its entries.  The determinant is multilinear in its
+rows, so the sum over r in Z^n is det(S), where S_ij is the sum over r
+in Z of row i's factor times entry (i, j): two bilateral theta sums
+sign^r q^{m C(r,2) + l r + c} with m = base * c2 (products.theta_sum).
+Row i's least exponent low_i is exact at the vertices, and a Leibniz
+term meets each row once, so row i is built exact through N minus the
+other rows' least exponents; no term at or below the truncation order is
+missed.
 
 The specialised character sums are these Macdonald sums at a special
 point: substituting r -> -r turns the family-A display into the type-B
@@ -31,10 +36,10 @@ and re-indexed, asserting that all odd u-exponents cancel).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 
 from .products import (PochFactor, ProductSpec, ThetaFactor, expand,
-                       theta_reduce)
+                       theta_reduce, theta_sum)
 from .series import QSeries, inv_poch
 
 
@@ -90,61 +95,6 @@ def _perms_with_sign(n: int) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def _argmin_quadratic(f, hard_cap: int = 100000) -> tuple[int, int]:
-    """Integer argmin of an upward quadratic, by window doubling."""
-    lo, hi = -8, 8
-    while True:
-        vals = {r: f(r) for r in range(lo, hi + 1)}
-        rbest = min(vals, key=lambda r: (vals[r], r))
-        if lo < rbest < hi:
-            return rbest, vals[rbest]
-        lo, hi = lo * 2, hi * 2
-        if hi > hard_cap:
-            raise RuntimeError("no interior vertex found")
-
-
-def _sublevel(f, bound: int, hard_cap: int = 100000) -> list[int]:
-    """{r : f(r) <= bound} for an upward quadratic f: one integer
-    interval, expanded outward from the argmin (unimodality makes the
-    first exceedance on each side final)."""
-    rbest, fmin = _argmin_quadratic(f, hard_cap)
-    if fmin > bound:
-        return []
-    vals = [rbest]
-    for direction in (1, -1):
-        r = rbest + direction
-        while f(r) <= bound:
-            vals.append(r)
-            r += direction
-            if abs(r - rbest) > hard_cap:
-                raise RuntimeError("lattice range cap exceeded")
-    return vals
-
-
-def _candidate_sets(n: int, variants, N: int) -> list[list[int]]:
-    """Per-coordinate candidate values for a separable exponent bound.
-
-    variants(j) yields upward-quadratic functions of r whose pointwise
-    minimum h_j(r) lower-bounds the contribution of coordinate j to every
-    lattice monomial; coordinate j may take r whenever h_j(r) <= N minus
-    the other coordinates' minima.  The sublevel set of the minimum is
-    the union of the variants' sublevel intervals, each exact, so no
-    admissible lattice point is missed even when the union is
-    disconnected."""
-    mins = []
-    for j in range(n):
-        mins.append(min(_argmin_quadratic(f)[1] for f in variants(j)))
-    total_min = sum(mins)
-    sets: list[list[int]] = []
-    for j in range(n):
-        bound = N - (total_min - mins[j])
-        vals: set[int] = set()
-        for f in variants(j):
-            vals.update(_sublevel(f, bound))
-        sets.append(sorted(vals))
-    return sets
-
-
 def pi_product(kind: str, exps: tuple[int, ...], base: int, sigma: int,
                tau: int = 1, N: int = 0) -> QSeries:
     """Pi_{B;sigma}(x, p) (kind "B") or Pi_{D;sigma,tau}(x, p) (kind "D")
@@ -178,50 +128,51 @@ def macdonald_sum(kind: str, exps: tuple[int, ...], base: int, sigma: int,
         raise ValueError(kind)
     if kind == "D" and n < 2:
         raise ValueError("type D needs n >= 2")
+    if base < 1:
+        raise ValueError("base >= 1")
     a = list(exps)
     # (c2, sign twist, second-entry coefficient, lift) of the two
     # identities in the module docstring
     c2, twist, coeff2, lift = ((2 * n - 1, -sigma, -1, 1) if kind == "B"
                                else (2 * (n - 1), sigma, tau, 0))
+    m = base * c2
 
-    def pref_exp(i, r):
-        return base * (c2 * (r * (r - 1) // 2) + i * r) + a[i] * (n - 1 - i)
+    def monos(i, j):
+        # entry (i, j) times the prefactor of row i: two theta sums
+        # coeff * twist^r q^{m C(r,2) + lin r + const}, as (coeff, lin,
+        # const); the display attaches r to the column, the transposed
+        # determinant to row i
+        const = a[i] * (n - 1 - i)
+        return ((1, base * i + a[j] * c2, a[j] * (i + 1 - n) + const),
+                (coeff2, base * i - a[j] * c2,
+                 a[j] * (n - i - 1 + lift) + const))
 
-    def entries(i, j, r):
-        # the (coeff, exponent) monomials of entry (i, j); the display
-        # attaches r to the column, the transposed determinant to row i
-        return ((1, a[j] * (c2 * r + (i + 1) - n)),
-                (coeff2, a[j] * (-c2 * r + n - (i + 1) + lift)))
+    # row i's least exponent, exact at the vertices; a Leibniz term meets
+    # every row once, so each row is built relative to its own least
+    # exponent and exact through N minus all of them
+    lows = [min(theta_reduce(lin, m)[1] + const for j in range(n)
+                for _, lin, const in monos(i, j)) for i in range(n)]
+    inner = N - sum(lows)
 
-    def h(i, r):
-        return pref_exp(i, r) + min(e for j in range(n)
-                                    for _, e in entries(i, j, r))
+    def entry(i, j):
+        return QSeries.collect(
+            (((0, 0, 0),
+              theta_sum(m, lin, inner, twist, const - lows[i]).scale(coeff))
+             for coeff, lin, const in monos(i, j)), inner, 0)
 
-    def variants(i):
-        return [lambda r, j=j, t=t: pref_exp(i, r) + entries(i, j, r)[t][1]
-                for j in range(n) for t in range(2)]
+    S = [[entry(i, j) for j in range(n)] for i in range(n)]
 
-    sets = _candidate_sets(n, variants, N)
-    perms = _perms_with_sign(n)
-    acc: dict[int, int] = {}
-    for rvec in product(*sets):
-        if sum(h(i, rvec[i]) for i in range(n)) > N:
-            continue
-        base_e = sum(pref_exp(i, rvec[i]) for i in range(n))
-        sgn0 = twist ** (sum(rvec) % 2)
-        rows = [[entries(i, j, rvec[i]) for j in range(n)] for i in range(n)]
-        for perm, psign in perms:
-            for combo in product(*(rows[i][perm[i]] for i in range(n))):
-                e = base_e + sum(m[1] for m in combo)
-                if e > N:
-                    continue
-                c = sgn0 * psign
-                for m in combo:
-                    c *= m[0]
-                acc[e] = acc.get(e, 0) + c
+    def leibniz_term(perm, psign):
+        out = S[0][perm[0]].scale(psign)
+        for i in range(1, n):
+            out = out * S[i][perm[i]]
+        return out
+
+    out = QSeries.collect((((0, 0, sum(lows)), leibniz_term(p, sg))
+                           for p, sg in _perms_with_sign(n)), N, 0)
     # the floor is the lowest exponent that survives cancellation
-    floor = min([0] + [e for e, c in acc.items() if c])
-    return QSeries({(0, 0, e): c for e, c in acc.items()}, N, floor)
+    floor = min([0] + [k[2] for k in out.terms])
+    return QSeries(out.terms, N, floor, _clean=True)
 
 
 def check_character_data(family: str, n: int, hw: HalfWeight) -> None:

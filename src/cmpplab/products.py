@@ -42,24 +42,41 @@ class ProductSpec:
 
 def theta_reduce(a: int, m: int) -> tuple[int, int, int]:
     """Normalise theta(q^a; q^m) to sign * q^shift * theta(q^r; q^m),
-    r in [0, m)."""
-    sign, shift = 1, 0
-    while a >= m:
-        shift += m - a
-        sign = -sign
-        a -= m
-    while a < 0:
-        shift += a
-        sign = -sign
-        a += m
-    return sign, shift, a
+    r in [0, m): with a = km + r, sign = (-1)^k and shift =
+    m C(k+1, 2) - ka.  The shift is also the least exponent of
+    m C(j, 2) + aj over j in Z, reached at j = -k."""
+    if m < 1:
+        raise ValueError("modulus exponent m must be >= 1")
+    k, r = divmod(a, m)
+    return (-1) ** (k % 2), m * (k * (k + 1) // 2) - k * a, r
+
+
+def theta_sum(m: int, a: int, N: int, sign: int = -1,
+              shift: int = 0) -> QSeries:
+    """sum over j in Z of sign^j q^{m C(j,2) + aj + shift}, cut at N.
+
+    The exponent is least at the vertex j0 (see theta_reduce) and grows
+    outward on both sides, so each walk stops at its first exponent past
+    N.  The floor is the least exponent, even when its terms cancel, or 0
+    if that is higher."""
+    def exp(j):
+        return m * (j * (j - 1) // 2) + a * j + shift
+
+    low = theta_reduce(a, m)[1] + shift
+    j0 = -(a // m)
+    terms: dict[tuple[int, int, int], int] = {}
+    for step, j in ((1, j0), (-1, j0 - 1)):
+        e = exp(j)
+        while e <= N:
+            terms[(0, 0, e)] = terms.get((0, 0, e), 0) + sign ** (j % 2)
+            j += step
+            e = exp(j)
+    return QSeries(terms, N, min(low, 0))
 
 
 @lru_cache(maxsize=None)
 def theta_q(a: int, m: int, N: int) -> QSeries:
     """theta(q^a; q^m) truncated at order N; zero when a = 0 (mod m)."""
-    if m < 1:
-        raise ValueError("modulus exponent m must be >= 1")
     sign, shift, r = theta_reduce(a, m)
     if r == 0:
         return QSeries.zero()

@@ -329,7 +329,7 @@ def _random_lattice_and_product_refs(rng) -> list[tuple]:
         kind = rng.choice("BD")
         n = rng.randint(1 if kind == "B" else 2, 3)
         exps = tuple(rng.randint(-3, 5) for _ in range(n))
-        args = (kind, exps, rng.randint(3, 9), rng.choice(pm), rng.choice(pm))
+        args = (kind, exps, rng.randint(1, 9), rng.choice(pm), rng.choice(pm))
         refs += [("macsum",) + args, ("pi",) + args]
     while sum(ref[0] == "speccharsum" for ref in refs) < 30:
         fam = rng.choice("AD")
@@ -377,6 +377,30 @@ def _assert_random_windows(rng, refs, top):
 def test_random_lattice_and_product_windows():
     rng = random.Random(20261018)
     _assert_random_windows(rng, _random_lattice_and_product_refs(rng), 9)
+
+
+def _random_multisum_refs(rng) -> list[tuple]:
+    """Random refs of the multisum kinds, drawn from the ranges their
+    builders accept."""
+    refs = []
+    for _ in range(10):
+        n, k = rng.randint(1, 3), rng.randint(0, 3)
+        refs.append(("fsum", n, rng.randint(0, n), rng.randint(0, 1)))
+        refs.append(("ag", k, rng.randint(0, k)))
+        refs.append(("shun", rng.randint(0, 3)))
+        variant = rng.choice(("kL0", "kL1", "omega", "omega_r1"))
+        refs.append(("shun2", rng.randint(variant.startswith("omega"), 3),
+                     variant))
+        refs.append(("wz", rng.choice("ABCD")))
+        refs.append(("wz", rng.choice(("guess_B", "guess_omega")),
+                     rng.randint(0, 3)))
+        refs.append(("sser",) + tuple(rng.randint(-2, 4) for _ in range(4)))
+    return refs
+
+
+def test_random_multisum_windows():
+    rng = random.Random(20261022)
+    _assert_random_windows(rng, _random_multisum_refs(rng), 18)
 
 
 def _random_enumeration_refs(rng) -> list[tuple]:

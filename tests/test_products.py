@@ -5,7 +5,8 @@ from cmpplab.products import (PochFactor, ProductSpec, ThetaFactor,
                               ag_type_product, c_level1_product, c_n0_product,
                               c_n0_two_variable, char_product, d_n1_product,
                               d_level1_product, expand, gordon_product,
-                              jms_product, theta_q, theta_reduce)
+                              jms_product, theta_q, theta_reduce,
+                              theta_sum)
 from cmpplab.series import QSeries, poch
 
 
@@ -31,29 +32,52 @@ def test_theta_quasi_periodicity():
 
 
 def test_theta_reduce_bookkeeping():
-    sign, shift, r = theta_reduce(6, 5)
-    assert (sign, shift, r) == (-1, -1, 1)
-    sign, shift, r = theta_reduce(12, 5)
-    assert r == 2 and sign == 1 and shift == -9
+    assert theta_reduce(6, 5) == (-1, -1, 1)
+    assert theta_reduce(12, 5) == (1, -9, 2)
+    # the closed form against one quasi-period step at a time
+    for m in range(1, 12):
+        for a0 in range(-60, 61):
+            sign, shift, a = 1, 0, a0
+            while a >= m:
+                sign, shift, a = -sign, shift + m - a, a - m
+            while a < 0:
+                sign, shift, a = -sign, shift + a, a + m
+            assert theta_reduce(a0, m) == (sign, shift, a), (a0, m)
+    # a huge argument costs no loop over its a / m periods; the shift is
+    # the least exponent of m C(j,2) + a j, whose real vertex 1/2 - a/m
+    # lies inside the window below
+    a, m = 20000000, 3
+    j0 = -(a // m)
+    least = min(m * (j * (j - 1) // 2) + a * j for j in range(j0 - 2, j0 + 3))
+    assert theta_reduce(a, m) == (1, least, 2)
+    for m in (0, -1):
+        with pytest.raises(ValueError):
+            theta_reduce(1, m)
+        with pytest.raises(ValueError):
+            expand(ProductSpec((ThetaFactor(1, m),), ()), 3)
 
 
 def test_jacobi_triple_product():
     n = 60
     for m in range(1, 9):
-        for a in range(1, m + 1):
-            lhs = theta_q(a, m, n) * poch(m, m, None, n)
+        for a in range(-m, 2 * m + 1):
+            lhs = theta_q(a, m, n) * \
+                poch(m, m, None, n - theta_reduce(a, m)[1])
             terms = {}
-            j = -20
-            while j <= 20:
+            for j in range(-40, 41):
                 e = m * (j * (j - 1) // 2) + a * j
                 if e <= n:
                     terms[(0, 0, e)] = terms.get((0, 0, e), 0) + (-1) ** j
-                j += 1
-            rhs = QSeries(terms, n, min(terms, default=(0, 0, 0))[2] if terms
-                          else 0)
-            rhs = QSeries({k: v for k, v in terms.items() if v}, n,
-                          min((k[2] for k in terms), default=0))
+            rhs = QSeries(terms, n, min((k[2] for k in terms), default=0))
             assert lhs.compare(rhs, n) is None, (a, m)
+            s = theta_sum(m, a, n)
+            assert (s.terms, s.q_order, s.q_floor) == \
+                (rhs.terms, n, rhs.q_floor), (a, m)
+    # the floor is the least exponent even when its pair of terms cancels
+    s = theta_sum(5, -5, 10)
+    assert not s.terms and s.q_floor == -5
+    s = theta_sum(3, 2, 20, sign=1, shift=-4)
+    assert s.q_floor == -4 and s.q_coeffs(6) == [0, 1, 0, 1, 0, 0, 0]
 
 
 def test_char_product_rogers_ramanujan():
