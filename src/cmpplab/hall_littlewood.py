@@ -278,24 +278,25 @@ def _even_conjugate_tops(k: int, max_half: int) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _h_step(upper: Partition, lower: Partition, m: int) -> QSeries:
+def _h_step(upper: Partition, lower: Partition, m: int, W: int) -> QSeries:
     """One chain-step weight: prod_i q^{lower_i} t^{C(upper_i - lower_i, 2)}
-    qbin(upper_i - lower_{i+1}, upper_i - lower_i)_t with t = q^m; exact
-    polynomial (entries beyond l(upper) contribute 1)."""
-    lu = len(upper)
-    e = sum(lower)
-    out = None
-    for i in range(lu):
-        li = lower[i] if i < len(lower) else 0
-        lnext = lower[i + 1] if i + 1 < len(lower) else 0
-        g = upper[i] - li
-        e += m * (g * (g - 1) // 2)
-        b = qbin(upper[i] - lnext, g, m)
-        out = b if out is None else out * b
-    term = QSeries.monomial(1, dq=e, order=None)
-    if out is not None:
-        term = term * out
-    return term
+    qbin(upper_i - lower_{i+1}, upper_i - lower_i)_t with t = q^m
+    (entries beyond l(upper) contribute 1), cut at q^W.
+
+    The exact product is q^e times Gaussian binomials with constant term
+    1, so the result is its truncate(W), with floor e: the empty series
+    when e > W, else the product of the binomials each cut at W - e.
+    Callers pass the window they keep; every factor they multiply the
+    step by has exponents >= 0, so no step term above W reaches it."""
+    low = lower + (0,) * (len(upper) + 1 - len(lower))
+    e = sum(lower) + sum(m * ((u - low[i]) * (u - low[i] - 1) // 2)
+                         for i, u in enumerate(upper))
+    if e > W:
+        return QSeries({}, W, e, _clean=True)
+    out = QSeries.monomial(1, dq=e, order=W)
+    for i, u in enumerate(upper):
+        out = out * qbin(u - low[i + 1], u - low[i], m).truncate(W - e)
+    return out
 
 
 def _tops(k: int, n: int, N: int, lift: bool):
@@ -318,7 +319,9 @@ def _chain_dp(n: int, N: int, spent_bound):
 
     spent_bound(a, w) must lower-bound the q-degree every caller attaches
     in front of G_a(mu) with w = |mu| (each of the a steps above carries
-    at least q^w); each entry is truncated at the largest usable order."""
+    at least q^w); each entry is truncated at the largest usable order
+    my_ord.  Each step is cut at my_ord too: G_{a+1}(nu) has exponents
+    >= 0, so a step term above my_ord reaches no kept term."""
     memo: dict[tuple[int, Partition], QSeries] = {}
 
     def G(a: int, mu: Partition) -> QSeries:
@@ -331,7 +334,7 @@ def _chain_dp(n: int, N: int, spent_bound):
             return got
         my_ord = N - spent_bound(a, sum(mu))
         total = QSeries.collect(
-            (((0, 0, 0), _h_step(mu, nu, n) * G(a + 1, nu))
+            (((0, 0, 0), _h_step(mu, nu, n, my_ord) * G(a + 1, nu))
              for nu in sub_partitions(mu)
              if spent_bound(a + 1, sum(nu)) <= N), my_ord, 0)
         memo[key] = total
@@ -395,7 +398,10 @@ def hl_weighted_chain(variant: str, param: int, N: int) -> QSeries:
                 e = csum + extra(csum, mu1[0] if mu1 else 0)
                 if e > N:
                     continue
-                yield (csum, 0, e), gaps * _h_step(mu0, mu1, n) * G(1, mu1)
+                # e >= 0 and gaps, G have exponents >= 0: the part is kept
+                # through q^{N - e}
+                yield (csum, 0, e), \
+                    gaps * _h_step(mu0, mu1, n, N - e) * G(1, mu1)
 
     return QSeries.collect(parts(), N, 0)
 
@@ -403,7 +409,13 @@ def hl_weighted_chain(variant: str, param: int, N: int) -> QSeries:
 def hl_sum_over_bounded(k: int, m: int, N: int,
                         z_shift: int = 1) -> QSeries:
     """sum_{lambda_1 <= k} (z q^{z_shift})^{|lambda|} P_{2 lambda}(1, q,
-    ...; q^m), assembled from hl_inf_spec; the oracle for hl_chain_sum."""
+    ...; q^m), assembled from hl_inf_spec; the oracle for hl_chain_sum.
+
+    For k >= 1 the z-degree is unbounded, so only z_shift >= 1 leaves
+    finitely many terms through q^N."""
+    if k >= 1 and z_shift < 1:
+        raise ValueError("z_shift >= 1")
+
     def parts(prev: int, acc: list[int]):
         wl = sum(acc)
         yield (wl, 0, z_shift * wl), hl_inf_spec(

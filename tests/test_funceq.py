@@ -365,13 +365,18 @@ def _random_lattice_and_product_refs(rng) -> list[tuple]:
 
 def _assert_random_windows(rng, refs, top):
     # for each ref, at a random order N <= top and M <= N: the cut of
-    # build(N) to M is build(M), and build(N) is honest against build(N+3)
+    # build(N) to M is build(M), and build(N) is honest against build(N+3);
+    # returns (ref, build) for the three builds of each ref
+    built = []
     for ref in refs:
         N = rng.randint(2, top)
         M = rng.randint(0, N)
-        full = funceq._series(ref, N)
-        _assert_cut_is_build(full, funceq._series(ref, M), M, (ref, N, M))
-        _assert_window_honest(full, funceq._series(ref, N + 3), (ref, N))
+        full, small, deeper = (funceq._series(ref, order)
+                               for order in (N, M, N + 3))
+        _assert_cut_is_build(full, small, M, (ref, N, M))
+        _assert_window_honest(full, deeper, (ref, N))
+        built += [(ref, full), (ref, small), (ref, deeper)]
+    return built
 
 
 def test_random_lattice_and_product_windows():
@@ -427,3 +432,38 @@ def _random_enumeration_refs(rng) -> list[tuple]:
 def test_random_enumeration_windows():
     rng = random.Random(20261019)
     _assert_random_windows(rng, _random_enumeration_refs(rng), 14)
+
+
+def _random_hall_littlewood_refs(rng) -> list[tuple]:
+    """Random refs of the Hall-Littlewood kinds, drawn from the ranges
+    their checks' validators accept (L <= 5 keeps hlsym's L! cosets
+    small)."""
+    refs = []
+    for _ in range(12):
+        k, n = rng.randint(0, 3), rng.randint(1, 4)
+        refs.append(("hlchain", k, n))
+        refs.append(("hlsum", k, n, rng.randint(1, 2)))
+        refs.append(("hlweighted", "v1", n))
+        refs.append(("hlweighted", "v2", rng.randint(1, 3)))
+        delta = rng.randint(0, 1)
+        gn = rng.randint(1 - delta, 2)
+        refs.append(("gow", rng.randint(0, 4), gn, delta))
+        refs.append(("hlinf", tuple(sorted(
+            (rng.randint(1, 3) for _ in range(rng.randint(0, 3))),
+            reverse=True)), rng.randint(1, 4)))
+        L = rng.randint(1, 5)
+        r = rng.randint(0, L)
+        s = rng.randint(0, L - r)
+        m = rng.randint(1, 3)
+        shape = (2,) * r + (1,) * s
+        refs.append(("hlsym", shape, L, m, rng.choice((1, m))))
+        refs.append(("hlls", r, s, L, m))
+        refs.append(("hlpf", shape, L, m))
+    return refs
+
+
+def test_random_hall_littlewood_windows():
+    rng = random.Random(20261020)
+    built = _assert_random_windows(rng, _random_hall_littlewood_refs(rng), 12)
+    for ref, s in built:
+        assert not s.terms or s.q_floor <= s.min_q_degree(), ref

@@ -1,11 +1,13 @@
 import pytest
 
+from cmpplab import hall_littlewood
 from cmpplab.hall_littlewood import (bailey_beta_check, hl_chain_sum,
                                      hl_inf_spec, hl_ls_2r1s,
                                      hl_principal_finite,
                                      hl_sum_over_bounded, hl_symmetrization,
                                      hl_weighted_chain, prop_gow_sum)
 from cmpplab.multisums import ag_sum
+from cmpplab.partitions import partitions_iter, sub_partitions
 from cmpplab.series import QSeries, qbin
 
 
@@ -104,6 +106,54 @@ def test_chain_sum_equals_bounded_hl_sum():
             a = hl_chain_sum(k, n, 16)
             b = hl_sum_over_bounded(k, n, 16, z_shift=1)
             assert a.compare(b, 16) is None, (k, n)
+
+
+def test_bounded_hl_sum_needs_a_raising_z_shift():
+    # for k >= 1 the z-degree is unbounded, so z_shift <= 0 has no finite
+    # cut at q^N; k = 0 is the single empty-partition term
+    for z_shift in (0, -1):
+        with pytest.raises(ValueError, match="z_shift >= 1"):
+            hl_sum_over_bounded(1, 2, 5, z_shift=z_shift)
+        assert hl_sum_over_bounded(0, 2, 5, z_shift=z_shift).terms == \
+            {(0, 0, 0): 1}
+
+
+def _h_step_uncut(upper, lower, m):
+    """The exact chain-step product, with no window: the oracle of
+    _h_step."""
+    e = sum(lower)
+    out = QSeries.one()
+    for i, u in enumerate(upper):
+        li = lower[i] if i < len(lower) else 0
+        lnext = lower[i + 1] if i + 1 < len(lower) else 0
+        e += m * ((u - li) * (u - li - 1) // 2)
+        out = out * qbin(u - lnext, u - li, m)
+    return QSeries.monomial(1, dq=e) * out
+
+
+def test_h_step_is_the_cut_uncut_step():
+    for upper in partitions_iter(12, part_max=4, len_max=3):
+        for lower in sub_partitions(upper):
+            for m in (1, 2, 3):
+                full = _h_step_uncut(upper, lower, m)
+                for W in (0, 1, 3, 7, 12):
+                    # == compares terms, q_order and q_floor
+                    assert hall_littlewood._h_step(upper, lower, m, W) == \
+                        full.truncate(W), (upper, lower, m, W)
+
+
+def test_chain_sums_match_uncut_steps(monkeypatch):
+    # each caller's window drops only step terms that cannot reach its sum
+    grid = ([(hl_chain_sum, k, n) for k in range(4) for n in range(1, 5)] +
+            [(hl_weighted_chain, "v1", n) for n in range(1, 5)] +
+            [(hl_weighted_chain, "v2", k) for k in range(1, 4)])
+    orders = (0, 1, 3, 6, 10)
+    cut = {(f, a, b, N): f(a, b, N) for f, a, b in grid for N in orders}
+    monkeypatch.setattr(hall_littlewood, "_h_step",
+                        lambda upper, lower, m, W: _h_step_uncut(upper, lower,
+                                                                 m))
+    for (f, a, b, N), got in cut.items():
+        assert got == f(a, b, N), (f.__name__, a, b, N)
 
 
 def test_weighted_chain_small():
