@@ -15,9 +15,9 @@ the D side), and equations with w/z prefactors are cleared by z.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import cmpp, hall_littlewood as hl, macdonald, multisums, products
 from .series import QSeries
@@ -42,11 +42,15 @@ def _in_w_q2(build, args: tuple, N: int) -> QSeries:
 
 
 def _mac_cross(kd, exps_sum, exps_pi, base, sigma, tau, N: int) -> QSeries:
-    s1 = macdonald.macdonald_sum(kd, exps_sum, base, sigma, tau, N)
-    p1 = macdonald.pi_product(kd, exps_pi, base, sigma, tau, N)
-    pad = -min(s1.q_floor, 0) - min(p1.q_floor, 0)
-    s1 = macdonald.macdonald_sum(kd, exps_sum, base, sigma, tau, N + pad)
-    p1 = macdonald.pi_product(kd, exps_pi, base, sigma, tau, N + pad)
+    """macdonald_sum(exps_sum) * pi_product(exps_pi) to order N.  Each
+    factor is built once, through N minus the other's (nonpositive) floor:
+    the product's floor is known without a build, the sum's from its
+    build."""
+    p_floor = macdonald.pi_floor(kd, exps_pi, base, sigma, tau)
+    s1 = macdonald.macdonald_sum(kd, exps_sum, base, sigma, tau,
+                                 N - min(p_floor, 0))
+    p1 = macdonald.pi_product(kd, exps_pi, base, sigma, tau,
+                              N - min(s1.q_floor, 0))
     return (s1 * p1).truncate(N)
 
 
@@ -126,13 +130,74 @@ _BUILDERS: dict[str, Callable[..., QSeries]] = {
 }
 
 
-@lru_cache(maxsize=None)
-def _series(ref: tuple, N: int) -> QSeries:
+def _build(ref: tuple, N: int) -> QSeries:
+    """The series ``ref`` built afresh at order N, through its builder."""
     try:
         build = _BUILDERS[ref[0]]
     except KeyError:
         raise ValueError("unknown series kind %r" % (ref[0],)) from None
     return build(*ref[1:], N)
+
+
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class _OrderMemo:
+    """Memo of ``build(ref, N)`` keyed by ref alone: it keeps the deepest
+    build of each ref and the order N it was built at, and evicts the least
+    recently used ref beyond ``maxsize``.
+
+    A request at order M <= N is a hit when the kept build can serve it:
+    an exact build (``q_order`` None, exact at every order) as it is, any
+    other cut to M if its ``q_order`` >= M, since ``build(N).truncate(M)``
+    is ``build(M)`` (tested per builder kind).  ``cache_info()`` counts
+    such a serve as a hit, as ``lru_cache`` does.
+    """
+
+    def __init__(self, build: Callable[[tuple, int], QSeries],
+                 maxsize: int):
+        self.build = build
+        self.maxsize = maxsize
+        self.kept: OrderedDict[tuple, tuple[int, QSeries]] = OrderedDict()
+        self.hits = self.misses = 0
+
+    def __call__(self, ref: tuple, N: int) -> QSeries:
+        kept = self.kept.get(ref)
+        if kept is not None:
+            self.kept.move_to_end(ref)
+            n, s = kept
+            if N == n or (N < n and s.q_order is None):
+                self.hits += 1
+                return s
+            if N < n and s.q_order >= N:
+                self.hits += 1
+                return s.truncate(N)
+        self.misses += 1
+        s = self.build(ref, N)
+        if kept is None or N > kept[0]:
+            self.kept[ref] = (N, s)
+            if len(self.kept) > self.maxsize:
+                self.kept.popitem(last=False)
+        return s
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, self.maxsize,
+                          len(self.kept))
+
+    def cache_clear(self) -> None:
+        self.kept.clear()
+        self.hits = self.misses = 0
+
+
+# Refs the series memo keeps: a catalog pass over every acceptance point
+# asks for 1,881 distinct refs, and none may be evicted on the way.
+_SERIES_MEMO_SIZE = 4096
+
+_series = _OrderMemo(_build, _SERIES_MEMO_SIZE)
 
 
 @dataclass(frozen=True)

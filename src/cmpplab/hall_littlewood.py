@@ -96,10 +96,28 @@ def hl_symmetrization(lam: Partition, L: int, m: int, N: int,
         raise ValueError("need l(lambda) <= L")
     if L > 9:
         raise ValueError("L > 9 is a factorial-cost wall (L! cosets)")
-    padded = list(lam) + [0] * (L - len(lam))
+    parts: list[tuple[tuple[int, int, int], QSeries]] = []
+    for shift, sign, num_factors, den_factors in _sym_cosets(
+            list(lam) + [0] * (L - len(lam)), m, xstep):
+        # the unit has exponents >= 0, so the window needs it only through
+        # N - shift; a coset with shift > N adds no term, and skipping a
+        # positive shift leaves the floor min(0, shifts) as it is
+        if shift > max(N, 0):
+            continue
+        parts.append(((0, 0, shift),
+                      _sym_unit(sign, num_factors, den_factors, N - shift)))
+    return QSeries.collect(parts, N,
+                           min([0] + [shift for (_, _, shift), _ in parts]))
+
+
+def _sym_cosets(padded: list[int], m: int, xstep: int):
+    """The nonzero coset terms of hl_symmetrization at shape ``padded``
+    (with L entries), as (shift, sign, num_factors, den_factors): the term
+    is sign * q^shift * prod (1 - q^u) / prod (1 - q^v) over u in
+    num_factors and v in den_factors."""
+    L = len(padded)
     pairs = [(i, j) for i in range(L) for j in range(L)
              if padded[i] > padded[j]]
-    parts: list[tuple[tuple[int, int, int], QSeries]] = []
     for alpha in sorted(set(permutations(padded)), reverse=True):
         # order-preserving assignment of original indices to positions
         w = [0] * L
@@ -131,18 +149,20 @@ def hl_symmetrization(lam: Partition, L: int, m: int, N: int,
             if c > d:
                 sign = -sign
             den_factors.append(abs(c - d))
-        if dead:
-            continue
-        inner = N - min(shift, 0)
-        unit = QSeries.one(inner)
-        for u in num_factors:
-            unit = (unit * QSeries({(0, 0, 0): 1, (0, 0, u): -1}, None, 0,
-                                   _clean=True)).truncate(inner)
-        for v in den_factors:
-            unit = unit * inv_poch(v, v, 1, inner)
-        parts.append(((0, 0, shift), unit if sign > 0 else -unit))
-    return QSeries.collect(parts, N,
-                           min([0] + [shift for (_, _, shift), _ in parts]))
+        if not dead:
+            yield shift, sign, num_factors, den_factors
+
+
+def _sym_unit(sign: int, num_factors: list[int], den_factors: list[int],
+              inner: int) -> QSeries:
+    """sign * prod (1 - q^u) / prod (1 - q^v), exact through q^inner."""
+    unit = QSeries.one(inner)
+    for u in num_factors:
+        unit = (unit * QSeries({(0, 0, 0): 1, (0, 0, u): -1}, None, 0,
+                               _clean=True)).truncate(inner)
+    for v in den_factors:
+        unit = unit * inv_poch(v, v, 1, inner)
+    return unit if sign > 0 else -unit
 
 
 # -- infinite principal specialisation via branching -------------------------

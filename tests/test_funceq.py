@@ -7,6 +7,7 @@ from cmpplab.cmpp import gen_fun
 from cmpplab.d2solver import solve_d2_system
 from cmpplab import funceq, macdonald, products
 from cmpplab.funceq import ParamError, catalog, list_checks, residual
+from cmpplab.series import QSeries
 
 
 def check(cid, N=12, **params):
@@ -281,6 +282,108 @@ def _resolver_refs() -> list[tuple]:
     return sorted(refs, key=repr)
 
 
+def _counting_memo(monkeypatch):
+    """A fresh series memo in place of funceq._series, and the list of
+    the (ref, N) it builds."""
+    built = []
+
+    def build(ref, N):
+        built.append((ref, N))
+        return funceq._build(ref, N)
+    memo = funceq._OrderMemo(build, funceq._SERIES_MEMO_SIZE)
+    monkeypatch.setattr(funceq, "_series", memo)
+    return memo, built
+
+
+def test_series_memo_cuts_the_deepest_build(monkeypatch):
+    memo, built = _counting_memo(monkeypatch)
+    ref = ("hlchain", 2, 2)
+    full = funceq._series(ref, 10)
+    assert full.q_order == 10
+    small = funceq._series(ref, 8)
+    assert built == [(ref, 10)]
+    assert memo.cache_info()[:2] == (1, 1)
+    assert small == funceq._build(ref, 8)  # terms, q_order and q_floor
+
+
+def test_series_memo_keeps_the_deeper_of_two_builds(monkeypatch):
+    memo, built = _counting_memo(monkeypatch)
+    ref = ("gen", "A", 1, (0, 1))
+    funceq._series(ref, 8)
+    funceq._series(ref, 10)
+    assert funceq._series(ref, 9) == funceq._build(ref, 9)
+    assert funceq._series(ref, 8) == funceq._build(ref, 8)
+    assert built == [(ref, 8), (ref, 10)]
+    assert memo.kept[ref][0] == 10
+
+
+def test_series_memo_serves_an_exact_build_unchanged(monkeypatch):
+    memo, built = _counting_memo(monkeypatch)
+    ref = ("one",)
+    exact = funceq._series(ref, 10)
+    assert exact.q_order is None
+    assert funceq._series(ref, 3) is exact
+    assert built == [(ref, 10)]
+    assert memo.cache_info()[:2] == (1, 1)
+
+
+def test_series_memo_builds_past_a_short_window():
+    # a kept build exact only below the requested order cannot serve it;
+    # the fresh build is returned and the deeper build kept
+    built = []
+
+    def build(ref, N):
+        built.append(N)
+        return QSeries.one(N - 3)
+    memo = funceq._OrderMemo(build, 4)
+    memo(("r",), 10)
+    assert memo(("r",), 8).q_order == 5
+    assert memo(("r",), 7) == QSeries.one(7).truncate(7)
+    assert built == [10, 8]
+    assert memo.kept[("r",)][1].q_order == 7
+
+
+def test_series_memo_evicts_the_least_recently_used_ref():
+    memo = funceq._OrderMemo(lambda ref, N: QSeries.one(N), 2)
+    memo(("a",), 5)
+    memo(("b",), 5)
+    memo(("a",), 4)         # a hit: "b" is now the least recently used
+    memo(("c",), 5)
+    assert list(memo.kept) == [("a",), ("c",)]
+    memo(("b",), 5)
+    assert list(memo.kept) == [("c",), ("b",)]
+    assert memo.cache_info() == (1, 4, 2, 2)
+    memo.cache_clear()
+    assert memo.cache_info() == (0, 0, 2, 0)
+
+
+def test_mac_cross_builds_each_factor_once(monkeypatch):
+    # each factor has floor 0 or -9 here; every cross is the product of
+    # factors built far past that, cut to N, and is built from one
+    # macdonald_sum and one pi_product
+    from cmpplab import cli
+    for args in (((3, 1), (10, 1)), ((10, 1), (3, 1)), ((3, 1), (3, 1))):
+        for N in (0, 5, 12):
+            deep = (macdonald.macdonald_sum("B", args[0], 7, 1, 1, N + 20) *
+                    macdonald.pi_product("B", args[1], 7, 1, 1, N + 20))
+            assert funceq._build(("mac_cross", "B") + args + (7, 1, 1), N) \
+                == deep.truncate(N), (args, N)
+    _counting_memo(monkeypatch)
+    calls = []
+    for name in ("macdonald_sum", "pi_product"):
+        fn = getattr(macdonald, name)
+        monkeypatch.setattr(macdonald, name,
+                            lambda *a, fn=fn: calls.append(a) or fn(*a))
+    rep = cli.run_check("mac-quasiperiod",
+                        {"kind": "B", "base": 7, "e1": 3, "e2": 1}, 12,
+                        timings=False)
+    assert len(calls) == 4
+    assert rep.to_json() == (
+        '{"check": "mac-quasiperiod", "conjecture_status": "proved", '
+        '"elapsed_ms": 0, "first_mismatch": null, "order": 12, "params": '
+        '{"base": 7, "e1": 3, "e2": 1, "kind": "B"}, "status": "pass"}')
+
+
 def test_resolver_table_is_exactly_the_referenced_kinds():
     kinds = {ref[0] for ref in _resolver_refs()}
     assert kinds == set(funceq._BUILDERS)
@@ -290,20 +393,21 @@ def test_resolver_table_is_exactly_the_referenced_kinds():
                                   (4, 2)])
 def test_resolver_truncation_soundness(N, M):
     # a build at order N, cut to M, is the build at order M; no build
-    # stores a zero coefficient
+    # stores a zero coefficient.  Both are fresh builds: through the memo
+    # the order-M one would be the cut of the order-N one.
     for ref in _resolver_refs():
-        full, small = funceq._series(ref, N), funceq._series(ref, M)
+        full, small = funceq._build(ref, N), funceq._build(ref, M)
         assert 0 not in full.terms.values(), (ref, N)
         assert 0 not in small.terms.values(), (ref, M)
         _assert_cut_is_build(full, small, M, (ref, N, M))
 
 
 def _assert_cut_is_build(full, small, M, ctx):
-    cut = full.truncate(M)
-    assert cut.terms == small.terms, ctx
-    assert cut.q_floor == small.q_floor, ctx
-    if small.q_order is not None:
-        assert cut.q_order == small.q_order, ctx
+    # what the series memo serves at order M from the build at N >= M (an
+    # exact build as it is, any other cut to M) is the build at M; == also
+    # compares q_order and q_floor
+    served = full if full.q_order is None else full.truncate(M)
+    assert served == small, ctx
 
 
 def _assert_window_honest(small, deeper, ctx):
@@ -371,7 +475,7 @@ def _assert_random_windows(rng, refs, top):
     for ref in refs:
         N = rng.randint(2, top)
         M = rng.randint(0, N)
-        full, small, deeper = (funceq._series(ref, order)
+        full, small, deeper = (funceq._build(ref, order)
                                for order in (N, M, N + 3))
         _assert_cut_is_build(full, small, M, (ref, N, M))
         _assert_window_honest(full, deeper, (ref, N))

@@ -156,6 +156,30 @@ def test_chain_sums_match_uncut_steps(monkeypatch):
         assert got == f(a, b, N), (f.__name__, a, b, N)
 
 
+
+def _symmetrization_uncut(lam, L, m, N, xstep):
+    """Every coset unit expanded through N - min(shift, 0), cut at N only
+    in the sum: the oracle of hl_symmetrization's per-coset windows."""
+    padded = list(lam) + [0] * (L - len(lam))
+    parts = [((0, 0, shift), hall_littlewood._sym_unit(
+                 sign, num, den, N - min(shift, 0)))
+             for shift, sign, num, den in hall_littlewood._sym_cosets(
+                 padded, m, xstep)]
+    return QSeries.collect(parts, N,
+                           min([0] + [shift for (_, _, shift), _ in parts]))
+
+
+def test_symmetrization_matches_uncut_cosets():
+    for L in range(6):
+        for lam in partitions_iter(15, part_max=3, len_max=L):
+            for m in (1, 2, 3):
+                for xstep in {1, m}:
+                    for N in (0, 1, 4, 10):
+                        assert hl_symmetrization(lam, L, m, N, xstep) == \
+                            _symmetrization_uncut(lam, L, m, N, xstep), \
+                            (lam, L, m, xstep, N)
+
+
 def test_weighted_chain_small():
     # v1 at n=1 is the two-variable first Rogers-Ramanujan series
     v = hl_weighted_chain("v1", 1, 10)
