@@ -35,22 +35,16 @@ def _negative_part(s: QSeries) -> QSeries:
                    s.q_order, s.q_floor, _clean=True)
 
 
-def _in_w_q2(build, args: tuple, N: int) -> QSeries:
-    """build(*args, order) with (z, q) -> (w, q^2), to order N."""
-    inner = build(*args, (N + 2) // 2)
-    return inner.substitute(z=(0, 1, 0), qpow=2).truncate(N)
-
-
 def _mac_cross(kd, exps_sum, exps_pi, base, sigma, tau, N: int) -> QSeries:
     """macdonald_sum(exps_sum) * pi_product(exps_pi) to order N.  Each
-    factor is built once, through N minus the other's (nonpositive) floor:
-    the product's floor is known without a build, the sum's from its
-    build."""
+    factor is fetched once, through N minus the other's (nonpositive)
+    floor: the product's floor is known without a build, the sum's from
+    its build."""
     p_floor = macdonald.pi_floor(kd, exps_pi, base, sigma, tau)
-    s1 = macdonald.macdonald_sum(kd, exps_sum, base, sigma, tau,
-                                 N - min(p_floor, 0))
-    p1 = macdonald.pi_product(kd, exps_pi, base, sigma, tau,
-                              N - min(s1.q_floor, 0))
+    s1 = _series(("macsum", kd, exps_sum, base, sigma, tau),
+                 N - min(p_floor, 0))
+    p1 = _series(("pi", kd, exps_pi, base, sigma, tau),
+                 N - min(s1.q_floor, 0))
     return (s1 * p1).truncate(N)
 
 
@@ -70,7 +64,7 @@ def _d2_tagged(k: int, N: int, solved: bool) -> QSeries:
     if solved:
         family = solve_d2_system(k, N)
     else:
-        family = {w: cmpp.gen_fun("D", 2, w, N) for w in ws}
+        family = {w: _series(("gen", "D", 2, w), N) for w in ws}
     return QSeries.collect((((0, idx, 0), family[w])
                             for idx, w in enumerate(sorted(ws))), N, 0)
 
@@ -92,8 +86,7 @@ _BUILDERS: dict[str, Callable[..., QSeries]] = {
     "fsum": lambda n, a, delta, N: multisums.f_sum(n, a, delta, N),
     "ag": lambda k, a, N: multisums.ag_sum(k, a, N),
     "hlchain": lambda k, n, N: hl.hl_chain_sum(k, n, N),
-    "hlsum": lambda k, m, zshift, N: hl.hl_sum_over_bounded(
-        k, m, N, z_shift=zshift),
+    "hlsum": lambda k, m, N: hl.hl_sum_over_bounded(k, m, N),
     "hlweighted": lambda variant, param, N: hl.hl_weighted_chain(
         variant, param, N),
     "hlinf": lambda shape, m, N: hl.hl_inf_spec(shape, m, N),
@@ -111,10 +104,6 @@ _BUILDERS: dict[str, Callable[..., QSeries]] = {
     "speccharsum": lambda fam, n, two_k, two_lambda, N:
         macdonald.specialized_character_sum(
             fam, n, macdonald.HalfWeight(two_k, two_lambda), N),
-    "genw2": lambda fam, n, w, N: _in_w_q2(cmpp.gen_fun, (fam, n, w), N),
-    "agw_as_w": lambda k, a, N: _in_w_q2(multisums.ag_sum, (k, a), N),
-    "atomicres": lambda which, params, N: multisums.atomic_residual(
-        which, params, N),
     "hlsym": lambda shape, L, m, xstep, N: hl.hl_symmetrization(
         shape, L, m, N, xstep=xstep),
     "hlls": lambda r, s, L, m, N: hl.hl_ls_2r1s(r, s, L, m, N),
@@ -126,7 +115,6 @@ _BUILDERS: dict[str, Callable[..., QSeries]] = {
     "d2solved": lambda k, N: _d2_tagged(k, N, solved=True),
     "d2enum": lambda k, N: _d2_tagged(k, N, solved=False),
     "zero": lambda N: QSeries.zero(),
-    "one": lambda N: QSeries.one(None),
 }
 
 
@@ -194,10 +182,13 @@ class _OrderMemo:
 
 
 # Refs the series memo keeps: a catalog pass over every acceptance point
-# asks for 1,881 distinct refs, and none may be evicted on the way.
+# asks for 2,116 distinct refs, and none may be evicted on the way.
 _SERIES_MEMO_SIZE = 4096
 
 _series = _OrderMemo(_build, _SERIES_MEMO_SIZE)
+
+
+_UNIT = ((1, 0, 0, 0),)
 
 
 @dataclass(frozen=True)
@@ -206,9 +197,9 @@ class Term:
 
     side: int
     series: tuple
-    pref: tuple[tuple[int, int, int, int], ...] = ((1, 0, 0, 0),)
+    pref: tuple[tuple[int, int, int, int], ...] = _UNIT
     subst: tuple[int, int, int] = (0, 0, 1)  # z -> z q^cz, w -> w q^cw, q^m
-    post: str = ""  # "", "z1", "w0", "z0", "w_to_z"
+    post: str = ""  # "", "z1", "w0", "z0", "w_to_z", "z_to_w"
 
 
 @dataclass(frozen=True)
@@ -220,10 +211,15 @@ class EquationSpec:
 
 
 def _eval_term(term: Term, N: int) -> QSeries:
+    """The term through order N.  With f the least q-exponent of the
+    prefactor, its series is fetched through N' = N - min(f, 0), or
+    through N' // m under q -> q^m, whose image is exact through
+    (N' // m + 1) m - 1 >= N'."""
     cz, cw, m = term.subst
     if cz < 0 or cw < 0 or m < 1:
         raise ValueError("catalog terms must use raising substitutions")
-    s = _series(term.series, N)
+    low = min((p[3] for p in term.pref), default=0)
+    s = _series(term.series, (N - min(low, 0)) // m)
     if term.post == "z1":
         s = s.at_one("z")
     elif term.post == "w0":
@@ -232,13 +228,18 @@ def _eval_term(term: Term, N: int) -> QSeries:
         s = s.at_zero("z")
     elif term.post == "w_to_z":
         s = s.substitute(w=(1, 0, 0))
+    elif term.post == "z_to_w":
+        s = s.substitute(z=(0, 1, 0))
     elif term.post:
         raise ValueError(term.post)
     if (cz, cw, m) != (0, 0, 1):
         s = s.substitute(z=(1, 0, cz), w=(0, 1, cw), qpow=m)
-    pref = QSeries({(dz, dw, dq): c for (c, dz, dw, dq) in term.pref},
-                   None, min((p[3] for p in term.pref), default=0))
-    return (s * pref).truncate(N)
+    if term.pref == _UNIT:
+        return s.truncate(N)
+    # the product with the prefactor, one shifted copy of s per monomial
+    return QSeries.collect(
+        (((dz, dw, dq), s.scale(c)) for c, dz, dw, dq in term.pref),
+        N if s.q_order is None else min(N, s.q_order + low), s.q_floor + low)
 
 
 def evaluate_sides(spec: EquationSpec, N: int) -> tuple[QSeries, QSeries]:
@@ -468,8 +469,9 @@ def _cdfun1(p):
 
 @_register("cd-fun2", ("n", "k", "a"),
            "D^{(n+1)}_{aL0+(k-a)L(n+1)}(z) = C^{(n)}_{aL0+(k-a)Ln}(zq)")
-def _cdfun2(p):
-    n, k, a = p["n"], p["k"], p["a"]
+def _cdfun2(p, check_id="cd-fun2", n=None):
+    n = p["n"] if n is None else n
+    k, a = p["k"], p["a"]
     if n < 0:
         raise ParamError("n >= 0")
     if not 0 <= a <= k:
@@ -477,20 +479,14 @@ def _cdfun2(p):
     terms = [Term(1, ("gen", "D", n + 1, _wsum(n + 1, (0, a), (n + 1, k - a)))),
              Term(-1, ("gen", "C", n, _wsum(n, (0, a), (n, k - a))),
                   subst=(1, 0, 1))]
-    return _spec("cd-fun2", p, terms, "proved")
+    return _spec(check_id, p, terms, "proved")
 
 
 @_register("cdn2", ("k", "a"),
            "D^{(2)}_{aL0+(k-a)L2}(z) = C^{(1)}_{aL0+(k-a)L1}(zq) "
            "(the z/q form cleared by shifting the C side)")
 def _cdn2(p):
-    k, a = p["k"], p["a"]
-    if not 0 <= a <= k:
-        raise ParamError("0 <= a <= k")
-    terms = [Term(1, ("gen", "D", 2, _wsum(2, (0, a), (2, k - a)))),
-             Term(-1, ("gen", "C", 1, _wsum(1, (0, a), (1, k - a))),
-                  subst=(1, 0, 1))]
-    return _spec("cdn2", p, terms, "proved")
+    return _cdfun2(p, "cdn2", n=1)
 
 
 @_register("d2-nis2", ("k", "a", "b"),
@@ -854,9 +850,7 @@ def _conc(p):
     status = "proved" if (n <= 1 or k <= 1 or vac) else "conjectural"
     if n == 0:
         terms = [Term(1, ("gen", "C", 0, w), post="z1"),
-                 Term(-1, ("prodspec", products.ProductSpec(
-                     (), (products.PochFactor(k + 1, 2 * k + 2, 1),
-                          products.PochFactor(1, 2, -1)))))]
+                 Term(-1, ("prodspec", products.c_n0_product(k)))]
     else:
         terms = [Term(1, ("gen", "C", n, w), post="z1"),
                  Term(-1, ("charprod", "C", "nonstandard", n, w))]
@@ -926,7 +920,7 @@ def _conshun(p):
     if k < 0:
         raise ParamError("k >= 0")
     status = "proved" if k <= 1 else "conjectural"
-    terms = [Term(1, ("shun", k)), Term(-1, ("hlsum", k, 2, 1))]
+    terms = [Term(1, ("shun", k)), Term(-1, ("hlsum", k, 2))]
     return _spec("con-shun", p, terms, status)
 
 
@@ -1056,12 +1050,19 @@ def _wzedge(p):
     elif edge == "z0":
         targets_z0 = {"A": (2, 0), "B": (0, 2), "C": (1, 1), "D": (1, 1)}
         k0, k1 = targets_z0[which]
-        # gen_fun in (w, q^2)
         terms = [Term(1, ("wz", which), post="z0"),
-                 Term(-1, ("genw2", "A", 1, (k0, k1)))]
+                 Term(-1, ("gen", "A", 1, (k0, k1)), post="z_to_w",
+                      subst=(0, 0, 2))]
     else:
         raise ParamError("edge in {w0, z0}")
     return _spec("wz-edge", p, terms, "proved")
+
+
+def _s_relation(which: str, params: tuple[int, ...]) -> list[Term]:
+    """multisums.atomic_relation as terms against zero."""
+    return [Term(1, ("sser",) + sp, pref=pref)
+            for pref, sp in multisums.atomic_relation(which, params)] + \
+        [Term(-1, ("zero",))]
 
 
 @_register("atomic", ("i", "k1", "k2", "l1", "l2"),
@@ -1071,9 +1072,7 @@ def _atomic(p):
     if i not in (1, 2, 3, 4):
         raise ParamError("i in 1..4")
     params = (p["k1"], p["k2"], p["l1"], p["l2"])
-    terms = [Term(1, ("atomicres", "R%d" % i, params)),
-             Term(-1, ("zero",))]
-    return _spec("atomic", p, terms, "proved")
+    return _spec("atomic", p, _s_relation("R%d" % i, params), "proved")
 
 
 @_register("toshow", ("i",),
@@ -1082,9 +1081,8 @@ def _toshow(p):
     i = p["i"]
     if i not in (1, 2, 3, 4):
         raise ParamError("i in 1..4")
-    terms = [Term(1, ("atomicres", "toshow%d" % i, (0, 0, 0, 0))),
-             Term(-1, ("zero",))]
-    return _spec("toshow", p, terms, "proved")
+    return _spec("toshow", p, _s_relation("toshow%d" % i, (0, 0, 0, 0)),
+                 "proved")
 
 
 @_register("s-shift", ("k1", "k2", "l1", "l2", "m", "n"),
@@ -1125,7 +1123,7 @@ def _guessred(p):
     if edge == "w0":
         rhs = Term(-1, ("ag", k, a))
     elif edge == "z0":
-        rhs = Term(-1, ("agw_as_w", k, a))
+        rhs = Term(-1, ("ag", k, a), post="z_to_w", subst=(0, 0, 2))
     else:
         raise ParamError("edge in {w0, z0}")
     return _spec("guess-reduction", p, [base, rhs], "proved")
@@ -1167,7 +1165,7 @@ def _hlcd(p):
     k, n = p["k"], p["n"]
     if n < 1 or k < 0:
         raise ParamError("k >= 0, n >= 1")
-    terms = [Term(1, ("hlchain", k, n)), Term(-1, ("hlsum", k, n, 1))]
+    terms = [Term(1, ("hlchain", k, n)), Term(-1, ("hlsum", k, n))]
     return _spec("hl-chain-def", p, terms, "proved")
 
 

@@ -91,6 +91,8 @@ def hl_symmetrization(lam: Partition, L: int, m: int, N: int,
 
     xstep = m evaluates the fully principal point 1, t, ..., t^{L-1}.
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
     lam = check_partition(lam)
     if not 0 <= len(lam) <= L:
         raise ValueError("need l(lambda) <= L")
@@ -102,7 +104,7 @@ def hl_symmetrization(lam: Partition, L: int, m: int, N: int,
         # the unit has exponents >= 0, so the window needs it only through
         # N - shift; a coset with shift > N adds no term, and skipping a
         # positive shift leaves the floor min(0, shifts) as it is
-        if shift > max(N, 0):
+        if shift > N:
             continue
         parts.append(((0, 0, shift),
                       _sym_unit(sign, num_factors, den_factors, N - shift)))
@@ -388,26 +390,21 @@ def hl_weighted_chain(variant: str, param: int, N: int) -> QSeries:
     * variant "v2", param k >= 1: sum over S_{k,2} with weight
       q^{sum_i mu0_i - 2 mu1_1}.
 
-    Both weights touch only the top two levels, so the completion DP of
-    hl_chain_sum is reused below the first level.
+    With csum = |mu0| / 2 both weights are q^{n (csum - mu1_1)}, and the
+    z/q evaluation cancels the q^{csum} of the top row.  Both touch only
+    the top two levels, so the completion DP of hl_chain_sum is reused
+    below the first level.
     """
     if variant == "v1":
         n, k = param, 1
         if n < 1:
             raise ValueError("v1 needs n >= 1")
-
-        def extra(csum: int, mu1_1: int) -> int:
-            return n * (csum - mu1_1) - csum  # -csum: the z/q evaluation
     elif variant == "v2":
         k, n = param, 2
         if k < 1:
             raise ValueError("v2 needs k >= 1")
-
-        def extra(csum: int, mu1_1: int) -> int:
-            return 2 * csum - 2 * mu1_1 - csum
     else:
         raise ValueError(variant)
-    # the z/q weight cancels the q^{|mu0|/2} of the top row
     G = _chain_dp(n, N, lambda a, w: a * w)
 
     def parts():
@@ -415,7 +412,7 @@ def hl_weighted_chain(variant: str, param: int, N: int) -> QSeries:
             for mu1 in sub_partitions(mu0):
                 if sum(mu1) > N:
                     continue
-                e = csum + extra(csum, mu1[0] if mu1 else 0)
+                e = n * (csum - (mu1[0] if mu1 else 0))
                 if e > N:
                     continue
                 # e >= 0 and gaps, G have exponents >= 0: the part is kept
@@ -426,22 +423,14 @@ def hl_weighted_chain(variant: str, param: int, N: int) -> QSeries:
     return QSeries.collect(parts(), N, 0)
 
 
-def hl_sum_over_bounded(k: int, m: int, N: int,
-                        z_shift: int = 1) -> QSeries:
-    """sum_{lambda_1 <= k} (z q^{z_shift})^{|lambda|} P_{2 lambda}(1, q,
-    ...; q^m), assembled from hl_inf_spec; the oracle for hl_chain_sum.
-
-    For k >= 1 the z-degree is unbounded, so only z_shift >= 1 leaves
-    finitely many terms through q^N."""
-    if k >= 1 and z_shift < 1:
-        raise ValueError("z_shift >= 1")
-
+def hl_sum_over_bounded(k: int, m: int, N: int) -> QSeries:
+    """sum_{lambda_1 <= k} (zq)^{|lambda|} P_{2 lambda}(1, q, ...; q^m),
+    assembled from hl_inf_spec; the oracle for hl_chain_sum."""
     def parts(prev: int, acc: list[int]):
         wl = sum(acc)
-        yield (wl, 0, z_shift * wl), hl_inf_spec(
-            tuple(2 * p for p in acc), m, N - z_shift * wl)
+        yield (wl, 0, wl), hl_inf_spec(tuple(2 * p for p in acc), m, N - wl)
         for v in range(1, min(prev, k) + 1):
-            if (wl + v) * z_shift > N:
+            if wl + v > N:
                 break
             acc.append(v)
             yield from parts(v, acc)

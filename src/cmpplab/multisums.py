@@ -15,7 +15,6 @@ _double_sum evaluates them all.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from math import isqrt
 
@@ -193,7 +192,6 @@ def wz_sum(variant: str, N: int, k: int = 2) -> QSeries:
 # -- the four-fold S-series and its atomic relations -------------------------
 
 
-@lru_cache(maxsize=None)
 def s_series(k1: int, k2: int, l1: int, l2: int, N: int) -> QSeries:
     """S_{k1,k2,l1,l2}(z,w): sum over m1, m2, n1, n2 >= 0 with M1 = m1+m2,
     M2 = m2, N1 = n1+n2, N2 = n2 of z^{M1+M2} w^{N1+N2}
@@ -221,68 +219,74 @@ def s_series(k1: int, k2: int, l1: int, l2: int, N: int) -> QSeries:
     return QSeries.collect(parts(), N, 0)
 
 
-def _monom(c: int, dz: int = 0, dw: int = 0, dq: int = 0) -> QSeries:
-    return QSeries.monomial(c, dz, dw, dq)
+# R1..R4 at p = (k1, k2, l1, l2):
+#   S_p - S_{p + e_i} - z^dz w^dw q^{c p_i + d} S_{p + t} = 0,
+# one row (i, dz, dw, c, d, t) each.
+_ATOMIC = {"R1": (0, 1, 0, 1, 1, (2, 2, 0, 1)),
+           "R2": (1, 2, 0, 1, 2, (2, 4, 1, 2)),
+           "R3": (2, 0, 1, 2, 2, (0, 2, 2, 2)),
+           "R4": (3, 0, 2, 2, 4, (2, 4, 2, 4))}
+
+# The four combinations of the level-2 proof, as (prefactor, S-parameters)
+# pairs; toshow3 is cleared by z.
+_TOSHOW = {
+    "toshow1": ((((1, 0, 0, 0),), (0, 0, 0, 0)),
+                (((-1, 0, 0, 0),), (1, 2, 0, 0)),
+                (((-1, 1, 0, 1),), (1, 3, 1, 1)),
+                (((-1, 1, 1, 3),), (2, 5, 2, 3)),
+                (((-1, 2, 0, 2),), (2, 4, 1, 2))),
+    "toshow2": ((((1, 0, 0, 0),), (0, 0, 1, 1)),
+                (((1, 0, 1, 2),), (1, 2, 2, 3)),
+                (((-1, 0, 0, 0),), (0, 0, 1, 2)),
+                (((-1, 0, 1, 2),), (1, 3, 2, 3)),
+                (((-1, 0, 2, 6),), (2, 5, 3, 5)),
+                (((-1, 2, 0, 2),), (2, 4, 2, 3)),
+                (((-1, 2, 1, 6),), (3, 6, 3, 5)),
+                (((1, 2, 0, 2),), (2, 4, 2, 4))),
+    "toshow3": ((((1, 1, 0, 0),), (0, 0, 0, 0)),
+                (((-1, 1, 0, 0), (-1, 0, 1, 0)), (0, 1, 1, 1)),
+                (((-1, 1, 1, 2), (-1, 0, 2, 2)), (1, 3, 2, 3)),
+                (((1, 0, 1, 0),), (1, 2, 1, 1)),
+                (((1, 0, 2, 2),), (2, 4, 2, 3)),
+                (((1, 1, 1, 1), (-1, 3, 0, 2)), (2, 4, 1, 2))),
+    "toshow4": ((((1, 0, 0, 0),), (0, 1, 1, 1)),
+                (((1, 0, 1, 2),), (1, 3, 2, 3)),
+                (((-1, 0, 0, 0),), (1, 2, 1, 1)),
+                (((-1, 0, 1, 2),), (2, 4, 2, 3)),
+                (((-1, 1, 0, 1),), (2, 4, 1, 2)),
+                (((-1, 2, 0, 3),), (2, 5, 2, 3)),
+                (((-1, 2, 1, 7),), (3, 7, 3, 5)),
+                (((-1, 1, 1, 4),), (3, 6, 2, 4))),
+}
+
+
+def atomic_relation(which: str, params: tuple[int, int, int, int]):
+    """The atomic S-relation R1..R4 at params, or the fixed combination
+    toshow1..toshow4 (params unused), as (prefactor, S-parameters) pairs:
+    the sum of prefactor * S_{parameters}(z, w) over the pairs vanishes.  A
+    prefactor is a tuple of (coeff, dz, dw, dq) monomials."""
+    if which in _TOSHOW:
+        return _TOSHOW[which]
+    if which not in _ATOMIC:
+        raise ValueError(which)
+    i, dz, dw, c, d, t = _ATOMIC[which]
+    p = tuple(params)
+    return ((((1, 0, 0, 0),), p),
+            (((-1, 0, 0, 0),), tuple(v + (j == i) for j, v in enumerate(p))),
+            (((-1, dz, dw, c * p[i] + d),),
+             tuple(v + s for v, s in zip(p, t))))
 
 
 def atomic_residual(which: str, params: tuple[int, int, int, int],
                     N: int) -> QSeries:
-    """Residual of one atomic S-relation (R1..R4) or of the fixed
-    toshow1..toshow4 combinations; zero through order N when the relation
-    holds.  Prefactors with negative q-exponents raise the internal order."""
-    k1, k2, l1, l2 = params
-
-    def S(a, b, c, d, extra=0):
-        return s_series(a, b, c, d, N + extra)
-
-    if which == "R1":
-        sh = k1 + 1
-        pad = max(0, -sh)
-        r = S(k1, k2, l1, l2) - S(k1 + 1, k2, l1, l2) - \
-            _monom(1, dz=1, dq=sh) * S(k1 + 2, k2 + 2, l1, l2 + 1, pad)
-        return r
-    if which == "R2":
-        sh = k2 + 2
-        pad = max(0, -sh)
-        return S(k1, k2, l1, l2) - S(k1, k2 + 1, l1, l2) - \
-            _monom(1, dz=2, dq=sh) * S(k1 + 2, k2 + 4, l1 + 1, l2 + 2, pad)
-    if which == "R3":
-        sh = 2 * l1 + 2
-        pad = max(0, -sh)
-        return S(k1, k2, l1, l2) - S(k1, k2, l1 + 1, l2) - \
-            _monom(1, dw=1, dq=sh) * S(k1, k2 + 2, l1 + 2, l2 + 2, pad)
-    if which == "R4":
-        sh = 2 * l2 + 4
-        pad = max(0, -sh)
-        return S(k1, k2, l1, l2) - S(k1, k2, l1, l2 + 1) - \
-            _monom(1, dw=2, dq=sh) * S(k1 + 2, k2 + 4, l1 + 2, l2 + 4, pad)
-    if which == "toshow1":
-        return (S(0, 0, 0, 0) - S(1, 2, 0, 0)
-                - _monom(1, dz=1, dq=1) * S(1, 3, 1, 1)
-                - _monom(1, dz=1, dw=1, dq=3) * S(2, 5, 2, 3)
-                - _monom(1, dz=2, dq=2) * S(2, 4, 1, 2))
-    if which == "toshow2":
-        return (S(0, 0, 1, 1) + _monom(1, dw=1, dq=2) * S(1, 2, 2, 3)
-                - S(0, 0, 1, 2)
-                - _monom(1, dw=1, dq=2) * S(1, 3, 2, 3)
-                - _monom(1, dw=2, dq=6) * S(2, 5, 3, 5)
-                - _monom(1, dz=2, dq=2) * S(2, 4, 2, 3)
-                - _monom(1, dz=2, dw=1, dq=6) * S(3, 6, 3, 5)
-                + _monom(1, dz=2, dq=2) * S(2, 4, 2, 4))
-    if which == "toshow3":
-        # cleared by z: z*(eq3)
-        return (_monom(1, dz=1) * S(0, 0, 0, 0)
-                - (_monom(1, dz=1) + _monom(1, dw=1)) *
-                (S(0, 1, 1, 1) + _monom(1, dw=1, dq=2) * S(1, 3, 2, 3))
-                + _monom(1, dw=1) *
-                (S(1, 2, 1, 1) + _monom(1, dw=1, dq=2) * S(2, 4, 2, 3))
-                + (_monom(1, dz=1, dw=1, dq=1) - _monom(1, dz=3, dq=2)) *
-                S(2, 4, 1, 2))
-    if which == "toshow4":
-        return (S(0, 1, 1, 1) + _monom(1, dw=1, dq=2) * S(1, 3, 2, 3)
-                - S(1, 2, 1, 1) - _monom(1, dw=1, dq=2) * S(2, 4, 2, 3)
-                - _monom(1, dz=1, dq=1) * S(2, 4, 1, 2)
-                - _monom(1, dz=2, dq=3) * S(2, 5, 2, 3)
-                - _monom(1, dz=2, dw=1, dq=7) * S(3, 7, 3, 5)
-                - _monom(1, dz=1, dw=1, dq=4) * S(3, 6, 2, 4))
-    raise ValueError(which)
+    """The sum of the terms of atomic_relation(which, params) through order
+    N: zero when the relation holds.  A prefactor with a negative
+    q-exponent f raises its S-series' order to N - f."""
+    parts = []
+    low = 0
+    for pref, sp in atomic_relation(which, params):
+        f = min([0] + [m[3] for m in pref])
+        s = s_series(*sp, N - f)
+        parts += [((dz, dw, dq), s.scale(c)) for c, dz, dw, dq in pref]
+        low = min(low, f)
+    return QSeries.collect(parts, N, low)

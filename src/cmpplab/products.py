@@ -195,11 +195,10 @@ def char_product(family: str, spec_kind: str, n: int,
     return expand(ProductSpec(tuple(thetas), tuple(pochs)), N)
 
 
-def c_n0_product(k: int, N: int) -> QSeries:
+def c_n0_product(k: int) -> ProductSpec:
     """(q^{k+1}; q^{2k+2})_inf / (q; q^2)_inf: odd parts, multiplicity <= k."""
-    spec = ProductSpec((), (PochFactor(k + 1, 2 * k + 2, 1),
+    return ProductSpec((), (PochFactor(k + 1, 2 * k + 2, 1),
                             PochFactor(1, 2, -1)))
-    return expand(spec, N)
 
 
 def c_n0_two_variable(k: int, N: int) -> QSeries:
@@ -215,42 +214,39 @@ def c_n0_two_variable(k: int, N: int) -> QSeries:
     return out
 
 
-def d_n1_product(k: int, N: int) -> QSeries:
+def d_n1_product(k: int) -> ProductSpec:
     """(q^{2k+2}; q^{2k+2})_inf / (q^2; q^2)_inf: even parts, multiplicity <= k."""
-    spec = ProductSpec((), (PochFactor(2 * k + 2, 2 * k + 2, 1),
+    return ProductSpec((), (PochFactor(2 * k + 2, 2 * k + 2, 1),
                             PochFactor(2, 2, -1)))
-    return expand(spec, N)
 
 
 # -- level-one and Gordon-type quotients ------------------------------------
 
 
+def _level_one(a: int, mod: int) -> ProductSpec:
+    """(q^a, q^{mod-a}, q^mod; q^mod)_inf / (q; q)_inf."""
+    return ProductSpec((ThetaFactor(a, mod),),
+                       (PochFactor(mod, mod, 1), PochFactor(1, 1, -1)))
+
+
 def gordon_product(k: int, a: int) -> ProductSpec:
     """(q^{a+1}, q^{2k-a+2}, q^{2k+3}; q^{2k+3})_inf / (q; q)_inf."""
-    mod = 2 * k + 3
-    return ProductSpec((ThetaFactor(a + 1, mod),),
-                       (PochFactor(mod, mod, 1), PochFactor(1, 1, -1)))
+    return _level_one(a + 1, 2 * k + 3)
 
 
 def jms_product(n: int, a: int) -> ProductSpec:
     """(q^{2a+1}, q^{2n-2a+2}, q^{2n+3}; q^{2n+3})_inf / (q; q)_inf."""
-    mod = 2 * n + 3
-    return ProductSpec((ThetaFactor(2 * a + 1, mod),),
-                       (PochFactor(mod, mod, 1), PochFactor(1, 1, -1)))
+    return _level_one(2 * a + 1, 2 * n + 3)
 
 
 def c_level1_product(n: int, a: int) -> ProductSpec:
     """(q^{2a+2}, q^{2n-2a+2}, q^{2n+4}; q^{2n+4})_inf / (q; q)_inf."""
-    mod = 2 * n + 4
-    return ProductSpec((ThetaFactor(2 * a + 2, mod),),
-                       (PochFactor(mod, mod, 1), PochFactor(1, 1, -1)))
+    return _level_one(2 * a + 2, 2 * n + 4)
 
 
 def d_level1_product(n: int, a: int) -> ProductSpec:
     """(q^{2a+1}, q^{2n-2a+1}, q^{2n+2}; q^{2n+2})_inf / (q; q)_inf."""
-    mod = 2 * n + 2
-    return ProductSpec((ThetaFactor(2 * a + 1, mod),),
-                       (PochFactor(mod, mod, 1), PochFactor(1, 1, -1)))
+    return _level_one(2 * a + 1, 2 * n + 2)
 
 
 def ag_type_product(which: str, k: int) -> ProductSpec:

@@ -126,11 +126,12 @@ def test_mismatch_reporting_paths(monkeypatch, capsys):
     # a failure (exit 2); both carry a certificate, neither crashes
     from cmpplab import funceq
     from cmpplab.funceq import Check, EquationSpec, Term
+    from cmpplab.products import ProductSpec
 
     def make(status):
         def build(p):
             return EquationSpec("synthetic", (), (
-                Term(1, ("one",)),
+                Term(1, ("prodspec", ProductSpec())),
                 Term(-1, ("zero",))), status)
         return Check("synthetic", (), build, "test entry")
 

@@ -5,7 +5,7 @@ import pytest
 
 from cmpplab.cmpp import gen_fun
 from cmpplab.d2solver import solve_d2_system
-from cmpplab import funceq, macdonald, products
+from cmpplab import funceq, macdonald, multisums, products
 from cmpplab.funceq import ParamError, catalog, list_checks, residual
 from cmpplab.series import QSeries
 
@@ -243,8 +243,7 @@ def test_list_checks_complete():
 
 
 # Catalog points (from the tests above and acceptance criterion 3) that
-# between them reference every series kind; ("one",) only appears in
-# synthetic checks.
+# between them reference every series kind.
 RESOLVER_POINTS = [
     ("jtp", {"a": 3, "m": 8}),
     ("level-rank-n1", {"k": 1, "i": 1}),
@@ -276,7 +275,7 @@ RESOLVER_POINTS = [
 
 
 def _resolver_refs() -> list[tuple]:
-    refs = {("one",)}
+    refs = set()
     for cid, params in RESOLVER_POINTS:
         refs.update(t.series for t in catalog(cid, params).terms)
     return sorted(refs, key=repr)
@@ -319,7 +318,7 @@ def test_series_memo_keeps_the_deeper_of_two_builds(monkeypatch):
 
 def test_series_memo_serves_an_exact_build_unchanged(monkeypatch):
     memo, built = _counting_memo(monkeypatch)
-    ref = ("one",)
+    ref = ("zero",)
     exact = funceq._series(ref, 10)
     assert exact.q_order is None
     assert funceq._series(ref, 3) is exact
@@ -513,7 +512,7 @@ def test_random_multisum_windows():
 
 
 def _random_enumeration_refs(rng) -> list[tuple]:
-    """``gen`` and ``genw2`` refs of every shape the tests cover: the empty
+    """``gen`` refs of every shape the tests cover: the empty
     boundary, a full one (every label positive) where its level is <= 3,
     and random boundaries of level 0..3."""
     refs = []
@@ -529,13 +528,60 @@ def _random_enumeration_refs(rng) -> list[tuple]:
                 w[rng.randrange(n + 1)] += 1
             ws.add(tuple(w))
         for w in sorted(ws):
-            refs += [("gen", fam, n, w), ("genw2", fam, n, w)]
+            refs.append(("gen", fam, n, w))
     return refs
 
 
 def test_random_enumeration_windows():
     rng = random.Random(20261019)
     _assert_random_windows(rng, _random_enumeration_refs(rng), 14)
+
+
+def _in_w_q2(build, args: tuple, N: int) -> QSeries:
+    """build(*args, order) with (z, q) -> (w, q^2), to order N, from a
+    build one order deeper than needed: the oracle of the z = 0 edge
+    terms."""
+    inner = build(*args, (N + 2) // 2)
+    return inner.substitute(z=(0, 1, 0), qpow=2).truncate(N)
+
+
+def test_z_to_w_terms_match_the_substituted_build(monkeypatch):
+    # a (z -> w, q -> q^2) term fetches its series at N // 2 and equals
+    # the substituted build, terms, q_order and q_floor
+    rng = random.Random(20261023)
+    memo, built = _counting_memo(monkeypatch)
+    refs = _random_enumeration_refs(rng) + [
+        ("ag", k, a) for k in range(4) for a in range(k + 1)]
+    for ref in refs:
+        N = rng.randint(0, 14)
+        memo.cache_clear()
+        built.clear()
+        got = funceq._eval_term(
+            funceq.Term(1, ref, post="z_to_w", subst=(0, 0, 2)), N)
+        assert built == [(ref, N // 2)]
+        build = gen_fun if ref[0] == "gen" else multisums.ag_sum
+        assert got == _in_w_q2(build, ref[1:], N), (ref, N)
+
+
+def test_random_atomic_points_match_atomic_residual():
+    # k, l in -2..4 give prefactors with negative q-exponents; the catalog
+    # terms and atomic_residual evaluate the same relation data
+    rng = random.Random(20261024)
+    points = [("R%d" % rng.randint(1, 4),
+               tuple(rng.randint(-2, 4) for _ in range(4)))
+              for _ in range(24)]
+    points += [("toshow%d" % i, (0, 0, 0, 0)) for i in (1, 2, 3, 4)]
+    for which, params in points:
+        N = rng.randint(0, 12)
+        if which[0] == "R":
+            spec = catalog("atomic", dict(zip(("k1", "k2", "l1", "l2"),
+                                              params), i=int(which[1])))
+        else:
+            spec = catalog("toshow", {"i": int(which[-1])})
+        res, mm = residual(spec, N)
+        assert mm is None, (which, params, N)
+        assert res == multisums.atomic_residual(which, params, N), \
+            (which, params, N)
 
 
 def _random_hall_littlewood_refs(rng) -> list[tuple]:
@@ -546,7 +592,7 @@ def _random_hall_littlewood_refs(rng) -> list[tuple]:
     for _ in range(12):
         k, n = rng.randint(0, 3), rng.randint(1, 4)
         refs.append(("hlchain", k, n))
-        refs.append(("hlsum", k, n, rng.randint(1, 2)))
+        refs.append(("hlsum", k, n))
         refs.append(("hlweighted", "v1", n))
         refs.append(("hlweighted", "v2", rng.randint(1, 3)))
         delta = rng.randint(0, 1)

@@ -37,6 +37,14 @@ def test_symmetrization_small():
         hl_symmetrization((1,), 10, 1, 5)
 
 
+def test_symmetrization_rejects_a_negative_order():
+    # one error for every shape: (1,) used to fail inside a Pochhammer
+    # inverse, (2, 1) to return an empty series
+    for shape in ((1,), (2, 1)):
+        with pytest.raises(ValueError, match="N must be >= 0"):
+            hl_symmetrization(shape, 2, 1, -1)
+
+
 def test_oracle_triangle():
     # definition == single sum at x_i = q^{i-1}; closed form == definition
     # at the fully principal point x_i = t^{i-1}
@@ -104,18 +112,8 @@ def test_chain_sum_equals_bounded_hl_sum():
     for k in (1, 2):
         for n in (1, 2, 3):
             a = hl_chain_sum(k, n, 16)
-            b = hl_sum_over_bounded(k, n, 16, z_shift=1)
+            b = hl_sum_over_bounded(k, n, 16)
             assert a.compare(b, 16) is None, (k, n)
-
-
-def test_bounded_hl_sum_needs_a_raising_z_shift():
-    # for k >= 1 the z-degree is unbounded, so z_shift <= 0 has no finite
-    # cut at q^N; k = 0 is the single empty-partition term
-    for z_shift in (0, -1):
-        with pytest.raises(ValueError, match="z_shift >= 1"):
-            hl_sum_over_bounded(1, 2, 5, z_shift=z_shift)
-        assert hl_sum_over_bounded(0, 2, 5, z_shift=z_shift).terms == \
-            {(0, 0, 0): 1}
 
 
 def _h_step_uncut(upper, lower, m):

@@ -90,7 +90,7 @@ def test_char_product_rogers_ramanujan():
 def test_char_product_d_n1_closed_form():
     for w in [(1, 0), (2, 0), (1, 2)]:
         cp = char_product("D", "nonstandard", 1, w, 20)
-        assert cp.compare(d_n1_product(sum(w), 20), 20) is None
+        assert cp.compare(expand(d_n1_product(sum(w)), 20), 20) is None
 
 
 def test_char_product_rejects_bad_input():
@@ -159,7 +159,7 @@ def test_named_products_match_char_products():
 def test_c_n0_products():
     for k in (1, 2, 3):
         g1 = gen_fun("C", 0, (k,), 14).at_one()
-        assert g1.compare(c_n0_product(k, 14), 14) is None
+        assert g1.compare(expand(c_n0_product(k), 14), 14) is None
         g2 = gen_fun("C", 0, (k,), 14)
         assert g2.compare(c_n0_two_variable(k, 14), 14) is None
 
