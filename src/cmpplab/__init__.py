@@ -14,10 +14,10 @@ from .partitions import (Partition, conjugate, frequencies, n_stat,
 from .cmpp import FrequencyArray, gen_fun, gordon_series, max_path_sum
 from .products import (PochFactor, ProductSpec, ThetaFactor, char_product,
                        expand, theta_q)
-from .hall_littlewood import (bailey_beta_check, hl_chain_sum, hl_inf_spec,
-                              hl_ls_2r1s, hl_principal_finite,
-                              hl_sum_over_bounded, hl_symmetrization,
-                              hl_weighted_chain, prop_gow_sum)
+from .hall_littlewood import (hl_chain_sum, hl_inf_spec, hl_ls_2r1s,
+                              hl_principal_finite, hl_sum_over_bounded,
+                              hl_symmetrization, hl_weighted_chain,
+                              prop_gow_sum)
 from .multisums import (ag_sum, atomic_residual, f_sum, s_series, shun2_sum,
                         shun_sum, wz_sum)
 from .macdonald import (HalfWeight, macdonald_sum, pi_product,
@@ -28,8 +28,8 @@ from .d2solver import solve_d2_system
 __all__ = [
     "EquationSpec", "FrequencyArray", "HalfWeight", "Mismatch", "ParamError",
     "Partition", "PochFactor", "ProductSpec", "QSeries", "ThetaFactor",
-    "ag_sum", "atomic_residual", "bailey_beta_check", "catalog",
-    "char_product", "conjugate", "expand", "f_sum", "frequencies", "gen_fun",
+    "ag_sum", "atomic_residual", "catalog", "char_product", "conjugate",
+    "expand", "f_sum", "frequencies", "gen_fun",
     "gordon_series", "hl_chain_sum", "hl_inf_spec", "hl_ls_2r1s",
     "hl_principal_finite", "hl_sum_over_bounded", "hl_symmetrization",
     "hl_weighted_chain", "list_checks", "macdonald_sum", "max_path_sum",

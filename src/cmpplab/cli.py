@@ -196,34 +196,25 @@ def parse_grid(text: str) -> list[dict]:
             axes.append((name, (lo.strip(), hi.strip())))
         else:
             axes.append((name, _parse_value(val)))
-    points: list[dict] = []
-
-    def bound(text: str, acc: dict) -> int:
+    def bound(text: str, point: dict) -> int:
         if text.lstrip("-").isdigit():
             return int(text)
-        if not isinstance(acc.get(text), int):
+        if not isinstance(point.get(text), int):
             raise SystemExit("grid bound %r is neither an int nor an "
                              "earlier int parameter" % text)
-        return acc[text]
+        return point[text]
 
-    def rec(i: int, acc: dict):
-        if i == len(axes):
-            points.append(dict(acc))
-            return
-        name, val = axes[i]
+    # the axes left to right, each over the partial points of the ones
+    # before it, a range resolving its bounds against each point
+    points: list[dict] = [{}]
+    for name, val in axes:
         if isinstance(val, tuple) and len(val) == 2 and \
                 isinstance(val[0], str):
-            lo, hi = bound(val[0], acc), bound(val[1], acc)
-            for v in range(lo, hi + 1):
-                acc[name] = v
-                rec(i + 1, acc)
-            acc.pop(name, None)
+            lo, hi = val
+            points = [{**point, name: v} for point in points
+                      for v in range(bound(lo, point), bound(hi, point) + 1)]
         else:
-            acc[name] = val
-            rec(i + 1, acc)
-            acc.pop(name, None)
-
-    rec(0, {})
+            points = [{**point, name: val} for point in points]
     return points
 
 
@@ -314,10 +305,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         raise
 
 
-# what a check's validator raises for an unknown check or a malformed
-# point: KeyError, TypeError for a value of the wrong type, ValueError
-# (ParamError) out of range; errors while evaluating a valid spec are not
-# usage errors
+# what catalog raises for an unknown check or a malformed point: KeyError,
+# TypeError for a missing or undeclared name or a value of the wrong type,
+# ValueError (ParamError) out of range; errors while evaluating a valid
+# spec are not usage errors
 _BAD_PARAMS = (KeyError, TypeError, ValueError)
 
 

@@ -1,8 +1,9 @@
 """Catalog of functional equations, bridges and identity checks.
 
-Every check is declarative: an id, a parameter validator, a builder that
-returns the two sides as exact series at a requested order, and a status
-function marking the instance proved or conjectural.  Proved entries are
+Every check is declarative: an id and a builder whose arguments are the
+check's parameters.  The builder validates them and returns the signed
+terms of the two sides, built as exact series at a requested order, and
+a status marking the instance proved or conjectural.  Proved entries are
 regressions (a mismatch is a bug); conjectural entries report mismatches
 as findings.
 
@@ -15,9 +16,10 @@ the D side), and equations with w/z prefactors are cleared by z.
 
 from __future__ import annotations
 
+import inspect
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from . import cmpp, hall_littlewood as hl, macdonald, multisums, products
 from .series import QSeries
@@ -46,15 +48,6 @@ def _mac_cross(kd, exps_sum, exps_pi, base, sigma, tau, N: int) -> QSeries:
     p1 = _series(("pi", kd, exps_pi, base, sigma, tau),
                  N - min(s1.q_floor, 0))
     return (s1 * p1).truncate(N)
-
-
-def _bailey_tagged(side: int, s: int, m: int, r_max: int,
-                   N: int) -> QSeries:
-    """One side of hl.bailey_sides (0: from alpha, 1: Hall-Littlewood),
-    the term of each r tagged by z^r."""
-    return QSeries.collect(
-        (((r, 0, 0), sides[side])
-         for r, sides in enumerate(hl.bailey_sides(s, m, r_max, N))), N, 0)
 
 
 def _d2_tagged(k: int, N: int, solved: bool) -> QSeries:
@@ -108,8 +101,8 @@ _BUILDERS: dict[str, Callable[..., QSeries]] = {
         shape, L, m, N, xstep=xstep),
     "hlls": lambda r, s, L, m, N: hl.hl_ls_2r1s(r, s, L, m, N),
     "hlpf": lambda shape, L, m, N: hl.hl_principal_finite(shape, L, m, N),
-    "baileyl": lambda s, m, r_max, N: _bailey_tagged(0, s, m, r_max, N),
-    "baileyr": lambda s, m, r_max, N: _bailey_tagged(1, s, m, r_max, N),
+    "baileyl": lambda s, m, r_max, N: hl.bailey_alpha_side(s, m, r_max, N),
+    "baileyr": lambda s, m, r_max, N: hl.bailey_hl_side(s, m, r_max, N),
     "jtp_sum": lambda a, m, N: products.theta_sum(m, a, N),
     "mac_cross": _mac_cross,
     "d2solved": lambda k, N: _d2_tagged(k, N, solved=True),
@@ -204,8 +197,6 @@ class Term:
 
 @dataclass(frozen=True)
 class EquationSpec:
-    check_id: str
-    params: tuple[tuple[str, int], ...]
     terms: tuple[Term, ...]
     status: str  # "proved" | "conjectural"
 
@@ -302,7 +293,7 @@ def _mprod(*polys):
 class Check:
     check_id: str
     param_names: tuple[str, ...]
-    build: Callable[[dict], EquationSpec]
+    build: Callable[..., tuple[list[Term], str]]
     doc: str
     defaults: dict = field(default_factory=dict)
 
@@ -310,45 +301,51 @@ class Check:
 CHECKS: dict[str, Check] = {}
 
 
-def _register(check_id: str, param_names: tuple[str, ...], doc: str,
-              defaults: Optional[dict] = None):
+def _register(check_id: str, doc: str):
+    """Register the decorated builder as a check.  Its signature declares
+    the check's parameters: the positional ones are the check's names, the
+    keyword-only ones its bracketed extras, each with its default; it
+    returns the check's (terms, status)."""
     def wrap(fn):
-        CHECKS[check_id] = Check(check_id, param_names, fn, doc,
-                                 defaults or {})
+        sig = inspect.signature(fn).parameters.values()
+        names = tuple(p.name for p in sig
+                      if p.kind is p.POSITIONAL_OR_KEYWORD)
+        defaults = {p.name: p.default for p in sig
+                    if p.default is not p.empty}
+        CHECKS[check_id] = Check(check_id, names, fn, doc, defaults)
         return fn
     return wrap
 
 
 def catalog(check_id: str, params: dict) -> EquationSpec:
-    """Build the fully-bound EquationSpec for a catalog entry."""
+    """Build the fully-bound EquationSpec for a catalog entry.  The params
+    bind to its builder's arguments as in a call: a missing or undeclared
+    name is a TypeError, a value out of range a ParamError."""
     if check_id not in CHECKS:
         raise KeyError("unknown check %r (see list-checks)" % (check_id,))
     chk = CHECKS[check_id]
-    p = dict(chk.defaults)
-    p.update(params)
-    missing = [name for name in chk.param_names if name not in p]
+    missing = [name for name in chk.param_names
+               if name not in params and name not in chk.defaults]
     if missing:
-        raise ParamError("missing params %s for %s" % (missing, check_id))
-    return chk.build(p)
+        raise TypeError("missing params %s for %s" % (missing, check_id))
+    unknown = sorted(set(params) - set(chk.param_names) - set(chk.defaults))
+    if unknown:
+        raise TypeError("unknown params %s for %s" % (unknown, check_id))
+    terms, status = chk.build(**params)
+    return EquationSpec(tuple(terms), status)
 
 
 def list_checks() -> list[Check]:
     return [CHECKS[k] for k in sorted(CHECKS)]
 
 
-def _spec(check_id, p, terms, status):
-    return EquationSpec(check_id, tuple(sorted(p.items())), tuple(terms),
-                        status)
-
-
 # -- rank-one and rank-n functional equations (all proved) -------------------
 
 
-@_register("rogers-selberg", ("k", "a"),
+@_register("rogers-selberg",
            "A^(1) system: A_{(k-a)L0+aL1}(z) - A_{(k-a+1)L0+(a-1)L1}(z) "
            "= (zq)^a A_{aL0+(k-a)L1}(zq)")
-def _rs(p):
-    k, a = p["k"], p["a"]
+def _rs(k, a):
     if not 0 <= a <= k:
         raise ParamError("0 <= a <= k")
     terms = [Term(1, ("gen", "A", 1, (k - a, a)))]
@@ -356,15 +353,13 @@ def _rs(p):
         terms.append(Term(-1, ("gen", "A", 1, (k - a + 1, a - 1))))
     terms.append(Term(-1, ("gen", "A", 1, (a, k - a)),
                       pref=(_mono(1, dz=a, dq=a),), subst=(1, 0, 1)))
-    return _spec("rogers-selberg", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("mr-system", ("n", "a", "branch"),
-           "level-one system equivalent to the rank-2 cylindric recurrences",
-           {"branch": 1})
-def _mr(p):
-    n, a, br = p["n"], p["a"], p["branch"]
-    if br == 1:
+@_register("mr-system",
+           "level-one system equivalent to the rank-2 cylindric recurrences")
+def _mr(n, a, branch=1):
+    if branch == 1:
         if n < 1 or not 0 <= a <= n // 2:
             raise ParamError("branch 1 needs n >= 1, 0 <= a <= floor(n/2)")
         terms = [Term(1, ("gen", "A", n, _unit(n, a))),
@@ -376,7 +371,7 @@ def _mr(p):
             terms.append(Term(-1, ("gen", "A", n, _unit(n, n - a + i)),
                               pref=(_mono(1, dz=1, dq=2 * i),),
                               subst=(2 * i + 1, 0, 1)))
-    elif br == 2:
+    elif branch == 2:
         if not 0 <= a <= (n - 1) // 2:
             raise ParamError("branch 2 needs 0 <= a <= floor((n-1)/2)")
         terms = [Term(1, ("gen", "A", n, _unit(n, n - a))),
@@ -391,13 +386,12 @@ def _mr(p):
                               subst=(2 * i + 1, 0, 1)))
     else:
         raise ParamError("branch in {1, 2}")
-    return _spec("mr-system", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("a-fun", ("n", "k", "a"),
+@_register("a-fun",
            "A_{(k-a)L0+aLn}(z) = sum_i (zq)^i A_{iL0+(a-i)L1+(k-a)Ln}(zq)")
-def _afun(p):
-    n, k, a = p["n"], p["k"], p["a"]
+def _afun(n, k, a):
     if not 0 <= a <= k:
         raise ParamError("0 <= a <= k")
     if n < 1:
@@ -407,14 +401,13 @@ def _afun(p):
         w = _wsum(n, (0, i), (1, a - i), (n, k - a))
         terms.append(Term(-1, ("gen", "A", n, w),
                           pref=(_mono(1, dz=i, dq=i),), subst=(1, 0, 1)))
-    return _spec("a-fun", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("a-fun2", ("n", "k"),
+@_register("a-fun2",
            "A_{(k-1)L0+L1}(z) = A_{L(n-1)+(k-1)Ln}(zq) + (zq^2)^k "
            "A_{kL0}(zq^2) + zq sum_i (zq^2)^i A_{iL0+(k-i)L1}(zq^2)")
-def _afun2(p):
-    n, k = p["n"], p["k"]
+def _afun2(n, k):
     if n < 1 or k < 1:
         raise ParamError("n, k >= 1")
     terms = [Term(1, ("gen", "A", n, _wsum(n, (0, k - 1), (1, 1)))),
@@ -426,14 +419,13 @@ def _afun2(p):
         terms.append(Term(-1, ("gen", "A", n, _wsum(n, (0, i), (1, k - i))),
                           pref=(_mono(1, dz=i + 1, dq=2 * i + 1),),
                           subst=(2, 0, 1)))
-    return _spec("a-fun2", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("a-fun2-simplified", ("n", "k"),
+@_register("a-fun2-simplified",
            "A_{(k-1)L0+L1}(z) = A_{L(n-1)+(k-1)Ln}(zq) + (1-zq)(zq^2)^k "
            "A_{kL0}(zq^2) + zq A_{kLn}(zq)")
-def _afun2s(p):
-    n, k = p["n"], p["k"]
+def _afun2s(n, k):
     if n < 1 or k < 1:
         raise ParamError("n, k >= 1")
     pref = _mprod((_mono(1), _mono(-1, dz=1, dq=1)),
@@ -445,14 +437,13 @@ def _afun2s(p):
                   subst=(2, 0, 1)),
              Term(-1, ("gen", "A", n, _wsum(n, (n, k))),
                   pref=(_mono(1, dz=1, dq=1),), subst=(1, 0, 1))]
-    return _spec("a-fun2-simplified", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("cd-fun1", ("n", "k", "a"),
+@_register("cd-fun1",
            "C_{aL0+(k-a)Ln}(z) = sum_{i,j} (zq)^{i+j} "
            "D^{(n+1)}_{iL0+(a-i)L1+(k-a-j)Ln+jL(n+1)}(zq)")
-def _cdfun1(p):
-    n, k, a = p["n"], p["k"], p["a"]
+def _cdfun1(n, k, a):
     if n < 1:
         raise ParamError("n >= 1")
     if not 0 <= a <= k:
@@ -464,14 +455,12 @@ def _cdfun1(p):
             terms.append(Term(-1, ("gen", "D", n + 1, w),
                               pref=(_mono(1, dz=i + j, dq=i + j),),
                               subst=(1, 0, 1)))
-    return _spec("cd-fun1", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("cd-fun2", ("n", "k", "a"),
+@_register("cd-fun2",
            "D^{(n+1)}_{aL0+(k-a)L(n+1)}(z) = C^{(n)}_{aL0+(k-a)Ln}(zq)")
-def _cdfun2(p, check_id="cd-fun2", n=None):
-    n = p["n"] if n is None else n
-    k, a = p["k"], p["a"]
+def _cdfun2(n, k, a):
     if n < 0:
         raise ParamError("n >= 0")
     if not 0 <= a <= k:
@@ -479,20 +468,19 @@ def _cdfun2(p, check_id="cd-fun2", n=None):
     terms = [Term(1, ("gen", "D", n + 1, _wsum(n + 1, (0, a), (n + 1, k - a)))),
              Term(-1, ("gen", "C", n, _wsum(n, (0, a), (n, k - a))),
                   subst=(1, 0, 1))]
-    return _spec(check_id, p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("cdn2", ("k", "a"),
+@_register("cdn2",
            "D^{(2)}_{aL0+(k-a)L2}(z) = C^{(1)}_{aL0+(k-a)L1}(zq) "
            "(the z/q form cleared by shifting the C side)")
-def _cdn2(p):
-    return _cdfun2(p, "cdn2", n=1)
+def _cdn2(k, a):
+    return _cdfun2(1, k, a)
 
 
-@_register("d2-nis2", ("k", "a", "b"),
+@_register("d2-nis2",
            "the rank-2 difference equation with (zq)^{k+i-a+min(0,j-b)}")
-def _d2nis2(p):
-    k, a, b = p["k"], p["a"], p["b"]
+def _d2nis2(k, a, b):
     if a < 0 or b < 0 or a + b > k - 1:
         raise ParamError("a, b >= 0 with a + b <= k - 1")
     c = k - a - b
@@ -504,14 +492,13 @@ def _d2nis2(p):
             terms.append(Term(-1, ("gen", "D", 2, (i, k - i - j, j)),
                               pref=(_mono(1, dz=e, dq=e + i + j),),
                               subst=(2, 0, 1)))
-    return _spec("d2-nis2", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("d2-fun", ("k", "a"),
+@_register("d2-fun",
            "D^{(2)}_{aL0+(k-a)L2}(z) = sum_{i,j} (zq^2)^{i+j} "
            "D^{(2)}_{iL0+(k-i-j)L1+jL2}(zq^2)")
-def _d2fun(p):
-    k, a = p["k"], p["a"]
+def _d2fun(k, a):
     if not 0 <= a <= k:
         raise ParamError("0 <= a <= k")
     terms = [Term(1, ("gen", "D", 2, _wsum(2, (0, a), (2, k - a))))]
@@ -520,13 +507,12 @@ def _d2fun(p):
             terms.append(Term(-1, ("gen", "D", 2, (i, k - i - j, j)),
                               pref=(_mono(1, dz=i + j, dq=2 * (i + j)),),
                               subst=(2, 0, 1)))
-    return _spec("d2-fun", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("d2-nis2-diff", ("k", "a", "b"),
+@_register("d2-nis2-diff",
            "the a<->b symmetric combination of two difference equations")
-def _d2nis2diff(p):
-    k, a, b = p["k"], p["a"], p["b"]
+def _d2nis2diff(k, a, b):
     if a < 0 or b < 0 or a + b > k - 2:
         raise ParamError("a, b >= 0 with a + b <= k - 2")
     terms = []
@@ -547,13 +533,12 @@ def _d2nis2diff(p):
                 (_mono(1, dz=i + j, dq=2 * (i + j)),))
             terms.append(Term(-1, ("gen", "D", 2, (i, k - i - j, j)),
                               pref=pref, subst=(2, 0, 1)))
-    return _spec("d2-nis2-diff", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("d2-combo", ("k", "a"),
+@_register("d2-combo",
            "D^{(2)}_{aL0+L1+(k-a-1)L2}(z) expanded at argument zq^2")
-def _d2combo(p):
-    k, a = p["k"], p["a"]
+def _d2combo(k, a):
     if not 0 <= a <= k - 1:
         raise ParamError("0 <= a <= k - 1")
     terms = [Term(1, ("gen", "D", 2, (a, 1, k - a - 1)))]
@@ -571,177 +556,157 @@ def _d2combo(p):
         e = i + a + 1
         terms.append(Term(-1, ("gen", "D", 2, (a + 1, k - a - i - 1, i)),
                           pref=(_mono(1, dz=e, dq=2 * e),), subst=(2, 0, 1)))
-    return _spec("d2-combo", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("automorphism", ("family", "n"),
-           "weight-reversal symmetry of the C and D families",
-           {"weights": None})
-def _auto(p):
-    fam, n = p["family"], p["n"]
-    if fam not in ("C", "D"):
+@_register("automorphism", "weight-reversal symmetry of the C and D families")
+def _auto(family, n, *, weights=None):
+    if family not in ("C", "D"):
         raise ParamError("family C or D")
-    w = _weights_param(p, n)
-    terms = [Term(1, ("gen", fam, n, w)),
-             Term(-1, ("gen", fam, n, tuple(reversed(w))))]
-    return _spec("automorphism", p, terms, "proved")
+    w = _weights_param(weights, n)
+    terms = [Term(1, ("gen", family, n, w)),
+             Term(-1, ("gen", family, n, tuple(reversed(w))))]
+    return terms, "proved"
 
 
-@_register("b-b", ("k0", "k1"),
+@_register("b-b",
            "two-variable identity of the rank-1 family with the bounded-"
            "frequency partitions f_i + f_{i+1} <= k0+k1, f_1 <= k1")
-def _bb(p):
-    k0, k1 = p["k0"], p["k1"]
+def _bb(k0, k1):
     if k0 < 0 or k1 < 0:
         raise ParamError("k0, k1 >= 0")
     terms = [Term(1, ("gen", "A", 1, (k0, k1))),
              Term(-1, ("gordon_b", k0 + k1, k1))]
-    return _spec("b-b", p, terms, "proved")
+    return terms, "proved"
 
 
 # -- level-one product theorems ----------------------------------------------
 
 
-@_register("gordon", ("k", "a"),
+@_register("gordon",
            "Gordon: gen_fun(A,1,(k-a,a)) at z=1 equals the modulus-(2k+3) "
            "triple-product quotient")
-def _gordon(p):
-    k, a = p["k"], p["a"]
+def _gordon(k, a):
     if not 0 <= a <= k:
         raise ParamError("0 <= a <= k")
     terms = [Term(1, ("gen", "A", 1, (k - a, a)), post="z1"),
              Term(-1, ("prodspec", products.gordon_product(k, a)))]
-    return _spec("gordon", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("andrews-gordon", ("k", "a"),
+@_register("andrews-gordon",
            "the Andrews-Gordon multisum at z=1 equals the Gordon product")
-def _ag2(p):
-    k, a = p["k"], p["a"]
+def _ag2(k, a):
     if not 0 <= a <= k:
         raise ParamError("0 <= a <= k")
     terms = [Term(1, ("ag", k, a), post="z1"),
              Term(-1, ("prodspec", products.gordon_product(k, a)))]
-    return _spec("andrews-gordon", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("ag-two-var", ("k", "a"),
+@_register("ag-two-var",
            "the two-variable Andrews-Gordon multisum equals the bounded-"
            "frequency generating function")
-def _agtv(p):
-    k, a = p["k"], p["a"]
+def _agtv(k, a):
     if not 0 <= a <= k:
         raise ParamError("0 <= a <= k")
     terms = [Term(1, ("ag", k, a)), Term(-1, ("gordon_b", k, a))]
-    return _spec("ag-two-var", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("gordon-fsum", ("k", "a"),
+@_register("gordon-fsum",
            "gen_fun(A,1,(k-a,a)) at z=1 equals the F-multisum at z=1")
-def _gfsum(p):
-    k, a = p["k"], p["a"]
+def _gfsum(k, a):
     if k < 1 or not 0 <= a <= k:
         raise ParamError("k >= 1, 0 <= a <= k")
     terms = [Term(1, ("gen", "A", 1, (k - a, a)), post="z1"),
              Term(-1, ("fsum", k, a, 1), post="z1")]
-    return _spec("gordon-fsum", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("jms", ("n", "a"),
-           "level-one A-family counts equal the modulus-(2n+3) product")
-def _jms(p):
-    n, a = p["n"], p["a"]
+@_register("jms", "level-one A-family counts equal the modulus-(2n+3) product")
+def _jms(n, a):
     if n < 1:
         raise ParamError("n >= 1")
     terms = [Term(1, ("gen", "A", n, _unit(n, a)), post="z1"),
              Term(-1, ("prodspec", products.jms_product(n, a)))]
-    return _spec("jms", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("a-f", ("n", "a"),
+@_register("a-f",
            "two-variable bridge to F^{(n)}_{2a,1} / F^{(n)}_{2n-2a+1,1}")
-def _af(p):
-    n, a = p["n"], p["a"]
+def _af(n, a):
     if n < 1:
         raise ParamError("n >= 1")
     aa = 2 * a if a <= n // 2 else 2 * n - 2 * a + 1
     terms = [Term(1, ("gen", "A", n, _unit(n, a))),
              Term(-1, ("fsum", n, aa, 1))]
-    return _spec("a-f", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("c-f", ("n", "a"),
+@_register("c-f",
            "two-variable bridge to F^{(n+1)}_{2a+1,0} / F^{(n+1)}_{2n-2a+1,0}")
-def _cf(p):
-    n, a = p["n"], p["a"]
+def _cf(n, a):
     aa = 2 * a + 1 if a <= n // 2 else 2 * n - 2 * a + 1
     terms = [Term(1, ("gen", "C", n, _unit(n, a))),
              Term(-1, ("fsum", n + 1, aa, 0))]
-    return _spec("c-f", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("d-f", ("n", "a"),
-           "two-variable bridge to F^{(n)}_{2a,0} / F^{(n)}_{2n-2a,0}")
-def _df(p):
-    n, a = p["n"], p["a"]
+@_register("d-f", "two-variable bridge to F^{(n)}_{2a,0} / F^{(n)}_{2n-2a,0}")
+def _df(n, a):
     if n < 1:
         raise ParamError("n >= 1")
     aa = 2 * a if a <= n // 2 else 2 * n - 2 * a
     terms = [Term(1, ("gen", "D", n, _unit(n, a))),
              Term(-1, ("fsum", n, aa, 0))]
-    return _spec("d-f", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("dk1", ("n", "a"),
-           "level-one D-family counts equal the modulus-(2n+2) product")
-def _dk1(p):
-    n, a = p["n"], p["a"]
+@_register("dk1", "level-one D-family counts equal the modulus-(2n+2) product")
+def _dk1(n, a):
     if n < 1:
         raise ParamError("n >= 1")
     terms = [Term(1, ("gen", "D", n, _unit(n, a)), post="z1"),
              Term(-1, ("prodspec", products.d_level1_product(n, a)))]
-    return _spec("dk1", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("c-level1", ("n", "a"),
+@_register("c-level1",
            "level-one C-family counts equal the modulus-(2n+4) product")
-def _cl1(p):
-    n, a = p["n"], p["a"]
+def _cl1(n, a):
     terms = [Term(1, ("gen", "C", n, _unit(n, a)), post="z1"),
              Term(-1, ("prodspec", products.c_level1_product(n, a)))]
-    return _spec("c-level1", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("c-n0-closed", ("k",),
+@_register("c-n0-closed",
            "one-row odd-part family equals its bounded-multiplicity "
            "two-variable product")
-def _cn0(p):
-    k = p["k"]
+def _cn0(k):
     if k < 0:
         raise ParamError("k >= 0")
     terms = [Term(1, ("gen", "C", 0, (k,))), Term(-1, ("c_n0_2var", k))]
-    return _spec("c-n0-closed", p, terms, "proved")
+    return terms, "proved"
 
 
 # -- level-rank duality (products) --------------------------------------------
 
 
-@_register("level-rank-n1", ("k", "i"),
+@_register("level-rank-n1",
            "rank-1 level-k products match rank-k level-1 products")
-def _lr1(p):
-    k, i = p["k"], p["i"]
+def _lr1(k, i):
     if not (k >= 1 and 0 <= i <= k):
         raise ParamError("k >= 1, 0 <= i <= k")
     pos = i // 2 if i % 2 == 0 else k - (i - 1) // 2
     terms = [Term(1, ("charprod", "A", "nonstandard", 1, (k - i, i))),
              Term(-1, ("charprod", "A", "nonstandard", k, _unit(k, pos)))]
-    return _spec("level-rank-n1", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("level-rank-n2", ("k", "i", "j"),
+@_register("level-rank-n2",
            "rank-2 level-k products match rank-k level-2 products")
-def _lr2(p):
-    k, i, j = p["k"], p["i"], p["j"]
+def _lr2(k, i, j):
     if not (k >= 1 and 0 <= i <= j <= k):
         raise ParamError("k >= 1, 0 <= i <= j <= k")
     if (i + j) % 2 == 0:
@@ -750,7 +715,7 @@ def _lr2(p):
         w = _wsum(k, (k - (i + j - 1) // 2, 1), (k - (j - i - 1) // 2, 1))
     terms = [Term(1, ("charprod", "A", "nonstandard", 2, (k - j, j - i, i))),
              Term(-1, ("charprod", "A", "nonstandard", k, w))]
-    return _spec("level-rank-n2", p, terms, "proved")
+    return terms, "proved"
 
 
 def _lr_weight2(r: int, m: int) -> tuple[int, ...]:
@@ -770,45 +735,39 @@ def _lr_weight3(r: int, m: int) -> tuple[int, ...]:
     raise ParamError("m >= 2")
 
 
-@_register("level-rank-gen1", ("k", "n"),
+@_register("level-rank-gen1",
            "phi_n of the level-2k vacuum weight matches phi_k of the "
            "level-2n vacuum weight")
-def _lrg1(p):
-    k, n = p["k"], p["n"]
+def _lrg1(k, n):
     if k < 1 or n < 1:
         raise ParamError("k, n >= 1")
     terms = [Term(1, ("charprod", "A", "nonstandard", n, _wsum(n, (0, k)))),
              Term(-1, ("charprod", "A", "nonstandard", k, _wsum(k, (0, n))))]
-    return _spec("level-rank-gen1", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("level-rank-gen2", ("k", "n"),
-           "the (k-2)L0+2L1 duality pattern")
-def _lrg2(p):
-    k, n = p["k"], p["n"]
+@_register("level-rank-gen2", "the (k-2)L0+2L1 duality pattern")
+def _lrg2(k, n):
     if k < 1 or n < 1:
         raise ParamError("k, n >= 1")
     terms = [Term(1, ("charprod", "A", "nonstandard", n, _lr_weight2(n, k))),
              Term(-1, ("charprod", "A", "nonstandard", k, _lr_weight2(k, n)))]
-    return _spec("level-rank-gen2", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("level-rank-gen3", ("k", "n"),
-           "the (k-3)L0+2L1+L2 duality pattern")
-def _lrg3(p):
-    k, n = p["k"], p["n"]
+@_register("level-rank-gen3", "the (k-3)L0+2L1+L2 duality pattern")
+def _lrg3(k, n):
     if k < 2 or n < 2:
         raise ParamError("k, n >= 2")
     terms = [Term(1, ("charprod", "A", "nonstandard", n, _lr_weight3(n, k))),
              Term(-1, ("charprod", "A", "nonstandard", k, _lr_weight3(k, n)))]
-    return _spec("level-rank-gen3", p, terms, "proved")
+    return terms, "proved"
 
 
 # -- the three coloured-partition conjectures ---------------------------------
 
 
-def _weights_param(p, n):
-    w = p.get("weights")
+def _weights_param(w, n):
     if w is None:
         raise ParamError("weights required")
     w = tuple(w)
@@ -817,34 +776,33 @@ def _weights_param(p, n):
     return w
 
 
-@_register("a-product-positivity", ("n",),
+@_register("a-product-positivity",
            "the A-family character products should have non-negative "
            "coefficients (they count coloured partitions); a negative "
-           "coefficient is a finding", {"weights": None})
-def _apos(p):
-    n = p["n"]
-    w = _weights_param(p, n)
+           "coefficient is a finding")
+def _apos(n, *, weights=None):
+    w = _weights_param(weights, n)
     terms = [Term(1, ("charprod-negpart", "A", "nonstandard", n, w)),
              Term(-1, ("zero",))]
-    return _spec("a-product-positivity", p, terms, "conjectural")
+    return terms, "conjectural"
 
 
-@_register("con-a2n2", ("n",), "counts of the A-family equal the "
-           "non-standard character product", {"weights": None})
-def _cona(p):
-    n = p["n"]
-    w = _weights_param(p, n)
+@_register("con-a2n2",
+           "counts of the A-family equal the "
+           "non-standard character product")
+def _cona(n, *, weights=None):
+    w = _weights_param(weights, n)
     status = "proved" if (n == 1 or sum(w) <= 1) else "conjectural"
     terms = [Term(1, ("gen", "A", n, w), post="z1"),
              Term(-1, ("charprod", "A", "nonstandard", n, w))]
-    return _spec("con-a2n2", p, terms, status)
+    return terms, status
 
 
-@_register("con-cn1", ("n",), "counts of the C-family equal the principally "
-           "specialised character product", {"weights": None})
-def _conc(p):
-    n = p["n"]
-    w = _weights_param(p, n)
+@_register("con-cn1",
+           "counts of the C-family equal the principally "
+           "specialised character product")
+def _conc(n, *, weights=None):
+    w = _weights_param(weights, n)
     k = sum(w)
     vac = w[0] == k or w[-1] == k
     status = "proved" if (n <= 1 or k <= 1 or vac) else "conjectural"
@@ -854,29 +812,28 @@ def _conc(p):
     else:
         terms = [Term(1, ("gen", "C", n, w), post="z1"),
                  Term(-1, ("charprod", "C", "nonstandard", n, w))]
-    return _spec("con-cn1", p, terms, status)
+    return terms, status
 
 
-@_register("con-dn2", ("n",), "counts of the D-family equal the "
-           "non-standard character product", {"weights": None})
-def _cond(p):
-    n = p["n"]
-    w = _weights_param(p, n)
+@_register("con-dn2",
+           "counts of the D-family equal the "
+           "non-standard character product")
+def _cond(n, *, weights=None):
+    w = _weights_param(weights, n)
     status = "proved" if (n == 1 or sum(w) <= 1) else "conjectural"
     terms = [Term(1, ("gen", "D", n, w), post="z1"),
              Term(-1, ("charprod", "D", "nonstandard", n, w))]
-    return _spec("con-dn2", p, terms, status)
+    return terms, status
 
 
 # -- Hall-Littlewood bridges ---------------------------------------------------
 
 
-@_register("con-a2n2-qseries", ("n", "k", "which"),
+@_register("con-a2n2-qseries",
            "two-variable A-family extremal weights as chain multisums; "
            "which=0 is the kLn weight (argument z), which=1 the kL0 "
            "weight (argument zq)")
-def _conaq(p):
-    n, k, which = p["n"], p["k"], p["which"]
+def _conaq(n, k, which):
     if n < 1 or k < 0 or which not in (0, 1):
         raise ParamError("n >= 1, k >= 0, which in {0,1}")
     status = "proved" if (k <= 1 or n == 1) else "conjectural"
@@ -886,49 +843,43 @@ def _conaq(p):
     else:
         terms = [Term(1, ("gen", "A", n, _wsum(n, (0, k)))),
                  Term(-1, ("hlchain", k, 2 * n - 1), subst=(1, 0, 1))]
-    return _spec("con-a2n2-qseries", p, terms, status)
+    return terms, status
 
 
-@_register("con-c-qseries", ("n", "k"),
-           "C_{kL0}(z,q) = HL_{k,2n}(z,q)")
-def _concq(p):
-    n, k = p["n"], p["k"]
+@_register("con-c-qseries", "C_{kL0}(z,q) = HL_{k,2n}(z,q)")
+def _concq(n, k):
     if n < 1 or k < 0:
         raise ParamError("n >= 1, k >= 0")
     status = "proved" if k <= 1 else "conjectural"
     terms = [Term(1, ("gen", "C", n, _wsum(n, (0, k)))),
              Term(-1, ("hlchain", k, 2 * n))]
-    return _spec("con-c-qseries", p, terms, status)
+    return terms, status
 
 
-@_register("con-d-qseries", ("n", "k"),
-           "D_{kL0}(z,q) = HL_{k,2n-2}(zq,q), n >= 2")
-def _condq(p):
-    n, k = p["n"], p["k"]
+@_register("con-d-qseries", "D_{kL0}(z,q) = HL_{k,2n-2}(zq,q), n >= 2")
+def _condq(n, k):
     if n < 2 or k < 0:
         raise ParamError("n >= 2, k >= 0")
     status = "proved" if k <= 1 else "conjectural"
     terms = [Term(1, ("gen", "D", n, _wsum(n, (0, k)))),
              Term(-1, ("hlchain", k, 2 * n - 2), subst=(1, 0, 1))]
-    return _spec("con-d-qseries", p, terms, status)
+    return terms, status
 
 
-@_register("con-shun", ("k",),
+@_register("con-shun",
            "the double multisum equals sum (zq)^{|lam|} P_{2 lam}(...;q^2)")
-def _conshun(p):
-    k = p["k"]
+def _conshun(k):
     if k < 0:
         raise ParamError("k >= 0")
     status = "proved" if k <= 1 else "conjectural"
     terms = [Term(1, ("shun", k)), Term(-1, ("hlsum", k, 2))]
-    return _spec("con-shun", p, terms, status)
+    return terms, status
 
 
-@_register("con-shun2", ("k", "variant"),
+@_register("con-shun2",
            "the three rank-2 double multisums against enumeration; "
-           "variant in {kL0, kL1, omega}", {"variant": "kL0"})
-def _conshun2(p):
-    k, variant = p["k"], p["variant"]
+           "variant in {kL0, kL1, omega}")
+def _conshun2(k, variant="kL0"):
     if variant not in ("kL0", "kL1", "omega"):
         raise ParamError("variant in {kL0, kL1, omega}")
     if variant == "omega" and k < 1:
@@ -937,14 +888,13 @@ def _conshun2(p):
          "omega": (1, k - 1, 0)}[variant]
     status = "proved" if k <= 2 else "conjectural"
     terms = [Term(1, ("shun2", k, variant)), Term(-1, ("gen", "D", 2, w))]
-    return _spec("con-shun2", p, terms, status)
+    return terms, status
 
 
-@_register("ag-type-product", ("k", "which"),
+@_register("ag-type-product",
            "the four conjectural Andrews-Gordon-type product identities; "
-           "which in {c-kL0, d-kL0, d-kL1, d-omega}", {"which": "c-kL0"})
-def _agtype(p):
-    k, which = p["k"], p["which"]
+           "which in {c-kL0, d-kL0, d-kL1, d-omega}")
+def _agtype(k, which="c-kL0"):
     if which not in ("c-kL0", "d-kL0", "d-kL1", "d-omega"):
         raise ParamError("which in {c-kL0, d-kL0, d-kL1, d-omega}")
     if which in ("c-kL0",):
@@ -956,7 +906,7 @@ def _agtype(p):
         lhs = Term(1, ("shun2", k, variant), post="z1")
     status = "proved" if k <= 1 else "conjectural"
     terms = [lhs, Term(-1, ("prodspec", products.ag_type_product(which, k)))]
-    return _spec("ag-type-product", p, terms, status)
+    return terms, status
 
 
 # -- Theorem 4.8 machinery -----------------------------------------------------
@@ -965,23 +915,20 @@ def _agtype(p):
 _WZ_WEIGHT = {"A": (2, 0, 0), "B": (0, 2, 0), "C": (1, 1, 0), "D": (1, 0, 1)}
 
 
-@_register("thm48", ("which",),
+@_register("thm48",
            "the four deformed double sums at w=z equal the rank-2 "
-           "enumerations at level 2", {"which": "A"})
-def _thm48(p):
-    which = p["which"]
+           "enumerations at level 2")
+def _thm48(which="A"):
     if which not in _WZ_WEIGHT:
         raise ParamError("which in {A,B,C,D}")
     terms = [Term(1, ("wz", which), post="w_to_z"),
              Term(-1, ("gen", "D", 2, _WZ_WEIGHT[which]))]
-    return _spec("thm48", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("thm48-alt", ("which",),
-           "the two single-Omega rewritings of the mixed level-2 series",
-           {"which": "C"})
-def _thm48alt(p):
-    which = p["which"]
+@_register("thm48-alt",
+           "the two single-Omega rewritings of the mixed level-2 series")
+def _thm48alt(which="C"):
     if which == "C":
         terms = [Term(1, ("shun2", 2, "omega")),
                  Term(-1, ("wz", "C"), post="w_to_z")]
@@ -990,14 +937,12 @@ def _thm48alt(p):
                  Term(-1, ("wz", "D"), post="w_to_z")]
     else:
         raise ParamError("which in {C, D}")
-    return _spec("thm48-alt", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("wz-funceq", ("idx",),
-           "the four deformed functional equations (idx 3 cleared by z)",
-           {"idx": 1})
-def _wzf(p):
-    idx = p["idx"]
+@_register("wz-funceq",
+           "the four deformed functional equations (idx 3 cleared by z)")
+def _wzf(idx=1):
     sub = (2, 2, 1)
     if idx == 1:
         terms = [Term(1, ("wz", "A")),
@@ -1031,15 +976,13 @@ def _wzf(p):
                       subst=sub)]
     else:
         raise ParamError("idx in 1..4")
-    return _spec("wz-funceq", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("wz-edge", ("which", "edge"),
+@_register("wz-edge",
            "boundary reductions of the deformed series: w=0 gives the "
-           "rank-1 series in (z,q), z=0 the same in (w,q^2)",
-           {"which": "B", "edge": "w0"})
-def _wzedge(p):
-    which, edge = p["which"], p["edge"]
+           "rank-1 series in (z,q), z=0 the same in (w,q^2)")
+def _wzedge(which="B", edge="w0"):
     targets_w0 = {"A": (2, 0), "B": (0, 2), "C": (1, 1), "D": (2, 0)}
     if which not in targets_w0:
         raise ParamError("which in {A,B,C,D}")
@@ -1055,7 +998,7 @@ def _wzedge(p):
                       subst=(0, 0, 2))]
     else:
         raise ParamError("edge in {w0, z0}")
-    return _spec("wz-edge", p, terms, "proved")
+    return terms, "proved"
 
 
 def _s_relation(which: str, params: tuple[int, ...]) -> list[Term]:
@@ -1065,44 +1008,34 @@ def _s_relation(which: str, params: tuple[int, ...]) -> list[Term]:
         [Term(-1, ("zero",))]
 
 
-@_register("atomic", ("i", "k1", "k2", "l1", "l2"),
-           "the four atomic shift relations of the S-series")
-def _atomic(p):
-    i = p["i"]
+@_register("atomic", "the four atomic shift relations of the S-series")
+def _atomic(i, k1, k2, l1, l2):
     if i not in (1, 2, 3, 4):
         raise ParamError("i in 1..4")
-    params = (p["k1"], p["k2"], p["l1"], p["l2"])
-    return _spec("atomic", p, _s_relation("R%d" % i, params), "proved")
+    return _s_relation("R%d" % i, (k1, k2, l1, l2)), "proved"
 
 
-@_register("toshow", ("i",),
+@_register("toshow",
            "the four S-series combinations appearing in the level-2 proof")
-def _toshow(p):
-    i = p["i"]
+def _toshow(i):
     if i not in (1, 2, 3, 4):
         raise ParamError("i in 1..4")
-    return _spec("toshow", p, _s_relation("toshow%d" % i, (0, 0, 0, 0)),
-                 "proved")
+    return _s_relation("toshow%d" % i, (0, 0, 0, 0)), "proved"
 
 
-@_register("s-shift", ("k1", "k2", "l1", "l2", "m", "n"),
-           "S(z q^m, w q^{2n}) = S_{k1+m, k2+2m, l1+n, l2+2n}(z, w)",
-           {"m": 1, "n": 1})
-def _sshift(p):
-    k1, k2, l1, l2, m, n = (p["k1"], p["k2"], p["l1"], p["l2"], p["m"],
-                            p["n"])
+@_register("s-shift",
+           "S(z q^m, w q^{2n}) = S_{k1+m, k2+2m, l1+n, l2+2n}(z, w)")
+def _sshift(k1, k2, l1, l2, m=1, n=1):
     if m < 0 or n < 0:
         raise ParamError("m, n >= 0 (raising shifts only)")
     terms = [Term(1, ("sser", k1, k2, l1, l2), subst=(m, 2 * n, 1)),
              Term(-1, ("sser", k1 + m, k2 + 2 * m, l1 + n, l2 + 2 * n))]
-    return _spec("s-shift", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("guess-reduction", ("k", "which", "edge"),
-           "w=0 / z=0 reductions of the conjectured k-fold interwoven sums",
-           {"which": "B", "edge": "w0"})
-def _guessred(p):
-    k, which, edge = p["k"], p["which"], p["edge"]
+@_register("guess-reduction",
+           "w=0 / z=0 reductions of the conjectured k-fold interwoven sums")
+def _guessred(k, which="B", edge="w0"):
     if k < 1:
         raise ParamError("k >= 1")
     if which == "B":
@@ -1126,16 +1059,15 @@ def _guessred(p):
         rhs = Term(-1, ("ag", k, a), post="z_to_w", subst=(0, 0, 2))
     else:
         raise ParamError("edge in {w0, z0}")
-    return _spec("guess-reduction", p, [base, rhs], "proved")
+    return [base, rhs], "proved"
 
 
 # -- section-5 weighted variants ----------------------------------------------
 
 
-@_register("hl-variant1", ("n",),
+@_register("hl-variant1",
            "the first weighted chain sum against the level-one series")
-def _hlv1(p):
-    n = p["n"]
+def _hlv1(n):
     if n < 1:
         raise ParamError("n >= 1")
     status = "proved" if n <= 2 else "conjectural"
@@ -1144,60 +1076,54 @@ def _hlv1(p):
     else:
         rhs = Term(-1, ("gen", "D", n // 2 + 1, _unit(n // 2 + 1, 1)))
     terms = [Term(1, ("hlweighted", "v1", n)), rhs]
-    return _spec("hl-variant1", p, terms, status)
+    return terms, status
 
 
-@_register("hl-variant2", ("k",),
+@_register("hl-variant2",
            "the second weighted chain sum against D^{(2)}_{(k-1)L0+L1}")
-def _hlv2(p):
-    k = p["k"]
+def _hlv2(k):
     if k < 1:
         raise ParamError("k >= 1")
     status = "proved" if k == 1 else "conjectural"
     terms = [Term(1, ("hlweighted", "v2", k)),
              Term(-1, ("gen", "D", 2, (k - 1, 1, 0)))]
-    return _spec("hl-variant2", p, terms, status)
+    return terms, status
 
 
-@_register("hl-chain-def", ("k", "n"),
+@_register("hl-chain-def",
            "the chain multisum equals the bounded Hall-Littlewood sum")
-def _hlcd(p):
-    k, n = p["k"], p["n"]
+def _hlcd(k, n):
     if n < 1 or k < 0:
         raise ParamError("k >= 0, n >= 1")
     terms = [Term(1, ("hlchain", k, n)), Term(-1, ("hlsum", k, n))]
-    return _spec("hl-chain-def", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("hl-chain-ag", ("k",),
+@_register("hl-chain-ag",
            "HL_{k,1}(z,q) is the Andrews-Gordon multisum at a=k")
-def _hlca(p):
-    k = p["k"]
+def _hlca(k):
     if k < 0:
         raise ParamError("k >= 0")
     terms = [Term(1, ("hlchain", k, 1)), Term(-1, ("ag", k, k))]
-    return _spec("hl-chain-ag", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("gow", ("r", "n", "delta"),
+@_register("gow",
            "the multisum for P_{(2^r)}(1,q,...;q^{2n+delta}) equals the "
            "branching evaluation")
-def _gow(p):
-    r, n, delta = p["r"], p["n"], p["delta"]
+def _gow(r, n, delta):
     if delta not in (0, 1) or 2 * n + delta < 1:
         raise ParamError("delta in {0, 1}, 2n + delta >= 1")
     terms = [Term(1, ("gow", r, n, delta)),
              Term(-1, ("hlinf", tuple([2] * r), 2 * n + delta))]
-    return _spec("gow", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("hl-triangle", ("r", "s", "L", "m", "route"),
+@_register("hl-triangle",
            "pairwise equality of the three finite-variable routes on "
            "shapes (2^r,1^s); route 0: symmetrization vs single sum, "
-           "route 1: closed form vs symmetrization at the principal point",
-           {"route": 0})
-def _hltri(p):
-    r, s, L, m, route = p["r"], p["s"], p["L"], p["m"], p["route"]
+           "route 1: closed form vs symmetrization at the principal point")
+def _hltri(r, s, L, m, route=0):
     if min(r, s) < 0 or not r + s <= L <= 9 or m < 1:
         raise ParamError("r, s >= 0, r + s <= L <= 9, m >= 1")
     shape = tuple([2] * r + [1] * s)
@@ -1209,121 +1135,102 @@ def _hltri(p):
                  Term(-1, ("hlsym", shape, L, m, m))]
     else:
         raise ParamError("route in {0, 1}")
-    return _spec("hl-triangle", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("bailey", ("s", "m", "r_max"),
+@_register("bailey",
            "the alpha-to-beta Bailey transform against the Hall-Littlewood "
-           "beta, r tagged by the z-exponent", {"r_max": 4})
-def _bailey(p):
-    s, m, r_max = p["s"], p["m"], p["r_max"]
+           "beta, r tagged by the z-exponent")
+def _bailey(s, m, r_max=4):
     if s < 0 or m < 1 or r_max > 6:
         raise ParamError("s >= 0, m >= 1, r_max <= 6")
     terms = [Term(1, ("baileyl", s, m, r_max)),
              Term(-1, ("baileyr", s, m, r_max))]
-    return _spec("bailey", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("jtp", ("a", "m"),
+@_register("jtp",
            "Jacobi triple product: theta(q^a;q^m)(q^m;q^m)_inf equals the "
            "bilateral alternating sum")
-def _jtp(p):
-    a, m = p["a"], p["m"]
+def _jtp(a, m):
     if m < 1:
         raise ParamError("m >= 1")
     prod = products.ProductSpec((products.ThetaFactor(a, m),),
                                 (products.PochFactor(m, m, 1),))
     terms = [Term(1, ("prodspec", prod)), Term(-1, ("jtp_sum", a, m))]
-    return _spec("jtp", p, terms, "proved")
+    return terms, "proved"
 
 
 # -- appendix checks -----------------------------------------------------------
 
 
-def _mac_exps(p, kind) -> tuple[int, ...]:
-    """The exponents e1..e4 of a Macdonald check, after checking every
-    parameter its lattice sum and product need."""
-    exps = tuple(p[name] for name in ("e1", "e2", "e3", "e4")
-                 if p.get(name) is not None)
-    if not exps:
-        raise ParamError("at least e1 required")
-    if kind not in ("B", "D"):
-        raise ParamError("kind in {B, D}")
-    if kind == "D" and len(exps) < 2:
-        raise ParamError("type D needs n >= 2")
-    if p["base"] < 1:
-        raise ParamError("base >= 1")
-    if p["sigma"] not in (1, -1) or p.get("tau", 1) not in (1, -1):
-        raise ParamError("sigma, tau in {-1, 1}")
+def _mac_exps(kind, base, sigma, tau, *es) -> tuple[int, ...]:
+    """The exponents e1..e4 of a Macdonald check that are given, after
+    checking the data its lattice sum and product need."""
+    exps = tuple(e for e in es if e is not None)
+    try:
+        macdonald.check_macdonald_data(kind, exps, base, sigma, tau)
+    except ValueError as exc:
+        raise ParamError(str(exc)) from None
     return exps
 
 
-@_register("macdonald-b", ("base", "sigma"),
-           "the type-B determinant sum equals 2 Pi_{B;sigma}",
-           {"sigma": 1, "e1": None, "e2": None, "e3": None, "e4": None})
-def _macb(p):
-    exps = _mac_exps(p, "B")
-    base, sigma = p["base"], p["sigma"]
+@_register("macdonald-b", "the type-B determinant sum equals 2 Pi_{B;sigma}")
+def _macb(base, sigma=1, *, e1=None, e2=None, e3=None, e4=None):
+    exps = _mac_exps("B", base, sigma, 1, e1, e2, e3, e4)
     terms = [Term(1, ("macsum", "B", exps, base, sigma, 1)),
              Term(-1, ("pi", "B", exps, base, sigma, 1),
                   pref=(_mono(2),))]
-    return _spec("macdonald-b", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("macdonald-d", ("base", "sigma", "tau"),
-           "the type-D determinant sum equals 4 Pi_{D;sigma,tau}",
-           {"sigma": 1, "tau": 1, "e1": None, "e2": None, "e3": None,
-            "e4": None})
-def _macd(p):
-    exps = _mac_exps(p, "D")
-    base, sigma, tau = p["base"], p["sigma"], p["tau"]
+@_register("macdonald-d",
+           "the type-D determinant sum equals 4 Pi_{D;sigma,tau}")
+def _macd(base, sigma=1, tau=1, *, e1=None, e2=None, e3=None,
+          e4=None):
+    exps = _mac_exps("D", base, sigma, tau, e1, e2, e3, e4)
     terms = [Term(1, ("macsum", "D", exps, base, sigma, tau)),
              Term(-1, ("pi", "D", exps, base, sigma, tau),
                   pref=(_mono(4),))]
-    return _spec("macdonald-d", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("mac-quasiperiod", ("kind", "base", "sigma", "tau"),
+@_register("mac-quasiperiod",
            "shifting e1 by the base changes both sides by the same signed "
-           "monomial (checked by cross-multiplication)",
-           {"sigma": 1, "tau": 1, "e1": None, "e2": None, "e3": None,
-            "e4": None})
-def _macqp(p):
-    exps = _mac_exps(p, p["kind"])
-    kind, base, sigma, tau = p["kind"], p["base"], p["sigma"], p["tau"]
+           "monomial (checked by cross-multiplication)")
+def _macqp(kind, base, sigma=1, tau=1, *, e1=None, e2=None, e3=None,
+           e4=None):
+    exps = _mac_exps(kind, base, sigma, tau, e1, e2, e3, e4)
     shifted = (exps[0] + base,) + exps[1:]
     terms = [Term(1, ("mac_cross", kind, exps, shifted, base, sigma, tau)),
              Term(-1, ("mac_cross", kind, shifted, exps, base, sigma, tau))]
-    return _spec("mac-quasiperiod", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("spec-char", ("family", "n", "two_k"),
+@_register("spec-char",
            "the specialised character determinant sum equals the product "
-           "(integral data) or vanishes (half-integral data)",
-           {"two_lambda": ()})
-def _specchar(p):
-    fam, n, two_k = p["family"], p["n"], p["two_k"]
-    tl = tuple(p["two_lambda"])
+           "(integral data) or vanishes (half-integral data)")
+def _specchar(family, n, two_k, *, two_lambda=()):
+    tl = tuple(two_lambda)
     try:
         hw = macdonald.HalfWeight(two_k, tl)
-        macdonald.check_character_data(fam, n, hw)
+        macdonald.check_character_data(family, n, hw)
     except ValueError as exc:
         raise ParamError(str(exc)) from None
-    terms = [Term(1, ("speccharsum", fam, n, two_k, tl))]
+    terms = [Term(1, ("speccharsum", family, n, two_k, tl))]
     if hw.k_integral and hw.lambda_integral:
         w = hw.weight()
-        terms.append(Term(-1, ("charprod", fam, "nonstandard", n, w)))
+        terms.append(Term(-1, ("charprod", family, "nonstandard", n, w)))
     else:
         terms.append(Term(-1, ("zero",)))
-    return _spec("spec-char", p, terms, "proved")
+    return terms, "proved"
 
 
-@_register("d2-unique", ("k",),
+@_register("d2-unique",
            "the rank-2 functional system plus D(0)=1 determines all "
            "level-k generating functions (fixed point vs enumeration)")
-def _d2u(p):
-    k = p["k"]
+def _d2u(k):
     if k < 1:
         raise ParamError("k >= 1")
     terms = [Term(1, ("d2solved", k)), Term(-1, ("d2enum", k))]
-    return _spec("d2-unique", p, terms, "proved")
+    return terms, "proved"

@@ -16,7 +16,8 @@ implemented and cross-checked against each other:
 
 On top of these sit the chain multisum HL_{k,n}(z,q), its two weighted
 variants, the Gordon-Ono-Warnaar style multisum for P_{(2^r)}, and the
-Bailey-pair consistency check.
+two sides of a Bailey pair, from its alpha sequence and in Hall-Littlewood
+form.
 """
 
 from __future__ import annotations
@@ -439,40 +440,31 @@ def hl_sum_over_bounded(k: int, m: int, N: int) -> QSeries:
     return QSeries.collect(parts(k, []), N, 0)
 
 
-# -- Bailey pair check -------------------------------------------------------
+# -- Bailey pair --------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def bailey_sides(s: int, m: int, r_max: int, N: int):
-    """For r = 0..r_max, the pair (beta built from the alpha sequence of
-    the Bailey pair relative to q^s with t = q^m, the Hall-Littlewood form
-    q^{-binom(r,2)-binom(r+s,2)} (q;q)_s P_{(2^r,1^s)}(1,q,...; q^m)),
-    both to order N."""
+def bailey_alpha_side(s: int, m: int, r_max: int, N: int) -> QSeries:
+    """sum_{r <= r_max} z^r beta_r to order N, beta_r built from the alpha
+    sequence of the Bailey pair relative to q^s with t = q^m."""
     def term(r: int, i: int) -> QSeries:
         e = m * (i * (i - 1) // 2) + i * (i + s)
         return (_ls_factor(i, s, m, e, N) * inv_poch(1, 1, r - i, N) *
                 inv_poch(s + 1, 1, r + i, N))
 
-    out = []
-    for r in range(r_max + 1):
-        lhs = QSeries.collect((((0, 0, 0), term(r, i)) for i in range(r + 1)),
-                              N, 0)
-        D = r * (r - 1) // 2 + (r + s) * (r + s - 1) // 2
-        shape = tuple([2] * r + [1] * s)
-        rhs = hl_inf_spec(shape, m, N + D) * poch(1, 1, s, N + D)
-        rhs = (rhs * QSeries.monomial(1, dq=-D)).truncate(N)
-        out.append((lhs, rhs))
-    return tuple(out)
+    return QSeries.collect((((r, 0, 0), term(r, i))
+                            for r in range(r_max + 1) for i in range(r + 1)),
+                           N, 0)
 
 
-def bailey_beta_check(s: int, m: int, r_max: int, N: int):
-    """For each r <= r_max, compare the two sides of bailey_sides.
+def bailey_hl_side(s: int, m: int, r_max: int, N: int) -> QSeries:
+    """sum_{r <= r_max} z^r q^{-binom(r,2)-binom(r+s,2)} (q;q)_s
+    P_{(2^r,1^s)}(1,q,...; q^m) to order N, the Hall-Littlewood form of
+    the beta_r of bailey_alpha_side."""
+    def parts():
+        for r in range(r_max + 1):
+            D = r * (r - 1) // 2 + (r + s) * (r + s - 1) // 2
+            shape = tuple([2] * r + [1] * s)
+            yield (r, 0, -D), \
+                hl_inf_spec(shape, m, N + D) * poch(1, 1, s, N + D)
 
-    Returns a list of (r, equal, mismatch-or-None)."""
-    if r_max > 6:
-        raise ValueError("r_max <= 6")
-    results = []
-    for r, (lhs, rhs) in enumerate(bailey_sides(s, m, r_max, N)):
-        mm = lhs.compare(rhs, N)
-        results.append((r, mm is None, mm))
-    return results
+    return QSeries.collect(parts(), N, 0)

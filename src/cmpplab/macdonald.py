@@ -134,21 +134,28 @@ def _pi_thetas(kind, exps, base, sigma, tau) -> Optional[list[int]]:
     return args
 
 
+def check_macdonald_data(kind: str, exps: tuple[int, ...], base: int,
+                         sigma: int, tau: int = 1) -> None:
+    """Raise ValueError unless macdonald_sum is defined at (kind, exps,
+    base, sigma, tau)."""
+    if not exps:
+        raise ValueError("at least e1 required")
+    if kind not in ("B", "D"):
+        raise ValueError("kind in {B, D}")
+    if kind == "D" and len(exps) < 2:
+        raise ValueError("type D needs n >= 2")
+    if base < 1:
+        raise ValueError("base >= 1")
+    if sigma not in (1, -1) or tau not in (1, -1):
+        raise ValueError("sigma, tau in {-1, 1}")
+
+
 def macdonald_sum(kind: str, exps: tuple[int, ...], base: int, sigma: int,
                   tau: int = 1, N: int = 0) -> QSeries:
     """The determinant lattice sum equal to 2 Pi_{B;sigma} (kind "B",
     n >= 1) or 4 Pi_{D;sigma,tau} (kind "D", n >= 2), truncated at N."""
+    check_macdonald_data(kind, exps, base, sigma, tau)
     n = len(exps)
-    if n == 0:
-        raise ValueError("n >= 1")
-    if sigma not in (1, -1) or tau not in (1, -1):
-        raise ValueError("sigma, tau in {-1, 1}")
-    if kind not in ("B", "D"):
-        raise ValueError(kind)
-    if kind == "D" and n < 2:
-        raise ValueError("type D needs n >= 2")
-    if base < 1:
-        raise ValueError("base >= 1")
     a = list(exps)
     # (c2, sign twist, second-entry coefficient, lift) of the two
     # identities in the module docstring

@@ -176,9 +176,9 @@ def wz_sum(variant: str, N: int, k: int = 2) -> QSeries:
     """
     if variant not in _WZ_ROWS:
         raise ValueError(variant)
+    if variant in ("A", "B", "C", "D") and k != 2:
+        raise ValueError("variant %s needs k = 2" % variant)
     lin_r, lin_s, omega = _WZ_ROWS[variant]
-    if variant in ("A", "B", "C", "D"):
-        k = 2
     base = _double_sum(k, N, lin_r, lin_s, w_apart=True, omega=omega)
     if variant not in ("C", "D") or N < 2:
         return base

@@ -115,24 +115,42 @@ def test_sweep_exit_codes_match_status(capsys):
 
 
 def test_list_checks(capsys):
+    # the names come from each builder's signature: positional parameters
+    # with and without defaults, then the keyword-only ones bracketed
     code, out = run(capsys, "list-checks")
     assert code == 0
     assert "rogers-selberg" in out
-    assert "macdonald-d" in out
+    lines = {ln.split()[0]: ln for ln in out.splitlines()}
+    assert lines["mr-system"] == (
+        "mr-system              (n, a, branch)  level-one system equivalent "
+        "to the rank-2 cylindric recurrences")
+    assert lines["con-a2n2"] == (
+        "con-a2n2               (n, [weights])  counts of the A-family equal "
+        "the non-standard character product")
+    assert lines["macdonald-d"] == (
+        "macdonald-d            (base, sigma, tau, [e1], [e2], [e3], [e4])  "
+        "the type-D determinant sum equals 4 Pi_{D;sigma,tau}")
+    assert lines["mac-quasiperiod"] == (
+        "mac-quasiperiod        (kind, base, sigma, tau, [e1], [e2], [e3], "
+        "[e4])  shifting e1 by the base changes both sides by the same "
+        "signed monomial (checked by cross-multiplication)")
+    assert lines["spec-char"] == (
+        "spec-char              (family, n, two_k, [two_lambda])  the "
+        "specialised character determinant sum equals the product "
+        "(integral data) or vanishes (half-integral data)")
 
 
 def test_mismatch_reporting_paths(monkeypatch, capsys):
     # a mismatching conjectural entry is a finding (exit 3), a proved one
     # a failure (exit 2); both carry a certificate, neither crashes
     from cmpplab import funceq
-    from cmpplab.funceq import Check, EquationSpec, Term
+    from cmpplab.funceq import Check, Term
     from cmpplab.products import ProductSpec
 
     def make(status):
-        def build(p):
-            return EquationSpec("synthetic", (), (
-                Term(1, ("prodspec", ProductSpec())),
-                Term(-1, ("zero",))), status)
+        def build():
+            return [Term(1, ("prodspec", ProductSpec())),
+                    Term(-1, ("zero",))], status
         return Check("synthetic", (), build, "test entry")
 
     monkeypatch.setitem(funceq.CHECKS, "synthetic", make("conjectural"))
@@ -193,11 +211,16 @@ def test_sweep_timings_reach_run_check(monkeypatch, capsys):
 ] + [("expand", "--series", text, "--order", "3")
      for text in ("shun(-1)", "f_sum(0,0,1)", "theta(1,0)", "hl_chain(1,0)",
                   "poch(0,1)", "gen_fun(Q,1,boundary=1:0)", "qbin(2,1,0)",
-                  "qbin(3,1,-1)")
+                  "qbin(3,1,-1)", "wz(A,5)")
 ] + [("verify", "--check", check, "--params", params, "--order", "3")
      for check, params in (("macdonald-b", "base=0,e1=1"),
                            ("macdonald-d", "base=-2,e1=1,e2=2"),
-                           ("mac-quasiperiod", "kind=B,base=0,e1=1"))])
+                           ("mac-quasiperiod", "kind=B,base=0,e1=1"),
+                           ("gordon", "k=1,a=0,kk=3"),
+                           ("cdn2", "k=1,a=0,n=5"),
+                           ("macdonald-b", "base=3,e1=1,tau=-1"))
+] + [("sweep", "--check", "gordon", "--grid", grid, "--order", "3")
+     for grid in ("k=1:2", "k=1:1,a=0:1,kk=0:1")])
 def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     assert cli.main(list(argv)) == 1
     captured = capsys.readouterr()

@@ -29,8 +29,11 @@ def test_param_validation():
         catalog("d2-nis2", {"k": 1, "a": 1, "b": 1})
     with pytest.raises(ParamError):
         catalog("mr-system", {"n": 2, "a": 2, "branch": 1})
-    with pytest.raises(ParamError):
+    with pytest.raises(TypeError, match=r"missing params \['a'\] for gordon"):
         catalog("gordon", {"k": 1})
+    with pytest.raises(TypeError,
+                       match=r"unknown params \['kk'\] for gordon"):
+        catalog("gordon", {"k": 1, "a": 0, "kk": 3})
     for cid, params in [
             ("spec-char", {"family": "A", "n": 0, "two_k": 2}),
             ("spec-char", {"family": "D", "n": 1, "two_k": 2,
@@ -38,7 +41,8 @@ def test_param_validation():
             ("spec-char", {"family": "A", "n": 1, "two_k": 2,
                            "two_lambda": (4,)}),
             ("hl-triangle", {"r": 1, "s": 1, "L": 10, "m": 1}),
-            ("bailey", {"s": -1, "m": 1, "r_max": 1})]:
+            ("bailey", {"s": -1, "m": 1, "r_max": 1}),
+            ("bailey", {"s": 0, "m": 1, "r_max": 7})]:
         with pytest.raises(ParamError):
             catalog(cid, params)
 

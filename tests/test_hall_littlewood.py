@@ -1,8 +1,7 @@
 import pytest
 
 from cmpplab import hall_littlewood
-from cmpplab.hall_littlewood import (bailey_beta_check, hl_chain_sum,
-                                     hl_inf_spec, hl_ls_2r1s,
+from cmpplab.hall_littlewood import (hl_chain_sum, hl_inf_spec, hl_ls_2r1s,
                                      hl_principal_finite,
                                      hl_sum_over_bounded, hl_symmetrization,
                                      hl_weighted_chain, prop_gow_sum)
@@ -194,12 +193,3 @@ def test_v1_v2_consistency():
     a = hl_weighted_chain("v1", 2, 14)
     b = hl_weighted_chain("v2", 1, 14)
     assert a.compare(b, 14) is None
-
-
-def test_bailey_check():
-    for s in (0, 1):
-        for m in (1, 2, 3):
-            res = bailey_beta_check(s, m, 4, 25)
-            assert all(eq for (_, eq, _) in res), (s, m, res)
-    with pytest.raises(ValueError):
-        bailey_beta_check(0, 1, 7, 10)
