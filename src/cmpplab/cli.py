@@ -104,6 +104,8 @@ def parse_params(text: str) -> dict:
             raise SystemExit("malformed param %r (expected name=value)"
                              % item)
         name, val = item.split("=", 1)
+        if name.strip() in out:
+            raise SystemExit("param %r given twice" % name.strip())
         out[name.strip()] = _parse_value(val)
     return out
 
@@ -191,6 +193,8 @@ def parse_grid(text: str) -> list[dict]:
             raise SystemExit("malformed grid entry %r" % item)
         name, val = item.split("=", 1)
         name, val = name.strip(), val.strip()
+        if name in dict(axes):
+            raise SystemExit("grid entry %r given twice" % name)
         if ":" in val:
             lo, hi = val.split(":", 1)
             axes.append((name, (lo.strip(), hi.strip())))

@@ -26,15 +26,12 @@ used anywhere).
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .series import QSeries
 
 _NEG = -(1 << 60)
-_ID_BITS = 32
-_ID_MASK = (1 << _ID_BITS) - 1
 
 FAMILIES = ("A", "C", "D")
 
@@ -210,65 +207,111 @@ class _ScanTable:
 
     A state summarises the array in the columns scanned so far (all part
     sizes <= j) by the best path segments there, each either -inf or a
-    sum in 0..level:
+    sum in 0..level (rows are numbered 0..m-1 in path order):
 
     * A[r1, r2]: from row r1 to row r2, both ends in column j;
     * S[r]: from row 0 (any column) to row r in column j;
     * E[r]: from row r in column j to the last row (any column).
 
     It is interned as ``bytes`` (the column parity, then the entries plus
-    one, 0 for -inf; a tuple when level > 254) with an int id.  The moves
-    of a state are the admissible next columns, as (sum of entries, id of
-    the next state) packed into one int, sorted; they depend only on the
-    state, so a table holds no result of any one boundary.
+    one, 0 for -inf; a tuple when level > 254) with an int id.  States are
+    canonical: A[0, .], A[., m-1], S[m-1] and E[0] are stored as -inf, so
+    states that differ only there are one state.  No later column reads
+    them.  It joins an A segment to the new column through the rows just
+    above its start and just below its end, which row 0 and row m-1 lack
+    (S and E carry the paths that start or end there), and S[m-1] and E[0]
+    are complete paths, checked against the level when their column was
+    chosen.  The moves of a state are the admissible next columns, as the
+    ids of the next states bucketed by the column's sum of entries.  They
+    depend only on the state, so a table holds no result of any one
+    boundary, and a larger cap only appends the buckets above the old one.
     """
 
     def __init__(self, parities: tuple[int, ...], level: int):
-        self.m = len(parities)
+        m = len(parities)
         self.level = level
         # rows alternate in parity, so between two rows of one column lie
         # the rows of the other column, every second row
-        self.rows = tuple(tuple(r for r, p in enumerate(parities) if p == par)
-                          for par in (0, 1))
-        self.pairs = tuple([(a, b) for i, a in enumerate(rows)
-                            for b in rows[i:]] for rows in self.rows)
+        rows = tuple(tuple(r for r, p in enumerate(parities) if p == par)
+                     for par in (0, 1))
+        pairs = tuple([(a, b) for i, a in enumerate(rs) for b in rs[i:]]
+                      for rs in rows)
         self.pack = bytes if level < 255 else tuple
         self.ids: dict = {}
         self.states: list = []
-        self.caps: list[int] = []  # per state: the sum its moves reach
-        self.moves: list[array | None] = []
+        self.moves: list[list[list[int]]] = []  # per state: ids by sum
+        # ``successors`` from a state of parity par works on one list w:
+        # the state, then 0 (S[m] = E[m] = 0 let a path start in the new
+        # column at row 0 and end there at the last row), -inf, and the
+        # next state's cells A', S', E'; its plan holds indices into w
+        self.plans = []
+        for par in (0, 1):
+            old, new = rows[par], rows[1 - par]
+            cells = ([("A",) + p for p in pairs[par]] + [("S", r) for r in old]
+                     + [("E", r) for r in old])
+            news = ([("A'",) + p for p in pairs[1 - par]]
+                    + [("S'", r) for r in new] + [("E'", r) for r in new])
+            zero = 1 + len(cells)
+            at = {key: i for i, key in enumerate(cells, 1)}
+            at["S", m] = at["E", m] = zero
+            at.update((key, zero + 2 + i) for i, key in enumerate(news))
+            unread = {("S'", m - 1), ("E'", 0)}
+            unread.update(("A'", a, b) for a, b in pairs[1 - par]
+                          if a == 0 or b == m - 1)
+            # rows are chosen bottom-up; row r1 sets A'[r1, r2] for the
+            # new rows r2 >= r1 and E'[r1]
+            choose = []
+            for k, r1 in enumerate(reversed(new)):
+                choose.append((
+                    r1, at["S", r1 - 1 if r1 else m], at["E", r1 + 1],
+                    [(at["A'", r1, r2], at["E", r2 + 1],
+                      [(at["A", r1 + 1, s], at["A'", s + 1, r2])
+                       for s in range(r1 + 1, r2, 2)])
+                     for r2 in new[len(new) - k:]],
+                    at["A'", r1, r1], at["E'", r1]))
+            leaf = [(at["S'", r], [(at["S", s if s >= 0 else m],
+                                    at["A'", s + 1, r])
+                                   for s in range(r - 1, -2, -2)])
+                    for r in new]
+            out = [zero + 1 if key in unread else at[key] for key in news]
+            self.plans.append((choose, leaf, out,
+                               [0] + [_NEG] * (1 + len(news))))
 
     def intern(self, state) -> int:
         sid = self.ids.get(state)
         if sid is None:
             sid = self.ids[state] = len(self.states)
             self.states.append(state)
-            self.caps.append(-1)
-            self.moves.append(None)
+            self.moves.append([])
         return sid
 
     def start(self, bases: list[int]) -> int:
         """The state after the boundary columns -1 and 0."""
-        state = self.pack([0] * (1 + len(self.pairs[0])
-                                 + 2 * len(self.rows[0])))
+        # the all -inf state of parity 0, whose cells are those that a
+        # move from parity 1 writes
+        state = self.pack([0] * (1 + len(self.plans[1][2])))
         for _ in range(2):
-            [(_, state)] = self.successors(state, 0, bases)
-        return self.intern(state)
+            moves: list[list[int]] = [[] for _ in range(self.level + 1)]
+            self.successors(state, moves, 0, bases)
+            [[sid]] = [ids for ids in moves if ids]
+            state = self.states[sid]
+        return sid
 
-    def column_moves(self, sid: int, cap: int) -> array:
-        """The moves of state ``sid`` with sum <= cap (maybe more)."""
-        state = self.states[sid]
-        cap = min(cap, self.level * len(self.rows[1 - state[0]]))
-        if self.caps[sid] < cap:
-            self.moves[sid] = array("Q", sorted(
-                (total << _ID_BITS) | self.intern(nxt)
-                for total, nxt in self.successors(state, cap)))
-            self.caps[sid] = cap
-        return self.moves[sid]
+    def column_moves(self, sid: int, cap: int) -> list[list[int]]:
+        """The moves of state ``sid`` by sum, through cap (maybe more)."""
+        state, moves = self.states[sid], self.moves[sid]
+        cap = min(cap, self.level * len(self.plans[state[0]][0]))
+        if len(moves) <= cap:
+            need = len(moves)
+            moves.extend([] for _ in range(cap + 1 - need))
+            self.successors(state, moves, need)
+        return moves
 
-    def successors(self, state, cap: int, fixed: list[int] | None = None):
-        """Every admissible next column with entry sum <= cap (or with
-        the given entries) as (sum, next state).
+    def successors(self, state, moves: list[list[int]], need: int,
+                   fixed: list[int] | None = None) -> None:
+        """Append every admissible next column with entry sum in
+        need..len(moves) - 1 (or with the given entries) to moves[sum], as
+        the id of its next state.
 
         Rows are chosen from the bottom up.  The paths that enter the new
         column first at row r are checked as soon as row r is chosen:
@@ -276,49 +319,33 @@ class _ScanTable:
         path from row r of the new column to the last row.  Every entry of
         A', S' and E' is non-decreasing in each cell, so a row's loop ends
         at its first failing value, and a failure at a row's smallest value
-        ends the loop of the row below as well.
+        ends the loop of the row below as well.  A row's values start where
+        the rows above it, at most level each, can still bring the sum to
+        need.
         """
-        m, level, NEG = self.m, self.level, _NEG
-        par = state[0]
-        old, new = self.rows[par], self.rows[1 - par]
-        npairs = len(self.pairs[par])
-        vals = [v - 1 if v else NEG for v in state[1:]]
-        A = [[NEG] * m for _ in range(m)]
-        for (a, b), v in zip(self.pairs[par], vals):
-            A[a][b] = v
-        # S[m] = E[m] = 0, so S[-1] lets a path start in the new column at
-        # row 0 and E[m] lets it end there at the last row
-        S = [NEG] * (m + 1)
-        E = [NEG] * (m + 1)
-        S[m] = E[m] = 0
-        for i, r in enumerate(old):
-            S[r] = vals[npairs + i]
-            E[r] = vals[npairs + len(old) + i]
-        An = [[NEG] * m for _ in range(m)]
-        En = [NEG] * m
-        order = new[::-1]
-        out = []
+        choose, leaf, out, tail = self.plans[state[0]]
+        w = [v - 1 if v else _NEG for v in state] + tail
+        level, last, par, pack, ids = (self.level, len(choose), 1 - state[0],
+                                       self.pack, self.ids)
 
-        def leaf(total: int) -> None:
-            Sn = [max([S[s] + An[s + 1][r] for s in range(r - 1, -2, -2)])
-                  for r in new]
-            vals = [An[a][b] for a, b in self.pairs[1 - par]] + Sn + \
-                [En[r] for r in new]
-            out.append((total, self.pack([1 - par] + [
-                v + 1 if v >= 0 else 0 for v in vals])))
-
-        def choose(k: int, rem: int, total: int) -> bool:
-            if k == len(order):
-                leaf(total)
+        def pick(k: int, rem: int, total: int) -> bool:
+            if k == last:
+                for dst, terms in leaf:
+                    w[dst] = max([w[x] + w[y] for x, y in terms])
+                nxt = pack([par] + [
+                    v + 1 if v >= 0 else 0 for v in [w[i] for i in out]])
+                sid = ids.get(nxt)
+                moves[total].append(self.intern(nxt) if sid is None else sid)
                 return True
-            r1 = order[k]
+            r1, pre, e, rel, own, end = choose[k]
             # segments from row r1 to each new row below, less r1's entry
-            rel = [(r1, 0)] + [
-                (r2, max([A[r1 + 1][s] + An[s + 1][r2]
-                          for s in range(r1 + 1, r2, 2)]))
-                for r2 in reversed(order[:k])]
-            e0 = max([b + E[s + 1] for s, b in rel])
-            pre = S[r1 - 1]
+            e0 = w[e]
+            segs = []
+            for dst, e, terms in rel:
+                b = max([w[x] + w[y] for x, y in terms])
+                segs.append((dst, b))
+                e0 = max(e0, b + w[e])
+            pre = w[pre]
             hi = level - pre - e0 if pre >= 0 and e0 >= 0 else level
             if fixed is None:
                 lo, hi = 0, min(hi, rem)
@@ -327,19 +354,19 @@ class _ScanTable:
                 if lo > hi:
                     return False
                 hi = lo
-            row = An[r1]
-            for v in range(lo, hi + 1):
-                for r2, b in rel:
-                    row[r2] = v + b if b >= 0 else NEG
-                En[r1] = v + e0 if e0 >= 0 else NEG
-                if not choose(k + 1, rem - v, total + v):
+            for v in range(max(lo, need - total - level * (last - 1 - k)),
+                           hi + 1):
+                w[own] = v
+                w[end] = v + e0
+                for dst, b in segs:
+                    w[dst] = v + b
+                if not pick(k + 1, rem - v, total + v):
                     if v == lo:
                         return False
                     break
             return hi >= lo
 
-        choose(0, cap, 0)
-        return out
+        pick(0, len(moves) - 1, 0)
 
 
 @lru_cache(maxsize=64)  # bounded: a table keeps every state it explored
@@ -385,21 +412,19 @@ def gen_fun(family: str, n: int, boundary: tuple[int, ...], N: int) -> QSeries:
             if not live:
                 continue
             cap = (N - min(live)[0] // W) // j
-            total = -1
-            for mv in table.column_moves(sid, cap):
-                if mv >> _ID_BITS != total:
-                    total = mv >> _ID_BITS
-                    if total > cap:
-                        break
-                    shift = total * (j * W + 1)
-                    lim = (N - j * total + 1) * W
-                    moved = [(key + shift, cnt) for key, cnt in live
-                             if key < lim]
-                d = nxt.get(mv & _ID_MASK)
-                if d is None:
-                    d = nxt[mv & _ID_MASK] = {}
-                for key, cnt in moved:
-                    d[key] = d.get(key, 0) + cnt
+            moves = table.column_moves(sid, cap)
+            for total in range(min(cap + 1, len(moves))):
+                if not moves[total]:
+                    continue
+                shift = total * (j * W + 1)
+                lim = (N - j * total + 1) * W
+                moved = [(key + shift, cnt) for key, cnt in live if key < lim]
+                for nid in moves[total]:
+                    d = nxt.get(nid)
+                    if d is None:
+                        d = nxt[nid] = {}
+                    for key, cnt in moved:
+                        d[key] = d.get(key, 0) + cnt
         cur = nxt
     return QSeries({(key % W, 0, key // W): c for key, c in out.items()},
                    N, 0, _clean=True)

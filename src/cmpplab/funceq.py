@@ -226,6 +226,11 @@ def _eval_term(term: Term, N: int) -> QSeries:
     if (cz, cw, m) != (0, 0, 1):
         s = s.substitute(z=(1, 0, cz), w=(0, 1, cw), qpow=m)
     if term.pref == _UNIT:
+        # a series cut at or below N, with no term above its cut, is its
+        # own cut at N
+        if s.q_order is not None and s.q_order <= N and \
+                all(k[2] <= s.q_order for k in s.terms):
+            return s
         return s.truncate(N)
     # the product with the prefactor, one shifted copy of s per monomial
     return QSeries.collect(
@@ -1166,8 +1171,12 @@ def _jtp(a, m):
 
 def _mac_exps(kind, base, sigma, tau, *es) -> tuple[int, ...]:
     """The exponents e1..e4 of a Macdonald check that are given, after
-    checking the data its lattice sum and product need."""
+    checking the data its lattice sum and product need.  They must be a
+    prefix: e1..ek with no gap."""
     exps = tuple(e for e in es if e is not None)
+    if None in es[:len(exps)]:
+        raise ParamError("e%d is missing: the exponents are e1..ek, with "
+                         "no gap" % (es.index(None) + 1))
     try:
         macdonald.check_macdonald_data(kind, exps, base, sigma, tau)
     except ValueError as exc:

@@ -218,9 +218,12 @@ def test_sweep_timings_reach_run_check(monkeypatch, capsys):
                            ("mac-quasiperiod", "kind=B,base=0,e1=1"),
                            ("gordon", "k=1,a=0,kk=3"),
                            ("cdn2", "k=1,a=0,n=5"),
-                           ("macdonald-b", "base=3,e1=1,tau=-1"))
+                           ("macdonald-b", "base=3,e1=1,tau=-1"),
+                           ("gordon", "k=1,a=0,k=2"),
+                           ("macdonald-b", "base=3,e2=2"),
+                           ("macdonald-b", "base=3,e1=2,e3=1"))
 ] + [("sweep", "--check", "gordon", "--grid", grid, "--order", "3")
-     for grid in ("k=1:2", "k=1:1,a=0:1,kk=0:1")])
+     for grid in ("k=1:2", "k=1:1,a=0:1,kk=0:1", "k=1:1,a=0:1,k=2:2")])
 def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     assert cli.main(list(argv)) == 1
     captured = capsys.readouterr()

@@ -1,9 +1,11 @@
+import random
 from itertools import product
 
 import pytest
 
-from cmpplab.cmpp import (FrequencyArray, family_rows, gen_fun,
-                          gen_fun_reference, gordon_series, max_path_sum)
+from cmpplab.cmpp import (FrequencyArray, _row_layout, _ScanTable,
+                          family_rows, gen_fun, gen_fun_reference,
+                          gordon_series, max_path_sum)
 
 
 def test_family_rows():
@@ -176,3 +178,68 @@ def test_scan_matches_reference():
                          ("A", 2, (0, 300, 1), 5)):
         a, b = gen_fun(fam, n, w, N), gen_fun_reference(fam, n, w, N)
         assert a.terms == b.terms, (fam, n, w, N)
+
+
+def test_scan_matches_reference_at_level_4():
+    # every level-4 boundary of C2 and D3, where merging the cells no move
+    # reads folds the most states; reversing a boundary mirrors the rows
+    # (see test_automorphism_reversal), so one reference serves a pair
+    refs = {}
+    for fam, n in (("C", 2), ("D", 3)):
+        for w in product(range(5), repeat=n + 1):
+            if sum(w) != 4:
+                continue
+            key = (fam, n, min(w, w[::-1]))
+            if key not in refs:
+                refs[key] = gen_fun_reference(fam, n, key[2], 14)
+            a, b = gen_fun(fam, n, w, 14), refs[key]
+            assert (a.terms, a.q_order, a.q_floor) == \
+                (b.terms, b.q_order, b.q_floor), (fam, n, w)
+    assert len(refs) == 9 + 19
+
+
+def _all_moves(table: _ScanTable, state) -> list[list[int]]:
+    moves: list[list[int]] = [[] for _ in range(table.level * len(state))]
+    table.successors(state, moves, 0)
+    return moves
+
+
+def test_unread_scan_cells_do_not_change_moves():
+    # the cells A[0, .], A[., m-1], S[m-1] and E[0] of every state of a
+    # fully explored table are stored as -inf; any other value there gives
+    # the same moves, while clearing a cell that is read, S[m-2], does not
+    rng = random.Random(20261018)
+    for fam, n, level in (("C", 2, 4), ("D", 3, 4), ("A", 2, 3),
+                          ("C", 1, 4), ("D", 2, 3)):
+        m = family_rows(fam, n)
+        parities = _row_layout(fam, n, (level,) + (0,) * n)[0]
+        table = _ScanTable(tuple(parities), level)
+        for w in product(range(level + 1), repeat=n + 1):
+            if sum(w) == level:
+                table.start(_row_layout(fam, n, w)[1])
+        sid = 0
+        while sid < len(table.states):
+            table.column_moves(sid, level * m)
+            sid += 1
+        changed = 0
+        for state in list(table.states):
+            old = [r for r, p in enumerate(parities) if p == state[0]]
+            cells = ([("A", a, b) for i, a in enumerate(old) for b in old[i:]]
+                     + [("S", r) for r in old] + [("E", r) for r in old])
+            unread = [1 + i for i, cell in enumerate(cells)
+                      if cell[0] == "A" and (cell[1] == 0 or cell[2] == m - 1)
+                      or cell in (("S", m - 1), ("E", 0))]
+            moves = _all_moves(table, state)
+            for i in unread:
+                assert state[i] == 0, (fam, n, state)
+            for _ in range(2):
+                other = list(state)
+                for i in unread:
+                    other[i] = rng.randint(1, level + 1)
+                assert _all_moves(table, table.pack(other)) == moves, \
+                    (fam, n, state, other)
+            if ("S", m - 2) in cells:
+                other = list(state)
+                other[1 + cells.index(("S", m - 2))] = 0
+                changed += _all_moves(table, table.pack(other)) != moves
+        assert changed, (fam, n)

@@ -567,6 +567,21 @@ def test_z_to_w_terms_match_the_substituted_build(monkeypatch):
         assert got == _in_w_q2(build, ref[1:], N), (ref, N)
 
 
+def test_unit_term_cuts_only_what_needs_cutting(monkeypatch):
+    # a unit term returns a series already cut at or below N as it is; an
+    # exact series, one cut above N or one with a term above its cut is
+    # cut at N
+    cut = QSeries({(0, 0, 1): 2, (1, 0, 3): -1}, 3)
+    stray = QSeries({(0, 0, 1): 2, (0, 0, 5): 1}, 3)
+    exact = QSeries({(0, 0, 1): 2, (0, 0, 9): 1})
+    for s, N, kept in ((cut, 3, True), (cut, 6, True), (cut, 2, False),
+                       (stray, 6, False), (exact, 6, False)):
+        monkeypatch.setattr(funceq, "_series", lambda ref, M: s)
+        got = funceq._eval_term(funceq.Term(1, ("x",)), N)
+        assert (got is s) == kept, (s, N)
+        assert got == s.truncate(N)
+
+
 def test_random_atomic_points_match_atomic_residual():
     # k, l in -2..4 give prefactors with negative q-exponents; the catalog
     # terms and atomic_residual evaluate the same relation data
