@@ -104,9 +104,10 @@ def parse_params(text: str) -> dict:
             raise SystemExit("malformed param %r (expected name=value)"
                              % item)
         name, val = item.split("=", 1)
-        if name.strip() in out:
-            raise SystemExit("param %r given twice" % name.strip())
-        out[name.strip()] = _parse_value(val)
+        name = name.strip()
+        if name in out:
+            raise SystemExit("param %r given twice" % name)
+        out[name] = _parse_value(val)
     return out
 
 
