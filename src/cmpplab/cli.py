@@ -18,6 +18,7 @@ count) are byte-identical.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -111,35 +112,35 @@ def parse_params(text: str) -> dict:
     return out
 
 
+# Each builder declares the arguments of its series as its parameters,
+# after the order N; the text binds to them as in a call.
 SERIES_BUILDERS = {
-    "gen_fun": lambda a, kw, N: cmpp.gen_fun(
-        str(a[0]), int(a[1]), tuple(kw.get("boundary", a[2] if len(a) > 2
-                                              else ())), N),
-    "char_product": lambda a, kw, N: products.char_product(
-        str(a[0]), str(a[1]), int(a[2]),
-        tuple(kw.get("weight", a[3] if len(a) > 3 else ())), N),
-    "theta": lambda a, kw, N: products.theta_q(int(a[0]), int(a[1]), N),
-    "poch": lambda a, kw, N: poch(int(a[0]), int(a[1]), None, N),
-    "qbin": lambda a, kw, N: qbin(int(a[0]), int(a[1]),
-                                  int(a[2]) if len(a) > 2 else 1).truncate(N),
-    "f_sum": lambda a, kw, N: multisums.f_sum(int(a[0]), int(a[1]),
-                                              int(a[2]), N),
-    "ag_sum": lambda a, kw, N: multisums.ag_sum(int(a[0]), int(a[1]), N),
-    "shun": lambda a, kw, N: multisums.shun_sum(int(a[0]), N),
-    "shun2": lambda a, kw, N: multisums.shun2_sum(int(a[0]), str(a[1]), N),
-    "wz": lambda a, kw, N: multisums.wz_sum(str(a[0]), N,
-                                            k=int(a[1]) if len(a) > 1 else 2),
-    "s_series": lambda a, kw, N: multisums.s_series(
-        int(a[0]), int(a[1]), int(a[2]), int(a[3]), N),
-    "hl_chain": lambda a, kw, N: hall_littlewood.hl_chain_sum(
-        int(a[0]), int(a[1]), N),
-    "hl_inf": lambda a, kw, N: hall_littlewood.hl_inf_spec(
-        tuple(kw["shape"] if "shape" in kw else a[0]),
-        int(kw["m"] if "m" in kw else a[-1]), N),
-    "gow": lambda a, kw, N: hall_littlewood.prop_gow_sum(
-        int(a[0]), int(a[1]), int(a[2]), N),
-    "gordon_product": lambda a, kw, N: products.expand(
-        products.gordon_product(int(a[0]), int(a[1])), N),
+    "gen_fun": lambda N, family, n, boundary=(): cmpp.gen_fun(
+        str(family), int(n), tuple(boundary), N),
+    "char_product": lambda N, family, kind, n, weight=():
+        products.char_product(str(family), str(kind), int(n), tuple(weight),
+                              N),
+    "theta": lambda N, a, m: products.theta_q(int(a), int(m), N),
+    "poch": lambda N, c, m: poch(int(c), int(m), None, N),
+    "qbin": lambda N, n, k, m=1: qbin(int(n), int(k), int(m)).truncate(N),
+    "f_sum": lambda N, n, a, delta: multisums.f_sum(int(n), int(a),
+                                                    int(delta), N),
+    "ag_sum": lambda N, k, a: multisums.ag_sum(int(k), int(a), N),
+    "shun": lambda N, k: multisums.shun_sum(int(k), N),
+    "shun2": lambda N, k, variant: multisums.shun2_sum(int(k), str(variant),
+                                                       N),
+    "wz": lambda N, variant, k=2: multisums.wz_sum(str(variant), N,
+                                                   k=int(k)),
+    "s_series": lambda N, k1, k2, l1, l2: multisums.s_series(
+        int(k1), int(k2), int(l1), int(l2), N),
+    "hl_chain": lambda N, k, n: hall_littlewood.hl_chain_sum(int(k), int(n),
+                                                             N),
+    "hl_inf": lambda N, shape, m: hall_littlewood.hl_inf_spec(
+        tuple(shape), int(m), N),
+    "gow": lambda N, r, n, delta: hall_littlewood.prop_gow_sum(
+        int(r), int(n), int(delta), N),
+    "gordon_product": lambda N, k, a: products.expand(
+        products.gordon_product(int(k), int(a)), N),
 }
 
 
@@ -166,8 +167,11 @@ def parse_series(text: str, order: int) -> QSeries:
     for key in ("boundary", "weight", "shape"):
         if key in kwargs and isinstance(kwargs[key], int):
             kwargs[key] = (kwargs[key],)
+    builder = SERIES_BUILDERS[name]
     try:
-        return SERIES_BUILDERS[name](args, kwargs, order)
+        # a stray, repeated or missing argument is a TypeError, as in a call
+        bound = inspect.signature(builder).bind(order, *args, **kwargs)
+        return builder(*bound.args, **bound.kwargs)
     except (TypeError, IndexError, ValueError) as exc:
         raise SystemExit("bad arguments for %s: %s" % (name, exc))
 

@@ -25,8 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
-from .partitions import (Partition, check_partition, frequencies, n_stat,
-                         sub_partitions)
+from .partitions import Partition, check_partition, frequencies, n_stat
 from .series import QSeries, inv_poch, poch, qbin
 
 
@@ -171,7 +170,7 @@ def _sym_unit(sign: int, num_factors: list[int], den_factors: list[int],
 # -- infinite principal specialisation via branching -------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # a catalog pass fills 385
 def _psi_poly(mu: Partition, nu: Partition, m: int) -> tuple[tuple[int, int], ...]:
     """Branching weight of the horizontal strip nu/mu as (exponent, coeff)
     pairs: prod over {i: m_i(mu) = m_i(nu) + 1} of (1 - t^{m_i(mu)}), t=q^m."""
@@ -183,7 +182,7 @@ def _psi_poly(mu: Partition, nu: Partition, m: int) -> tuple[tuple[int, int], ..
     return tuple(sorted((dq, c) for (_, _, dq), c in poly.terms.items()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)  # a catalog pass fills 194
 def _strips_within(mu: Partition, cap: Partition) -> tuple[Partition, ...]:
     """All nu with mu <= nu <= cap and nu/mu a horizontal strip."""
     out: list[Partition] = []
@@ -300,26 +299,67 @@ def _even_conjugate_tops(k: int, max_half: int) -> list[tuple[int, ...]]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _h_step(upper: Partition, lower: Partition, m: int, W: int) -> QSeries:
-    """One chain-step weight: prod_i q^{lower_i} t^{C(upper_i - lower_i, 2)}
-    qbin(upper_i - lower_{i+1}, upper_i - lower_i)_t with t = q^m
-    (entries beyond l(upper) contribute 1), cut at q^W.
+@lru_cache(maxsize=1024)  # a catalog pass fills 427
+def _h_step(u: int, l: int, l_next: int, m: int, W: int) -> QSeries:
+    """One part's chain-step factor q^l t^{C(u - l, 2)} [u - l_next,
+    u - l]_t with t = q^m, cut at q^W.  A chain step from mu to nu is
+    the product of these over the parts (u, l, l_next) = (mu_i, nu_i,
+    nu_{i+1}), with nu padded by zeros.
 
-    The exact product is q^e times Gaussian binomials with constant term
-    1, so the result is its truncate(W), with floor e: the empty series
-    when e > W, else the product of the binomials each cut at W - e.
-    Callers pass the window they keep; every factor they multiply the
-    step by has exponents >= 0, so no step term above W reaches it."""
-    low = lower + (0,) * (len(upper) + 1 - len(lower))
-    e = sum(lower) + sum(m * ((u - low[i]) * (u - low[i] - 1) // 2)
-                         for i, u in enumerate(upper))
+    The factor is q^e times a Gaussian binomial with constant term 1, so
+    it is the empty series with floor e when e > W, else q^e (floor e)
+    times the binomial cut at W - e.  A floor of 0 there would claim a
+    window e short of W, and a product with it would drop kept terms."""
+    e = l + m * ((u - l) * (u - l - 1) // 2)
     if e > W:
         return QSeries({}, W, e, _clean=True)
-    out = QSeries.monomial(1, dq=e, order=W)
-    for i, u in enumerate(upper):
-        out = out * qbin(u - low[i + 1], u - low[i], m).truncate(W - e)
-    return out
+    return QSeries.monomial(1, dq=e, order=W) * \
+        qbin(u - l_next, u - l, m).truncate(W - e)
+
+
+def _eliminate(mu: Partition, m: int, cut, below, memo: dict,
+               lift: int = 0) -> QSeries:
+    """sum over nu <= mu of q^{lift (mu_1 - nu_1)} prod_i f(mu_i, nu_i,
+    nu_{i+1}) below(nu), with f the factor of _h_step, summed one nu_i
+    at a time (variable elimination):
+
+        T_0(nu) = below(nu),
+        T_j(key) = sum_{l = key_{j+1}}^{key_j} f(key_j, l, key_{j+1})
+                   T_{j-1}(key with key_j replaced by l),
+
+    and the sum is T_L(mu), L = l(mu).  The key of T_j is (mu_1, ...,
+    mu_j, nu_{j+1}, ..., nu_L) without trailing zeros, again a
+    partition; memo holds the tables by (j, key), so keys shared by
+    several mu are summed once.
+
+    T_j(key) is cut at cut(key, j) and states that window, so the cut
+    must keep every term that can reach a kept term of the sum; the
+    factors still to come, for the parts j+1..L, carry at least
+    q^{key_{j+1} + ... + key_L}.  A term whose factor f (with its lift)
+    alone passes the cut is skipped, and below(nu) must have exponents
+    >= 0."""
+    def T(j: int, key: Partition) -> QSeries:
+        if j == 0:
+            return below(key)
+        got = memo.get((j, key))
+        if got is not None:
+            return got
+        W = cut(key, j)
+        u = key[j - 1]
+        nxt = key[j] if j < len(key) else 0
+        parts = []
+        for l in range(nxt, u + 1):
+            s = lift * (u - l) if j == 1 else 0
+            if s + l + m * ((u - l) * (u - l - 1) // 2) > W:
+                continue
+            # l = 0 only when key_{j+1}, ... are 0: the key stays stripped
+            rest = T(j - 1, key[:j - 1] + ((l,) if l else ()) + key[j:])
+            if rest.terms:
+                parts.append(((0, 0, s), _h_step(u, l, nxt, m, W - s) * rest))
+        memo[(j, key)] = out = QSeries.collect(parts, W, 0)
+        return out
+
+    return T(len(mu), mu)
 
 
 def _tops(k: int, n: int, N: int, lift: bool):
@@ -337,31 +377,28 @@ def _tops(k: int, n: int, N: int, lift: bool):
 
 
 def _chain_dp(n: int, N: int, spent_bound):
-    """Completion weights G_a(mu) = sum over mu = mu^(a) >= ... >= mu^(n)
-    = 0 of the per-step weights, memoised per (a, mu).
+    """Completion weights G_a(mu): the sum over nu <= mu of the step weight
+    prod_i f(mu_i, nu_i, nu_{i+1}) times G_{a+1}(nu), with G_n(mu) = 1 if
+    mu is empty else 0, summed by _eliminate with one table memo per a.
 
     spent_bound(a, w) must lower-bound the q-degree every caller attaches
-    in front of G_a(mu) with w = |mu| (each of the a steps above carries
-    at least q^w); each entry is truncated at the largest usable order
-    my_ord.  Each step is cut at my_ord too: G_{a+1}(nu) has exponents
-    >= 0, so a step term above my_ord reaches no kept term."""
-    memo: dict[tuple[int, Partition], QSeries] = {}
+    in front of G_a(mu) with w = |mu|, and grow by w from a to a + 1
+    (each step above level a carries q^{|mu^(i)|} >= q^w).  G_a(mu) is
+    cut at N - spent_bound(a, |mu|), and a level-a table T_j(key) at
+    N - spent_bound(a, |key|) - (key_{j+1} + ... + key_L).  No cut term
+    reaches a kept one: every mu that key feeds has |mu| >= |key|, so a
+    window no larger, and the factors still to come carry the rest.  At
+    j = 0 this is the window of G_{a+1}(nu), at j = l(key) that of
+    G_a(key)."""
+    memos: list[dict] = [{} for _ in range(n)]
 
     def G(a: int, mu: Partition) -> QSeries:
         if a == n:
-            return QSeries.one(None) if not mu else QSeries({}, None, 0,
-                                                            _clean=True)
-        key = (a, mu)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        my_ord = N - spent_bound(a, sum(mu))
-        total = QSeries.collect(
-            (((0, 0, 0), _h_step(mu, nu, n, my_ord) * G(a + 1, nu))
-             for nu in sub_partitions(mu)
-             if spent_bound(a + 1, sum(nu)) <= N), my_ord, 0)
-        memo[key] = total
-        return total
+            return QSeries.one(None) if not mu else QSeries.zero()
+        return _eliminate(
+            mu, n,
+            lambda key, j: N - spent_bound(a, sum(key)) - sum(key[j:]),
+            lambda nu: G(a + 1, nu), memos[a])
 
     return G
 
@@ -370,8 +407,8 @@ def hl_chain_sum(k: int, n: int, N: int) -> QSeries:
     """HL_{k,n}(z,q): the chain multisum equal (by the branching rule) to
     sum_{lambda_1 <= k} (zq)^{|lambda|} P_{2 lambda}(1, q, q^2, ...; q^n).
 
-    Evaluated by dynamic programming over the nested levels, sharing the
-    completion weight of every intermediate partition."""
+    Evaluated by dynamic programming over the nested levels (_chain_dp),
+    each level summed one part at a time."""
     if n < 1:
         raise ValueError("n >= 1")
     if k < 0:
@@ -392,9 +429,17 @@ def hl_weighted_chain(variant: str, param: int, N: int) -> QSeries:
       q^{sum_i mu0_i - 2 mu1_1}.
 
     With csum = |mu0| / 2 both weights are q^{n (csum - mu1_1)}, and the
-    z/q evaluation cancels the q^{csum} of the top row.  Both touch only
-    the top two levels, so the completion DP of hl_chain_sum is reused
-    below the first level.
+    z/q evaluation cancels the q^{csum} of the top row.  The weight is
+    q^{n (csum - mu0_1)} q^{n (mu0_1 - mu1_1)}: the first factor shifts
+    the top's sum, the second rides on the factor of the first part (the
+    lift of _eliminate), and below the first level the completion DP of
+    hl_chain_sum is reused.
+
+    The shifted sum of a top is kept through W = N - n (csum - mu0_1).
+    Its tables are memoised by W and then by (j, key) as in _chain_dp,
+    and T_j(key) is cut at W - (key_{j+1} + ... + key_L): the factors
+    still to come carry at least q^{nu_{j+1} + ... + nu_L}, so no cut
+    term reaches a kept one.
     """
     if variant == "v1":
         n, k = param, 1
@@ -407,19 +452,17 @@ def hl_weighted_chain(variant: str, param: int, N: int) -> QSeries:
     else:
         raise ValueError(variant)
     G = _chain_dp(n, N, lambda a, w: a * w)
+    memos: dict[int, dict] = {}
 
     def parts():
         for csum, mu0, gaps in _tops(k, n, N, lift=False):
-            for mu1 in sub_partitions(mu0):
-                if sum(mu1) > N:
-                    continue
-                e = n * (csum - (mu1[0] if mu1 else 0))
-                if e > N:
-                    continue
-                # e >= 0 and gaps, G have exponents >= 0: the part is kept
-                # through q^{N - e}
-                yield (csum, 0, e), \
-                    gaps * _h_step(mu0, mu1, n, N - e) * G(1, mu1)
+            shift = n * (csum - (mu0[0] if mu0 else 0))
+            W = N - shift
+            if W < 0:
+                continue
+            yield (csum, 0, shift), gaps * _eliminate(
+                mu0, n, lambda key, j: W - sum(key[j:]),
+                lambda nu: G(1, nu), memos.setdefault(W, {}), lift=n)
 
     return QSeries.collect(parts(), N, 0)
 

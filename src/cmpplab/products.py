@@ -74,7 +74,7 @@ def theta_sum(m: int, a: int, N: int, sign: int = -1,
     return QSeries(terms, N, min(low, 0))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # a catalog pass fills 97
 def theta_q(a: int, m: int, N: int) -> QSeries:
     """theta(q^a; q^m) truncated at order N; zero when a = 0 (mod m)."""
     sign, shift, r = theta_reduce(a, m)

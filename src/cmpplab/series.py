@@ -362,13 +362,13 @@ def poch(c: int, m: int, count: Optional[int], n: int) -> QSeries:
     return out.truncate(n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # a catalog pass fills 471
 def inv_poch(c: int, m: int, count: Optional[int], n: int) -> QSeries:
     """1 / poch(c, m, count, n): the one cached Pochhammer inverse."""
     return poch(c, m, count, n).invert()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)  # a catalog pass fills 42
 def _qbin_poly(n: int, k: int) -> QSeries:
     """Gaussian binomial [n, k]_q as an exact polynomial."""
     if k < 0 or k > n:

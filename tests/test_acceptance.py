@@ -111,6 +111,24 @@ def test_criterion_04_hall_littlewood_bridges():
     _report(4, "extremal-weight chain-multisum bridges, n<=3 k<=3 N=18", t0)
 
 
+def test_hall_littlewood_bridges_at_order_30():
+    # the criterion-4 grid at order 30: every report is a pass
+    t0 = time.monotonic()
+    points = [(cid, n, k, extra) for n in range(1, 4) for k in range(4)
+              for cid, extra in (("con-a2n2-qseries", {"which": 0}),
+                                 ("con-a2n2-qseries", {"which": 1}),
+                                 ("con-c-qseries", {}),
+                                 ("con-d-qseries", {}))
+              if cid != "con-d-qseries" or n >= 2]
+    assert len(points) == 44
+    for cid, n, k, extra in points:
+        rep = cli.run_check(cid, {"n": n, "k": k, **extra}, 30,
+                            timings=False)
+        assert rep.status == "pass", (cid, n, k, extra, rep.first_mismatch)
+    print("[acceptance] Hall-Littlewood bridges at N=30: PASS (%.1fs) "
+          "44 checks" % (time.monotonic() - t0))
+
+
 def test_criterion_05_gow_multisum():
     t0 = time.monotonic()
     for r in range(7):

@@ -223,7 +223,10 @@ def test_sweep_timings_reach_run_check(monkeypatch, capsys):
                            ("macdonald-b", "base=3,e2=2"),
                            ("macdonald-b", "base=3,e1=2,e3=1"))
 ] + [("sweep", "--check", "gordon", "--grid", grid, "--order", "3")
-     for grid in ("k=1:2", "k=1:1,a=0:1,kk=0:1", "k=1:1,a=0:1,k=2:2")])
+     for grid in ("k=1:2", "k=1:1,a=0:1,kk=0:1", "k=1:1,a=0:1,k=2:2")
+] + [("expand", "--series", text, "--order", "3")
+     for text in ("poch(1,1,7)", "hl_chain(2,2,3)", "hl_chain(2,2,foo=1)",
+                  "theta(1,5,9)", "gen_fun(A,1,0:1,boundary=1:0)")])
 def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     assert cli.main(list(argv)) == 1
     captured = capsys.readouterr()

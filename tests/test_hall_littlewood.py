@@ -117,7 +117,7 @@ def test_chain_sum_equals_bounded_hl_sum():
 
 def _h_step_uncut(upper, lower, m):
     """The exact chain-step product, with no window: the oracle of
-    _h_step."""
+    _pair_step."""
     e = sum(lower)
     out = QSeries.one()
     for i, u in enumerate(upper):
@@ -128,6 +128,67 @@ def _h_step_uncut(upper, lower, m):
     return QSeries.monomial(1, dq=e) * out
 
 
+# -- the pair DP: the chain sums over every pair (mu, nu <= mu), the oracle
+# of the one-part-at-a-time elimination in hall_littlewood._chain_dp
+
+
+def _pair_step(upper, lower, m, W):
+    """One chain-step weight: prod_i q^{lower_i} t^{C(upper_i - lower_i,
+    2)} qbin(upper_i - lower_{i+1}, upper_i - lower_i)_t with t = q^m
+    (entries beyond l(upper) contribute 1), cut at q^W, with floor e."""
+    low = lower + (0,) * (len(upper) + 1 - len(lower))
+    e = sum(lower) + sum(m * ((u - low[i]) * (u - low[i] - 1) // 2)
+                         for i, u in enumerate(upper))
+    if e > W:
+        return QSeries({}, W, e, _clean=True)
+    out = QSeries.monomial(1, dq=e, order=W)
+    for i, u in enumerate(upper):
+        out = out * qbin(u - low[i + 1], u - low[i], m).truncate(W - e)
+    return out
+
+
+def _pair_chain_dp(n, N, spent_bound, step):
+    """G_a(mu) = sum over nu <= mu of step(mu, nu, n, W) G_{a+1}(nu), cut
+    at W = N - spent_bound(a, |mu|), memoised per (a, mu)."""
+    memo = {}
+
+    def G(a, mu):
+        if a == n:
+            return QSeries.one(None) if not mu else QSeries.zero()
+        if (a, mu) not in memo:
+            my_ord = N - spent_bound(a, sum(mu))
+            memo[(a, mu)] = QSeries.collect(
+                (((0, 0, 0), step(mu, nu, n, my_ord) * G(a + 1, nu))
+                 for nu in sub_partitions(mu)
+                 if spent_bound(a + 1, sum(nu)) <= N), my_ord, 0)
+        return memo[(a, mu)]
+
+    return G
+
+
+def _pair_chain_sum(k, n, N, step=_pair_step):
+    G = _pair_chain_dp(n, N, lambda a, w: ((2 * a + 1) * w + 1) // 2, step)
+    return QSeries.collect(
+        (((csum, 0, 0), lead * G(0, mu0))
+         for csum, mu0, lead in hall_littlewood._tops(k, n, N, lift=True)),
+        N, 0)
+
+
+def _pair_weighted_chain(variant, param, N, step=_pair_step):
+    n, k = (param, 1) if variant == "v1" else (2, param)
+    G = _pair_chain_dp(n, N, lambda a, w: a * w, step)
+
+    def parts():
+        for csum, mu0, gaps in hall_littlewood._tops(k, n, N, lift=False):
+            for mu1 in sub_partitions(mu0):
+                e = n * (csum - (mu1[0] if mu1 else 0))
+                if sum(mu1) <= N and e <= N:
+                    yield (csum, 0, e), \
+                        gaps * step(mu0, mu1, n, N - e) * G(1, mu1)
+
+    return QSeries.collect(parts(), N, 0)
+
+
 def test_h_step_is_the_cut_uncut_step():
     for upper in partitions_iter(12, part_max=4, len_max=3):
         for lower in sub_partitions(upper):
@@ -135,23 +196,55 @@ def test_h_step_is_the_cut_uncut_step():
                 full = _h_step_uncut(upper, lower, m)
                 for W in (0, 1, 3, 7, 12):
                     # == compares terms, q_order and q_floor
-                    assert hall_littlewood._h_step(upper, lower, m, W) == \
+                    assert _pair_step(upper, lower, m, W) == \
                         full.truncate(W), (upper, lower, m, W)
 
 
-def test_chain_sums_match_uncut_steps(monkeypatch):
-    # each caller's window drops only step terms that cannot reach its sum
-    grid = ([(hl_chain_sum, k, n) for k in range(4) for n in range(1, 5)] +
-            [(hl_weighted_chain, "v1", n) for n in range(1, 5)] +
-            [(hl_weighted_chain, "v2", k) for k in range(1, 4)])
-    orders = (0, 1, 3, 6, 10)
-    cut = {(f, a, b, N): f(a, b, N) for f, a, b in grid for N in orders}
-    monkeypatch.setattr(hall_littlewood, "_h_step",
-                        lambda upper, lower, m, W: _h_step_uncut(upper, lower,
-                                                                 m))
-    for (f, a, b, N), got in cut.items():
-        assert got == f(a, b, N), (f.__name__, a, b, N)
+def test_part_factors_multiply_to_the_pair_step():
+    for upper in partitions_iter(12, part_max=4, len_max=3):
+        for lower in sub_partitions(upper):
+            low = lower + (0,) * (len(upper) + 1 - len(lower))
+            for m in (1, 2, 3):
+                for W in (0, 1, 3, 7, 12):
+                    prod = QSeries.one()
+                    for i, u in enumerate(upper):
+                        prod = prod * hall_littlewood._h_step(
+                            u, low[i], low[i + 1], m, W)
+                    assert prod.truncate(W) == \
+                        _pair_step(upper, lower, m, W), (upper, lower, m, W)
 
+
+def test_chain_sums_match_the_pair_dp():
+    # == compares terms, q_order and q_floor
+    for k in range(4):
+        for n in range(1, 5):
+            for N in (0, 1, 3, 6, 10):
+                assert hl_chain_sum(k, n, N) == _pair_chain_sum(k, n, N), \
+                    (k, n, N)
+    grid = [("v1", n) for n in range(1, 6)] + [("v2", k) for k in range(1, 5)]
+    for variant, param in grid:
+        for N in (-1, 0, 1, 2, 3, 6, 10, 13):
+            assert hl_weighted_chain(variant, param, N) == \
+                _pair_weighted_chain(variant, param, N), (variant, param, N)
+
+
+def test_chain_sums_match_uncut_steps():
+    # the fast builders' windows drop only terms that cannot reach the sum:
+    # they equal the pair DP with every step uncut
+    def uncut(upper, lower, m, W):
+        return _h_step_uncut(upper, lower, m)
+
+    for k in range(4):
+        for n in range(1, 5):
+            for N in (0, 1, 3, 6, 10):
+                assert hl_chain_sum(k, n, N) == \
+                    _pair_chain_sum(k, n, N, uncut), (k, n, N)
+    grid = [("v1", n) for n in range(1, 5)] + [("v2", k) for k in range(1, 4)]
+    for variant, param in grid:
+        for N in (0, 1, 3, 6, 10):
+            assert hl_weighted_chain(variant, param, N) == \
+                _pair_weighted_chain(variant, param, N, uncut), \
+                (variant, param, N)
 
 
 def _symmetrization_uncut(lam, L, m, N, xstep):
