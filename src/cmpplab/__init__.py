@@ -9,15 +9,13 @@ command-line front-end cmpplab.cli).
 """
 
 from .series import Mismatch, QSeries, poch, qbin
-from .partitions import (Partition, conjugate, frequencies, n_stat,
-                         partition_stats, partitions_iter)
-from .cmpp import FrequencyArray, gen_fun, gordon_series, max_path_sum
+from .cmpp import gen_fun, gordon_series
 from .products import (PochFactor, ProductSpec, ThetaFactor, char_product,
                        expand, theta_q)
-from .hall_littlewood import (hl_chain_sum, hl_inf_spec, hl_ls_2r1s,
-                              hl_principal_finite, hl_sum_over_bounded,
-                              hl_symmetrization, hl_weighted_chain,
-                              prop_gow_sum)
+from .hall_littlewood import (Partition, frequencies, hl_chain_sum,
+                              hl_inf_spec, hl_ls_2r1s, hl_principal_finite,
+                              hl_sum_over_bounded, hl_symmetrization,
+                              hl_weighted_chain, n_stat, prop_gow_sum)
 from .multisums import (ag_sum, atomic_residual, f_sum, s_series, shun2_sum,
                         shun_sum, wz_sum)
 from .macdonald import (HalfWeight, macdonald_sum, pi_product,
@@ -26,15 +24,14 @@ from .funceq import EquationSpec, ParamError, catalog, list_checks, residual
 from .d2solver import solve_d2_system
 
 __all__ = [
-    "EquationSpec", "FrequencyArray", "HalfWeight", "Mismatch", "ParamError",
-    "Partition", "PochFactor", "ProductSpec", "QSeries", "ThetaFactor",
-    "ag_sum", "atomic_residual", "catalog", "char_product", "conjugate",
-    "expand", "f_sum", "frequencies", "gen_fun",
-    "gordon_series", "hl_chain_sum", "hl_inf_spec", "hl_ls_2r1s",
-    "hl_principal_finite", "hl_sum_over_bounded", "hl_symmetrization",
-    "hl_weighted_chain", "list_checks", "macdonald_sum", "max_path_sum",
-    "n_stat", "partition_stats", "partitions_iter", "pi_product", "poch",
-    "prop_gow_sum", "qbin", "residual", "s_series",
-    "shun2_sum", "shun_sum", "solve_d2_system", "specialized_character_sum",
-    "theta_q", "wz_sum",
+    "EquationSpec", "HalfWeight", "Mismatch", "ParamError", "Partition",
+    "PochFactor", "ProductSpec", "QSeries", "ThetaFactor", "ag_sum",
+    "atomic_residual", "catalog", "char_product", "expand", "f_sum",
+    "frequencies", "gen_fun", "gordon_series", "hl_chain_sum",
+    "hl_inf_spec", "hl_ls_2r1s", "hl_principal_finite",
+    "hl_sum_over_bounded", "hl_symmetrization", "hl_weighted_chain",
+    "list_checks", "macdonald_sum", "n_stat", "pi_product", "poch",
+    "prop_gow_sum", "qbin", "residual", "s_series", "shun2_sum",
+    "shun_sum", "solve_d2_system", "specialized_character_sum", "theta_q",
+    "wz_sum",
 ]

@@ -112,13 +112,18 @@ def parse_params(text: str) -> dict:
     return out
 
 
+def _tuple(value) -> tuple:
+    """The value of a tuple argument; a single int is its 1-tuple."""
+    return (value,) if isinstance(value, int) else tuple(value)
+
+
 # Each builder declares the arguments of its series as its parameters,
 # after the order N; the text binds to them as in a call.
 SERIES_BUILDERS = {
     "gen_fun": lambda N, family, n, boundary=(): cmpp.gen_fun(
-        str(family), int(n), tuple(boundary), N),
+        str(family), int(n), _tuple(boundary), N),
     "char_product": lambda N, family, kind, n, weight=():
-        products.char_product(str(family), str(kind), int(n), tuple(weight),
+        products.char_product(str(family), str(kind), int(n), _tuple(weight),
                               N),
     "theta": lambda N, a, m: products.theta_q(int(a), int(m), N),
     "poch": lambda N, c, m: poch(int(c), int(m), None, N),
@@ -136,7 +141,7 @@ SERIES_BUILDERS = {
     "hl_chain": lambda N, k, n: hall_littlewood.hl_chain_sum(int(k), int(n),
                                                              N),
     "hl_inf": lambda N, shape, m: hall_littlewood.hl_inf_spec(
-        tuple(shape), int(m), N),
+        _tuple(shape), int(m), N),
     "gow": lambda N, r, n, delta: hall_littlewood.prop_gow_sum(
         int(r), int(n), int(delta), N),
     "gordon_product": lambda N, k, a: products.expand(
@@ -163,10 +168,6 @@ def parse_series(text: str, order: int) -> QSeries:
                 kwargs[k.strip()] = _parse_value(v)
             else:
                 args.append(_parse_value(item))
-    # normalise single ints given where tuples are needed
-    for key in ("boundary", "weight", "shape"):
-        if key in kwargs and isinstance(kwargs[key], int):
-            kwargs[key] = (kwargs[key],)
     builder = SERIES_BUILDERS[name]
     try:
         # a stray, repeated or missing argument is a TypeError, as in a call

@@ -25,8 +25,32 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
-from .partitions import Partition, check_partition, frequencies, n_stat
 from .series import QSeries, inv_poch, poch, qbin
+
+# A partition is a tuple of weakly decreasing positive ints; the empty
+# tuple is the unique partition of 0.
+Partition = tuple[int, ...]
+
+
+def check_partition(parts: Partition) -> Partition:
+    for i, p in enumerate(parts):
+        if p < 1:
+            raise ValueError("parts must be positive: %r" % (parts,))
+        if i and parts[i - 1] < p:
+            raise ValueError("parts must be weakly decreasing: %r" % (parts,))
+    return tuple(parts)
+
+
+def frequencies(lam: Partition) -> dict[int, int]:
+    freq: dict[int, int] = {}
+    for p in lam:
+        freq[p] = freq.get(p, 0) + 1
+    return freq
+
+
+def n_stat(lam: Partition) -> int:
+    """n(lambda) = sum (i-1) * lambda_i."""
+    return sum(i * p for i, p in enumerate(lam))
 
 
 def multisum_term(e: int, factors, N: int) -> QSeries:
@@ -362,18 +386,14 @@ def _eliminate(mu: Partition, m: int, cut, below, memo: dict,
     return T(len(mu), mu)
 
 
-def _tops(k: int, n: int, N: int, lift: bool):
-    """Per top of a chain in S_{k,n}: (csum, mu0, lead) with csum = |c|,
-    mu0 the top partition and lead = q^e / prod_j (q^n; q^n)_{c_j -
-    c_{j+1}} (multisum_term), where e = csum if lift else 0."""
+def _tops(k: int, n: int, N: int):
+    """Per top of a chain in S_{k,n}: (csum, mu0, factors) with csum = |c|,
+    mu0 the top partition and factors the (base, count) pairs of the
+    top's lead 1 / prod_j (q^n; q^n)_{c_j - c_{j+1}} (see multisum_term)."""
     for top in _even_conjugate_tops(k, N):
-        csum = sum(top)
         mu0 = tuple(v for v in (c for c in top for _ in range(2)) if v)
-        lead = multisum_term(
-            csum if lift else 0,
-            [(n, top[j] - (top[j + 1] if j + 1 < k else 0))
-             for j in range(k)], N)
-        yield csum, mu0, lead
+        yield sum(top), mu0, [(n, top[j] - (top[j + 1] if j + 1 < k else 0))
+                              for j in range(k)]
 
 
 def _chain_dp(n: int, N: int, spent_bound):
@@ -416,8 +436,8 @@ def hl_chain_sum(k: int, n: int, N: int) -> QSeries:
     # the top carries q^{|mu0|/2} and each step above level a carries q^{|mu|}
     G = _chain_dp(n, N, lambda a, w: ((2 * a + 1) * w + 1) // 2)
     return QSeries.collect(
-        (((csum, 0, 0), lead * G(0, mu0))
-         for csum, mu0, lead in _tops(k, n, N, lift=True)), N, 0)
+        (((csum, 0, 0), multisum_term(csum, factors, N) * G(0, mu0))
+         for csum, mu0, factors in _tops(k, n, N)), N, 0)
 
 
 def hl_weighted_chain(variant: str, param: int, N: int) -> QSeries:
@@ -455,12 +475,12 @@ def hl_weighted_chain(variant: str, param: int, N: int) -> QSeries:
     memos: dict[int, dict] = {}
 
     def parts():
-        for csum, mu0, gaps in _tops(k, n, N, lift=False):
+        for csum, mu0, factors in _tops(k, n, N):
             shift = n * (csum - (mu0[0] if mu0 else 0))
             W = N - shift
             if W < 0:
                 continue
-            yield (csum, 0, shift), gaps * _eliminate(
+            yield (csum, 0, shift), multisum_term(0, factors, W) * _eliminate(
                 mu0, n, lambda key, j: W - sum(key[j:]),
                 lambda nu: G(1, nu), memos.setdefault(W, {}), lift=n)
 

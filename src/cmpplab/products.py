@@ -214,12 +214,6 @@ def c_n0_two_variable(k: int, N: int) -> QSeries:
     return out
 
 
-def d_n1_product(k: int) -> ProductSpec:
-    """(q^{2k+2}; q^{2k+2})_inf / (q^2; q^2)_inf: even parts, multiplicity <= k."""
-    return ProductSpec((), (PochFactor(2 * k + 2, 2 * k + 2, 1),
-                            PochFactor(2, 2, -1)))
-
-
 # -- level-one and Gordon-type quotients ------------------------------------
 
 

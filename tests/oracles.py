@@ -1,0 +1,235 @@
+"""Independent routes that the tests compare the library's builders with.
+
+* ``gen_fun_reference``: ``cmpp.gen_fun`` by a brute-force search over
+  frequency arrays, pruned by their max-path sum (``max_path_sum``);
+* ``partitions_iter`` and ``sub_partitions``: the partitions that the
+  Hall-Littlewood pair-DP oracle sums over;
+* ``d_n1_product``: the product side of the one-row D family.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Iterator, Optional
+
+from cmpplab.cmpp import _NEG, _row_layout, family_rows
+from cmpplab.hall_littlewood import Partition
+from cmpplab.products import PochFactor, ProductSpec
+from cmpplab.series import QSeries
+
+# -- coloured partitions by brute force -------------------------------------
+
+
+def colour_size_parity(family: str, colour: int) -> int | None:
+    """Part-size parity admitted for a colour (None = both, family A)."""
+    if family == "A":
+        return None
+    if family == "C":
+        return colour % 2  # colour parity equals size parity
+    return 1 - colour % 2  # D: opposite parity
+
+
+@dataclass
+class FrequencyArray:
+    """The data f_i^{(c)} of a coloured partition, finitely supported."""
+
+    family: str
+    n: int
+    freq: dict[tuple[int, int], int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        m = family_rows(self.family, self.n)
+        ncolours = self.n if self.family == "A" else m
+        for (c, i), f in self.freq.items():
+            if f < 0:
+                raise ValueError("negative frequency at %r" % ((c, i),))
+            if not 1 <= c <= ncolours:
+                raise ValueError("colour %d out of range" % c)
+            if i < 1:
+                raise ValueError("part sizes start at 1")
+            want = colour_size_parity(self.family, c)
+            if want is not None and i % 2 != want and f:
+                raise ValueError(
+                    "parity rule: colour %d cannot hold parts of size %d"
+                    % (c, i))
+
+    def weight(self) -> int:
+        return sum(i * f for (_, i), f in self.freq.items())
+
+    def length(self) -> int:
+        return sum(self.freq.values())
+
+
+def _freq_row(family: str, colour: int, size: int) -> int:
+    """Row index (path order) holding f_size^{(colour)}."""
+    if family == "A":
+        return 2 * (colour - 1) + (size % 2)
+    return colour - 1
+
+
+def _max_path(vals: list[list[int]], parities: list[int], jmax: int) -> int:
+    """Max path sum over the array; vals[r][j+1] is the entry at index j.
+
+    Indices are scanned through jmax + 2; entries above the largest
+    occupied column are zero, and any path excursion above can be
+    reflected into that margin without changing its sum.
+    """
+    top = jmax + 2
+    width = top + 2
+    prev = [_NEG] * width
+    v0 = vals[0]
+    for j in range(-parities[0], top + 1, 2):
+        prev[j + 1] = v0[j + 1]
+    for r in range(1, len(parities)):
+        cur = [_NEG] * width
+        vr = vals[r]
+        for j in range(-parities[r], top + 1, 2):
+            best = _NEG
+            if j >= 0:
+                t = prev[j]
+                if t > best:
+                    best = t
+            if j + 2 < width:
+                t = prev[j + 2]
+                if t > best:
+                    best = t
+            if best != _NEG:
+                cur[j + 1] = best + vr[j + 1]
+        prev = cur
+    return max(prev)
+
+
+def _build_vals(parities: list[int], bases: list[int],
+                jtop: int) -> list[list[int]]:
+    vals = []
+    for parity, base in zip(parities, bases):
+        row = [0] * (jtop + 4)
+        row[0 if parity else 1] = base
+        vals.append(row)
+    return vals
+
+
+def max_path_sum(array: FrequencyArray, boundary: tuple[int, ...]) -> int:
+    """Maximum path sum of the frequency array with the given boundary."""
+    parities, bases = _row_layout(array.family, array.n, tuple(boundary))
+    jmax = max((i for (_, i) in array.freq), default=0)
+    vals = _build_vals(parities, bases, jmax)
+    for (c, i), f in array.freq.items():
+        if f:
+            vals[_freq_row(array.family, c, i)][i + 1] += f
+    return _max_path(vals, parities, jmax)
+
+
+def gen_fun_reference(family: str, n: int, boundary: tuple[int, ...],
+                      N: int) -> QSeries:
+    """``gen_fun`` by brute force: the independent oracle of the tests.
+
+    Assigns frequencies by decreasing part size and prunes with the
+    max-path bound of the partially built array (entries not yet assigned
+    are zero, so the bound only grows).  It recurses once per array cell,
+    about N * rows / 2 frames deep, so for A2 it reaches Python's default
+    1000-frame limit near N = 500.
+    """
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    boundary = tuple(boundary)
+    parities, bases = _row_layout(family, n, boundary)
+    level = sum(boundary)
+    acc: dict[tuple[int, int], int] = {}
+    if level == 0 or N == 0:
+        # only the empty partition is admissible
+        return QSeries({(0, 0, 0): 1}, N, 0, _clean=True)
+
+    rows_by_parity = ([r for r, p in enumerate(parities) if p == 0],
+                      [r for r, p in enumerate(parities) if p == 1])
+    positions = [(i, r) for i in range(N, 0, -1)
+                 for r in rows_by_parity[i % 2]]
+    vals = _build_vals(parities, bases, N)
+    npos = len(positions)
+
+    def rec(p: int, budget: int, zlen: int, qwt: int, jmax: int):
+        while p < npos and positions[p][0] > budget:
+            p += 1
+        if p == npos:
+            kk = (zlen, qwt)
+            acc[kk] = acc.get(kk, 0) + 1
+            return
+        i, r = positions[p]
+        rec(p + 1, budget, zlen, qwt, jmax)
+        row = vals[r]
+        jm = jmax if jmax else i
+        fmax = min(level, budget // i)
+        for f in range(1, fmax + 1):
+            row[i + 1] = f
+            if _max_path(vals, parities, jm) > level:
+                break
+            rec(p + 1, budget - f * i, zlen + f, qwt + f * i, jm)
+        row[i + 1] = 0
+
+    rec(0, N, 0, 0, 0)
+    return QSeries({(z, 0, d): c for (z, d), c in acc.items()}, N, 0,
+                   _clean=True)
+
+
+# -- ordinary partitions ------------------------------------------------------
+
+
+def _parts_of(n: int, part_max: int, len_max: int) -> Iterator[list[int]]:
+    if n == 0:
+        yield []
+        return
+    if len_max <= 0:
+        return
+    for first in range(min(n, part_max), 0, -1):
+        for rest in _parts_of(n - first, first, len_max - 1):
+            yield [first] + rest
+
+
+def _colex_key(lam: list[int], pad: int) -> tuple[int, ...]:
+    return tuple(reversed(lam + [0] * (pad - len(lam))))
+
+
+def partitions_iter(total_max: int, part_max: Optional[int] = None,
+                    len_max: Optional[int] = None) -> Iterator[Partition]:
+    """All partitions with |lambda| <= total_max, parts <= part_max,
+    length <= len_max, each exactly once.
+
+    Order: by weight, then colexicographic on the part list (shorter
+    partitions of equal weight come first).
+    """
+    pm = total_max if part_max is None else part_max
+    lm = total_max if len_max is None else len_max
+    for n in range(total_max + 1):
+        batch = list(_parts_of(n, pm, lm))
+        batch.sort(key=lambda lam: _colex_key(lam, n))
+        for lam in batch:
+            yield tuple(lam)
+
+
+def sub_partitions(lam: Partition) -> list[Partition]:
+    """All partitions contained in lam."""
+    out: list[Partition] = []
+
+    def rec(i: int, prev: int, acc: list[int]):
+        if i == len(lam):
+            out.append(tuple(acc))
+            return
+        for p in range(min(prev, lam[i]), -1, -1):
+            if p == 0:
+                out.append(tuple(acc))
+                return
+            acc.append(p)
+            rec(i + 1, p, acc)
+            acc.pop()
+
+    rec(0, lam[0] if lam else 0, [])
+    return out
+
+
+# -- product sides ------------------------------------------------------------
+
+
+def d_n1_product(k: int) -> ProductSpec:
+    """(q^{2k+2}; q^{2k+2})_inf / (q^2; q^2)_inf: even parts, multiplicity <= k."""
+    return ProductSpec((), (PochFactor(2 * k + 2, 2 * k + 2, 1),
+                            PochFactor(2, 2, -1)))

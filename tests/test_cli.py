@@ -57,6 +57,18 @@ def test_expand_series_builders():
         assert s.q_order is None or s.q_order >= 6, text
 
 
+@pytest.mark.parametrize("positional, keyword", [
+    ("hl_inf(2,3)", "hl_inf(shape=2,m=3)"),
+    ("gen_fun(C,0,2)", "gen_fun(C,0,boundary=2)"),
+])
+def test_one_entry_tuple_binds_in_either_form(capsys, positional, keyword):
+    # a single int where a tuple is declared is its 1-tuple
+    outs = [run(capsys, "expand", "--series", text, "--order", "8")
+            for text in (positional, keyword)]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    assert outs[0][1].count("\n") > 2
+
+
 def test_verify_pass(capsys):
     code, out = run(capsys, "verify", "--check", "gordon",
                     "--params", "k=1,a=1", "--order", "40")

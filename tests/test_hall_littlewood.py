@@ -1,13 +1,41 @@
+import importlib
+
 import pytest
 
+import cmpplab
 from cmpplab import hall_littlewood
-from cmpplab.hall_littlewood import (hl_chain_sum, hl_inf_spec, hl_ls_2r1s,
+from cmpplab.hall_littlewood import (check_partition, frequencies,
+                                     hl_chain_sum, hl_inf_spec, hl_ls_2r1s,
                                      hl_principal_finite,
                                      hl_sum_over_bounded, hl_symmetrization,
-                                     hl_weighted_chain, prop_gow_sum)
+                                     hl_weighted_chain, multisum_term, n_stat,
+                                     prop_gow_sum)
 from cmpplab.multisums import ag_sum
-from cmpplab.partitions import partitions_iter, sub_partitions
 from cmpplab.series import QSeries, qbin
+from oracles import partitions_iter, sub_partitions
+
+
+def test_frequencies_sum_to_weight():
+    assert frequencies((5, 3, 3, 2, 2, 2, 1)) == {5: 1, 3: 2, 2: 3, 1: 1}
+    assert n_stat((2, 2)) == 2
+    for lam in partitions_iter(20):
+        assert sum(i * f for i, f in frequencies(lam).items()) == sum(lam)
+        assert n_stat(lam) == sum(i * p for i, p in enumerate(lam))
+
+
+def test_validation():
+    assert check_partition([3, 1, 1]) == (3, 1, 1)
+    with pytest.raises(ValueError):
+        check_partition((1, 2))
+    with pytest.raises(ValueError):
+        check_partition((0,))
+
+
+def test_public_names_resolve():
+    for name in cmpplab.__all__:
+        assert hasattr(cmpplab, name), name
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("cmpplab.partitions")
 
 
 def test_principal_finite_examples():
@@ -169,9 +197,8 @@ def _pair_chain_dp(n, N, spent_bound, step):
 def _pair_chain_sum(k, n, N, step=_pair_step):
     G = _pair_chain_dp(n, N, lambda a, w: ((2 * a + 1) * w + 1) // 2, step)
     return QSeries.collect(
-        (((csum, 0, 0), lead * G(0, mu0))
-         for csum, mu0, lead in hall_littlewood._tops(k, n, N, lift=True)),
-        N, 0)
+        (((csum, 0, 0), multisum_term(csum, factors, N) * G(0, mu0))
+         for csum, mu0, factors in hall_littlewood._tops(k, n, N)), N, 0)
 
 
 def _pair_weighted_chain(variant, param, N, step=_pair_step):
@@ -179,7 +206,8 @@ def _pair_weighted_chain(variant, param, N, step=_pair_step):
     G = _pair_chain_dp(n, N, lambda a, w: a * w, step)
 
     def parts():
-        for csum, mu0, gaps in hall_littlewood._tops(k, n, N, lift=False):
+        for csum, mu0, factors in hall_littlewood._tops(k, n, N):
+            gaps = multisum_term(0, factors, N)
             for mu1 in sub_partitions(mu0):
                 e = n * (csum - (mu1[0] if mu1 else 0))
                 if sum(mu1) <= N and e <= N:

@@ -3,11 +3,12 @@ import pytest
 from cmpplab.cmpp import gen_fun
 from cmpplab.products import (PochFactor, ProductSpec, ThetaFactor,
                               ag_type_product, c_level1_product, c_n0_product,
-                              c_n0_two_variable, char_product, d_n1_product,
+                              c_n0_two_variable, char_product,
                               d_level1_product, expand, gordon_product,
                               jms_product, theta_q, theta_reduce,
                               theta_sum)
 from cmpplab.series import QSeries, poch
+from oracles import d_n1_product
 
 
 def test_theta_basic():
