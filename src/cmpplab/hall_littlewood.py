@@ -455,8 +455,9 @@ def hl_weighted_chain(variant: str, param: int, N: int) -> QSeries:
     lift of _eliminate), and below the first level the completion DP of
     hl_chain_sum is reused.
 
-    The shifted sum of a top is kept through W = N - n (csum - mu0_1).
-    Its tables are memoised by W and then by (j, key) as in _chain_dp,
+    The shifted sum of a top, its lead included, is kept through W = N -
+    n (csum - mu0_1), and a top with W < 0 is skipped before its lead is
+    built.  Its tables are memoised by W and then by (j, key) as in _chain_dp,
     and T_j(key) is cut at W - (key_{j+1} + ... + key_L): the factors
     still to come carry at least q^{nu_{j+1} + ... + nu_L}, so no cut
     term reaches a kept one.
