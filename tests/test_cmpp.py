@@ -18,6 +18,34 @@ def test_family_rows():
         family_rows("D", 0)
 
 
+def test_max_path_boundary_zigzag():
+    # the boundary-only path collects every k_i
+    arr = FrequencyArray("A", 2, {})
+    assert max_path_sum(arr, (1, 2, 3)) == 6
+    arr = FrequencyArray("C", 2, {})
+    assert max_path_sum(arr, (2, 0, 1)) == 3
+    arr = FrequencyArray("D", 2, {})
+    assert max_path_sum(arr, (1, 1, 1)) == 3
+
+
+def test_max_path_colour_asymmetry():
+    # one part of size 1: colour 1 can be combined with the k_n boundary,
+    # colour n cannot
+    arr1 = FrequencyArray("A", 2, {(1, 1): 1})
+    assert max_path_sum(arr1, (0, 0, 2)) == 3
+    arr2 = FrequencyArray("A", 2, {(2, 1): 1})
+    assert max_path_sum(arr2, (0, 0, 2)) == 2
+
+
+def test_parity_validation():
+    with pytest.raises(ValueError):
+        FrequencyArray("C", 1, {(1, 2): 1})  # odd colour, even size
+    with pytest.raises(ValueError):
+        FrequencyArray("D", 2, {(1, 1): 1})  # odd colour needs even size
+    FrequencyArray("C", 1, {(1, 1): 1, (2, 2): 2})
+    FrequencyArray("D", 2, {(1, 2): 1, (2, 1): 2})
+
+
 def test_gen_fun_rogers_ramanujan():
     g = gen_fun("A", 1, (0, 1), 6).at_one()
     assert g.q_coeffs(6) == [1, 1, 1, 1, 2, 2, 3]

@@ -4,31 +4,14 @@ import pytest
 
 import cmpplab
 from cmpplab import hall_littlewood
-from cmpplab.hall_littlewood import (check_partition, frequencies,
-                                     hl_chain_sum, hl_inf_spec, hl_ls_2r1s,
+from cmpplab.hall_littlewood import (hl_chain_sum, hl_inf_spec, hl_ls_2r1s,
                                      hl_principal_finite,
                                      hl_sum_over_bounded, hl_symmetrization,
-                                     hl_weighted_chain, multisum_term, n_stat,
+                                     hl_weighted_chain, multisum_term,
                                      prop_gow_sum)
 from cmpplab.multisums import ag_sum
 from cmpplab.series import QSeries, qbin
 from oracles import partitions_iter, sub_partitions
-
-
-def test_frequencies_sum_to_weight():
-    assert frequencies((5, 3, 3, 2, 2, 2, 1)) == {5: 1, 3: 2, 2: 3, 1: 1}
-    assert n_stat((2, 2)) == 2
-    for lam in partitions_iter(20):
-        assert sum(i * f for i, f in frequencies(lam).items()) == sum(lam)
-        assert n_stat(lam) == sum(i * p for i, p in enumerate(lam))
-
-
-def test_validation():
-    assert check_partition([3, 1, 1]) == (3, 1, 1)
-    with pytest.raises(ValueError):
-        check_partition((1, 2))
-    with pytest.raises(ValueError):
-        check_partition((0,))
 
 
 def test_public_names_resolve():

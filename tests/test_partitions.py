@@ -1,36 +1,25 @@
+"""Partition helpers: `frequencies`, `n_stat` and `check_partition` from
+hall_littlewood, and the `partitions_iter` / `sub_partitions` oracles."""
+
 import pytest
 
-from cmpplab.partitions import (conjugate, n_stat, partition_stats,
-                                partitions_iter, sub_partitions)
+from cmpplab.hall_littlewood import check_partition, frequencies, n_stat
 from cmpplab.series import poch
+from oracles import partitions_iter, sub_partitions
 
 
 def test_stats_example():
-    st = partition_stats((5, 3, 3, 2, 2, 2, 1))
-    assert st.frequencies == {5: 1, 3: 2, 2: 3, 1: 1}
-    assert st.weight == 18
-    assert st.length == 7
-
-
-def test_conjugate_examples():
-    assert conjugate((3, 1)) == (2, 1, 1)
-    assert conjugate(()) == ()
-    assert n_stat((2, 2)) == 2
-
-
-def test_conjugate_involution_exhaustive():
-    for lam in partitions_iter(30):
-        cj = conjugate(lam)
-        assert conjugate(cj) == lam
-        assert sum(cj) == sum(lam)
-        assert (len(cj) == lam[0]) if lam else cj == ()
+    lam = (5, 3, 3, 2, 2, 2, 1)
+    assert frequencies(lam) == {5: 1, 3: 2, 2: 3, 1: 1}
+    assert sum(lam) == 18
+    assert len(lam) == 7
 
 
 def test_frequencies_sum_to_weight():
+    assert n_stat((2, 2)) == 2
     for lam in partitions_iter(20):
-        st = partition_stats(lam)
-        assert sum(i * f for i, f in st.frequencies.items()) == st.weight
-        assert st.n_stat == sum(i * p for i, p in enumerate(lam))
+        assert sum(i * f for i, f in frequencies(lam).items()) == sum(lam)
+        assert n_stat(lam) == sum(i * p for i, p in enumerate(lam))
 
 
 def test_iter_counts_match_euler_product():
@@ -58,10 +47,11 @@ def test_iter_len_max():
 
 
 def test_validation():
+    assert check_partition([3, 1, 1]) == (3, 1, 1)
     with pytest.raises(ValueError):
-        partition_stats((1, 2))
+        check_partition((1, 2))
     with pytest.raises(ValueError):
-        partition_stats((0,))
+        check_partition((0,))
 
 
 def test_sub_partitions():
