@@ -191,8 +191,10 @@ def _series_json(s: QSeries) -> str:
 
 
 def parse_grid(text: str) -> list[dict]:
-    """k=0:3,a=0:k,family=C -> list of param dicts (inclusive ranges; an
-    upper bound may name a previously bound parameter)."""
+    """k=0:3,a=0:k,family=C,weights=0:0:1 -> list of param dicts.  A value
+    with one ':' is an inclusive range, whose bounds may name an earlier
+    int parameter; a value with more is a fixed tuple, as in --params.  A
+    grid without a point is an error."""
     axes: list[tuple[str, object]] = []
     for item in text.split(","):
         if "=" not in item:
@@ -201,9 +203,9 @@ def parse_grid(text: str) -> list[dict]:
         name, val = name.strip(), val.strip()
         if name in dict(axes):
             raise SystemExit("grid entry %r given twice" % name)
-        if ":" in val:
-            lo, hi = val.split(":", 1)
-            axes.append((name, (lo.strip(), hi.strip())))
+        if val.count(":") == 1:
+            lo, hi = val.split(":")
+            axes.append((name, slice(lo.strip(), hi.strip())))
         else:
             axes.append((name, _parse_value(val)))
     def bound(text: str, point: dict) -> int:
@@ -218,13 +220,14 @@ def parse_grid(text: str) -> list[dict]:
     # before it, a range resolving its bounds against each point
     points: list[dict] = [{}]
     for name, val in axes:
-        if isinstance(val, tuple) and len(val) == 2 and \
-                isinstance(val[0], str):
-            lo, hi = val
+        if isinstance(val, slice):
             points = [{**point, name: v} for point in points
-                      for v in range(bound(lo, point), bound(hi, point) + 1)]
+                      for v in range(bound(val.start, point),
+                                     bound(val.stop, point) + 1)]
         else:
             points = [{**point, name: val} for point in points]
+    if not points:
+        raise SystemExit("grid %r has no point" % text)
     return points
 
 
@@ -241,6 +244,8 @@ def run_sweep(check_id: str, grid: list[dict], order: int,
               jobs: int = 1, timings: bool = False
               ) -> list[VerificationReport]:
     tasks = [(check_id, p, order, timings) for p in grid]
+    # a pool starts all its workers at once: no more than there are points
+    jobs = min(jobs, len(tasks))
     if jobs > 1:
         import multiprocessing as mp
         with mp.Pool(jobs) as pool:

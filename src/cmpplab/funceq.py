@@ -629,13 +629,22 @@ def _gfsum(k, a):
     return terms, "proved"
 
 
-@_register("jms", "level-one A-family counts equal the modulus-(2n+3) product")
-def _jms(n, a):
-    if n < 1:
-        raise ParamError("n >= 1")
-    terms = [Term(1, ("gen", "A", n, _unit(n, a)), post="z1"),
-             Term(-1, ("prodspec", products.jms_product(n, a)))]
-    return terms, "proved"
+def _level_one(check_id, family, mod, product, n_min=1):
+    """Register the level-one check of a family: its counts at L_a, z=1,
+    equal the modulus-(2n+mod) product."""
+    @_register(check_id, "level-one %s-family counts equal the "
+               "modulus-(2n+%d) product" % (family, mod))
+    def build(n, a):
+        if n < n_min:
+            raise ParamError("n >= %d" % n_min)
+        terms = [Term(1, ("gen", family, n, _unit(n, a)), post="z1"),
+                 Term(-1, ("prodspec", getattr(products, product)(n, a)))]
+        return terms, "proved"
+
+
+_level_one("jms", "A", 3, "jms_product")
+_level_one("dk1", "D", 2, "d_level1_product")
+_level_one("c-level1", "C", 4, "c_level1_product", n_min=0)
 
 
 @_register("a-f",
@@ -665,23 +674,6 @@ def _df(n, a):
     aa = 2 * a if a <= n // 2 else 2 * n - 2 * a
     terms = [Term(1, ("gen", "D", n, _unit(n, a))),
              Term(-1, ("fsum", n, aa, 0))]
-    return terms, "proved"
-
-
-@_register("dk1", "level-one D-family counts equal the modulus-(2n+2) product")
-def _dk1(n, a):
-    if n < 1:
-        raise ParamError("n >= 1")
-    terms = [Term(1, ("gen", "D", n, _unit(n, a)), post="z1"),
-             Term(-1, ("prodspec", products.d_level1_product(n, a)))]
-    return terms, "proved"
-
-
-@_register("c-level1",
-           "level-one C-family counts equal the modulus-(2n+4) product")
-def _cl1(n, a):
-    terms = [Term(1, ("gen", "C", n, _unit(n, a)), post="z1"),
-             Term(-1, ("prodspec", products.c_level1_product(n, a)))]
     return terms, "proved"
 
 
@@ -723,50 +715,31 @@ def _lr2(k, i, j):
     return terms, "proved"
 
 
-def _lr_weight2(r: int, m: int) -> tuple[int, ...]:
-    # (m-2)L0 + 2L1 in rank r, reading -L0 + 2L1 as L1
-    if m >= 2:
-        return _wsum(r, (0, m - 2), (1, 2))
-    if m == 1:
-        return _unit(r, 1)
-    raise ParamError("m >= 1")
+def _level_rank(check_id, doc, pattern, least):
+    """Register a level-rank duality: the rank-n product at the weight
+    (k - l)L0 + pattern matches the rank-k one at (n - l)L0 + pattern, l
+    the pattern's level, for k, n >= least.  At m = l - 1, the least m a
+    pattern allows, -L0 + 2L1 is read as L1."""
+    level = sum(c for _, c in pattern)
+
+    def weight(r, m):
+        return _wsum(r, (0, m - level) if m >= level else (1, -1), *pattern)
+
+    @_register(check_id, doc)
+    def build(k, n):
+        if k < least or n < least:
+            raise ParamError("k, n >= %d" % least)
+        terms = [Term(1, ("charprod", "A", "nonstandard", n, weight(n, k))),
+                 Term(-1, ("charprod", "A", "nonstandard", k, weight(k, n)))]
+        return terms, "proved"
 
 
-def _lr_weight3(r: int, m: int) -> tuple[int, ...]:
-    if m >= 3:
-        return _wsum(r, (0, m - 3), (1, 2), (2, 1))
-    if m == 2:
-        return _wsum(r, (1, 1), (2, 1))
-    raise ParamError("m >= 2")
-
-
-@_register("level-rank-gen1",
-           "phi_n of the level-2k vacuum weight matches phi_k of the "
-           "level-2n vacuum weight")
-def _lrg1(k, n):
-    if k < 1 or n < 1:
-        raise ParamError("k, n >= 1")
-    terms = [Term(1, ("charprod", "A", "nonstandard", n, _wsum(n, (0, k)))),
-             Term(-1, ("charprod", "A", "nonstandard", k, _wsum(k, (0, n))))]
-    return terms, "proved"
-
-
-@_register("level-rank-gen2", "the (k-2)L0+2L1 duality pattern")
-def _lrg2(k, n):
-    if k < 1 or n < 1:
-        raise ParamError("k, n >= 1")
-    terms = [Term(1, ("charprod", "A", "nonstandard", n, _lr_weight2(n, k))),
-             Term(-1, ("charprod", "A", "nonstandard", k, _lr_weight2(k, n)))]
-    return terms, "proved"
-
-
-@_register("level-rank-gen3", "the (k-3)L0+2L1+L2 duality pattern")
-def _lrg3(k, n):
-    if k < 2 or n < 2:
-        raise ParamError("k, n >= 2")
-    terms = [Term(1, ("charprod", "A", "nonstandard", n, _lr_weight3(n, k))),
-             Term(-1, ("charprod", "A", "nonstandard", k, _lr_weight3(k, n)))]
-    return terms, "proved"
+_level_rank("level-rank-gen1", "phi_n of the level-2k vacuum weight matches "
+            "phi_k of the level-2n vacuum weight", (), 1)
+_level_rank("level-rank-gen2", "the (k-2)L0+2L1 duality pattern",
+            ((1, 2),), 1)
+_level_rank("level-rank-gen3", "the (k-3)L0+2L1+L2 duality pattern",
+            ((1, 2), (2, 1)), 2)
 
 
 # -- the three coloured-partition conjectures ---------------------------------
@@ -792,15 +765,21 @@ def _apos(n, *, weights=None):
     return terms, "conjectural"
 
 
-@_register("con-a2n2",
-           "counts of the A-family equal the "
-           "non-standard character product")
-def _cona(n, *, weights=None):
-    w = _weights_param(weights, n)
-    status = "proved" if (n == 1 or sum(w) <= 1) else "conjectural"
-    terms = [Term(1, ("gen", "A", n, w), post="z1"),
-             Term(-1, ("charprod", "A", "nonstandard", n, w))]
-    return terms, status
+def _con_nonstandard(check_id, family):
+    """Register the conjecture that a family's counts at z=1 equal its
+    non-standard character product, proved for n = 1 or level <= 1."""
+    @_register(check_id, "counts of the %s-family equal the non-standard "
+               "character product" % family)
+    def build(n, *, weights=None):
+        w = _weights_param(weights, n)
+        status = "proved" if (n == 1 or sum(w) <= 1) else "conjectural"
+        terms = [Term(1, ("gen", family, n, w), post="z1"),
+                 Term(-1, ("charprod", family, "nonstandard", n, w))]
+        return terms, status
+
+
+_con_nonstandard("con-a2n2", "A")
+_con_nonstandard("con-dn2", "D")
 
 
 @_register("con-cn1",
@@ -817,17 +796,6 @@ def _conc(n, *, weights=None):
     else:
         terms = [Term(1, ("gen", "C", n, w), post="z1"),
                  Term(-1, ("charprod", "C", "nonstandard", n, w))]
-    return terms, status
-
-
-@_register("con-dn2",
-           "counts of the D-family equal the "
-           "non-standard character product")
-def _cond(n, *, weights=None):
-    w = _weights_param(weights, n)
-    status = "proved" if (n == 1 or sum(w) <= 1) else "conjectural"
-    terms = [Term(1, ("gen", "D", n, w), post="z1"),
-             Term(-1, ("charprod", "D", "nonstandard", n, w))]
     return terms, status
 
 
@@ -851,24 +819,23 @@ def _conaq(n, k, which):
     return terms, status
 
 
-@_register("con-c-qseries", "C_{kL0}(z,q) = HL_{k,2n}(z,q)")
-def _concq(n, k):
-    if n < 1 or k < 0:
-        raise ParamError("n >= 1, k >= 0")
-    status = "proved" if k <= 1 else "conjectural"
-    terms = [Term(1, ("gen", "C", n, _wsum(n, (0, k)))),
-             Term(-1, ("hlchain", k, 2 * n))]
-    return terms, status
+def _con_qseries(check_id, doc, family, shift):
+    """Register the bridge of a family's kL0 series to HL_{k,2n-2shift} at
+    z q^shift, for n >= 1 + shift; proved for k <= 1."""
+    @_register(check_id, doc)
+    def build(n, k):
+        if n < 1 + shift or k < 0:
+            raise ParamError("n >= %d, k >= 0" % (1 + shift))
+        status = "proved" if k <= 1 else "conjectural"
+        terms = [Term(1, ("gen", family, n, _wsum(n, (0, k)))),
+                 Term(-1, ("hlchain", k, 2 * (n - shift)),
+                      subst=(shift, 0, 1))]
+        return terms, status
 
 
-@_register("con-d-qseries", "D_{kL0}(z,q) = HL_{k,2n-2}(zq,q), n >= 2")
-def _condq(n, k):
-    if n < 2 or k < 0:
-        raise ParamError("n >= 2, k >= 0")
-    status = "proved" if k <= 1 else "conjectural"
-    terms = [Term(1, ("gen", "D", n, _wsum(n, (0, k)))),
-             Term(-1, ("hlchain", k, 2 * n - 2), subst=(1, 0, 1))]
-    return terms, status
+_con_qseries("con-c-qseries", "C_{kL0}(z,q) = HL_{k,2n}(z,q)", "C", 0)
+_con_qseries("con-d-qseries", "D_{kL0}(z,q) = HL_{k,2n-2}(zq,q), n >= 2",
+             "D", 1)
 
 
 @_register("con-shun",
@@ -881,19 +848,24 @@ def _conshun(k):
     return terms, status
 
 
-@_register("con-shun2",
-           "the three rank-2 double multisums against enumeration; "
-           "variant in {kL0, kL1, omega}")
-def _conshun2(k, variant="kL0"):
+def _shun2(k, variant) -> tuple:
+    """The ref of a rank-2 double multisum, after checking its variant."""
     if variant not in ("kL0", "kL1", "omega"):
         raise ParamError("variant in {kL0, kL1, omega}")
     if variant == "omega" and k < 1:
         raise ParamError("omega needs k >= 1")
+    return ("shun2", k, variant)
+
+
+@_register("con-shun2",
+           "the three rank-2 double multisums against enumeration; "
+           "variant in {kL0, kL1, omega}")
+def _conshun2(k, variant="kL0"):
+    lhs = _shun2(k, variant)
     w = {"kL0": (k, 0, 0), "kL1": (0, k, 0),
          "omega": (1, k - 1, 0)}[variant]
     status = "proved" if k <= 2 else "conjectural"
-    terms = [Term(1, ("shun2", k, variant)), Term(-1, ("gen", "D", 2, w))]
-    return terms, status
+    return [Term(1, lhs), Term(-1, ("gen", "D", 2, w))], status
 
 
 @_register("ag-type-product",
@@ -902,15 +874,10 @@ def _conshun2(k, variant="kL0"):
 def _agtype(k, which="c-kL0"):
     if which not in ("c-kL0", "d-kL0", "d-kL1", "d-omega"):
         raise ParamError("which in {c-kL0, d-kL0, d-kL1, d-omega}")
-    if which in ("c-kL0",):
-        lhs = Term(1, ("shun", k), post="z1")
-    else:
-        variant = {"d-kL0": "kL0", "d-kL1": "kL1", "d-omega": "omega"}[which]
-        if variant == "omega" and k < 1:
-            raise ParamError("omega needs k >= 1")
-        lhs = Term(1, ("shun2", k, variant), post="z1")
+    lhs = ("shun", k) if which == "c-kL0" else _shun2(k, which[2:])
     status = "proved" if k <= 1 else "conjectural"
-    terms = [lhs, Term(-1, ("prodspec", products.ag_type_product(which, k)))]
+    terms = [Term(1, lhs, post="z1"),
+             Term(-1, ("prodspec", products.ag_type_product(which, k)))]
     return terms, status
 
 
@@ -984,25 +951,26 @@ def _wzf(idx=1):
     return terms, "proved"
 
 
+def _edge(edge, lhs, rhs, subst=(0, 0, 1)) -> list[Term]:
+    """The series lhs, under subst, at w=0 (edge w0) against the rank-1
+    series rhs in (z,q), or at z=0 (edge z0) against rhs in (w,q^2)."""
+    if edge == "w0":
+        return [Term(1, lhs, subst=subst, post="w0"), Term(-1, rhs)]
+    if edge == "z0":
+        return [Term(1, lhs, subst=subst, post="z0"),
+                Term(-1, rhs, post="z_to_w", subst=(0, 0, 2))]
+    raise ParamError("edge in {w0, z0}")
+
+
 @_register("wz-edge",
            "boundary reductions of the deformed series: w=0 gives the "
            "rank-1 series in (z,q), z=0 the same in (w,q^2)")
 def _wzedge(which="B", edge="w0"):
-    targets_w0 = {"A": (2, 0), "B": (0, 2), "C": (1, 1), "D": (2, 0)}
-    if which not in targets_w0:
+    targets = {"A": (2, 0), "B": (0, 2), "C": (1, 1),
+               "D": (2, 0) if edge == "w0" else (1, 1)}
+    if which not in targets:
         raise ParamError("which in {A,B,C,D}")
-    k0, k1 = targets_w0[which]
-    if edge == "w0":
-        inner = ("gen", "A", 1, (k0, k1))
-        terms = [Term(1, ("wz", which), post="w0"), Term(-1, inner)]
-    elif edge == "z0":
-        targets_z0 = {"A": (2, 0), "B": (0, 2), "C": (1, 1), "D": (1, 1)}
-        k0, k1 = targets_z0[which]
-        terms = [Term(1, ("wz", which), post="z0"),
-                 Term(-1, ("gen", "A", 1, (k0, k1)), post="z_to_w",
-                      subst=(0, 0, 2))]
-    else:
-        raise ParamError("edge in {w0, z0}")
+    terms = _edge(edge, ("wz", which), ("gen", "A", 1, targets[which]))
     return terms, "proved"
 
 
@@ -1043,28 +1011,14 @@ def _sshift(k1, k2, l1, l2, m=1, n=1):
 def _guessred(k, which="B", edge="w0"):
     if k < 1:
         raise ParamError("k >= 1")
-    if which == "B":
-        base = Term(1, ("wz", "guess_B", k),
-                    post="w0" if edge == "w0" else "z0")
-        a = k
-    elif which == "kL0":
-        # the kL0 guess is the kL1 guess at (zq, wq^2)
-        base = Term(1, ("wz", "guess_B", k), subst=(1, 2, 1),
-                    post="w0" if edge == "w0" else "z0")
-        a = 0
-    elif which == "omega":
-        base = Term(1, ("wz", "guess_omega", k),
-                    post="w0" if edge == "w0" else "z0")
-        a = k - 1
-    else:
+    # which -> (guess, a, subst); the kL0 guess is the kL1 one at (zq, wq^2)
+    guesses = {"B": ("guess_B", k, (0, 0, 1)),
+               "kL0": ("guess_B", 0, (1, 2, 1)),
+               "omega": ("guess_omega", k - 1, (0, 0, 1))}
+    if which not in guesses:
         raise ParamError("which in {B, kL0, omega}")
-    if edge == "w0":
-        rhs = Term(-1, ("ag", k, a))
-    elif edge == "z0":
-        rhs = Term(-1, ("ag", k, a), post="z_to_w", subst=(0, 0, 2))
-    else:
-        raise ParamError("edge in {w0, z0}")
-    return [base, rhs], "proved"
+    guess, a, subst = guesses[which]
+    return _edge(edge, ("wz", guess, k), ("ag", k, a), subst), "proved"
 
 
 # -- section-5 weighted variants ----------------------------------------------
@@ -1184,24 +1138,24 @@ def _mac_exps(kind, base, sigma, tau, *es) -> tuple[int, ...]:
     return exps
 
 
+def _macdonald(kind, base, sigma, tau, *es):
+    """The terms of macdonald-b / -d: the determinant sum against 2 Pi_B
+    or 4 Pi_D."""
+    data = (kind, _mac_exps(kind, base, sigma, tau, *es), base, sigma, tau)
+    factor = _mono(2 if kind == "B" else 4)
+    return [Term(1, ("macsum",) + data),
+            Term(-1, ("pi",) + data, pref=(factor,))], "proved"
+
+
 @_register("macdonald-b", "the type-B determinant sum equals 2 Pi_{B;sigma}")
 def _macb(base, sigma=1, *, e1=None, e2=None, e3=None, e4=None):
-    exps = _mac_exps("B", base, sigma, 1, e1, e2, e3, e4)
-    terms = [Term(1, ("macsum", "B", exps, base, sigma, 1)),
-             Term(-1, ("pi", "B", exps, base, sigma, 1),
-                  pref=(_mono(2),))]
-    return terms, "proved"
+    return _macdonald("B", base, sigma, 1, e1, e2, e3, e4)
 
 
 @_register("macdonald-d",
            "the type-D determinant sum equals 4 Pi_{D;sigma,tau}")
-def _macd(base, sigma=1, tau=1, *, e1=None, e2=None, e3=None,
-          e4=None):
-    exps = _mac_exps("D", base, sigma, tau, e1, e2, e3, e4)
-    terms = [Term(1, ("macsum", "D", exps, base, sigma, tau)),
-             Term(-1, ("pi", "D", exps, base, sigma, tau),
-                  pref=(_mono(4),))]
-    return terms, "proved"
+def _macd(base, sigma=1, tau=1, *, e1=None, e2=None, e3=None, e4=None):
+    return _macdonald("D", base, sigma, tau, e1, e2, e3, e4)
 
 
 @_register("mac-quasiperiod",

@@ -205,12 +205,11 @@ def c_n0_two_variable(k: int, N: int) -> QSeries:
     """prod_{j odd} (1 - (zq^j)^{k+1}) / (1 - zq^j): the bounded-multiplicity
     generating function of odd parts, z tracking the number of parts."""
     out = QSeries.one(N)
-    j = 1
-    while j <= N:
-        num = QSeries({(0, 0, 0): 1, ((k + 1), 0, (k + 1) * j): -1}, None, 0)
-        den = QSeries({(0, 0, 0): 1, (1, 0, j): -1}, None, 0).invert(N)
-        out = (out * num * den).truncate(N)
-        j += 2
+    for j in range(1, N + 1, 2):
+        # each quotient is 1 + zq^j + ... + (zq^j)^k, cut at q^N
+        geo = QSeries({(i, 0, i * j): 1 for i in range(min(k, N // j) + 1)},
+                      None, 0, _clean=True)
+        out = (out * geo).truncate(N)
     return out
 
 

@@ -111,6 +111,47 @@ def test_sweep_deterministic_across_jobs(capsys):
     assert all(r["elapsed_ms"] == 0 for r in reports)
 
 
+def test_sweep_fixes_a_tuple_parameter(capsys):
+    # a grid value with two or more ':' is a fixed tuple, as in --params
+    code, out = run(capsys, "sweep", "--check", "con-a2n2",
+                    "--grid", "n=2:2,weights=0:0:1", "--order", "5")
+    assert code == 0
+    swept = json.loads(out)
+    code, out = run(capsys, "verify", "--check", "con-a2n2",
+                    "--params", "n=2,weights=0:0:1", "--order", "5")
+    assert code == 0
+    verified = json.loads(out)
+    del swept["elapsed_ms"], verified["elapsed_ms"]
+    assert swept == verified
+
+
+def test_sweep_pool_is_no_larger_than_the_grid(monkeypatch, capsys):
+    # a pool starts all its workers at once; the fake maps in-process
+    import multiprocessing
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    base = ("sweep", "--check", "gordon", "--order", "5", "--jobs", "8")
+    assert run(capsys, *base, "--grid", "k=1:1,a=0:1")[0] == 0
+    assert sizes == [2]
+    code, out = run(capsys, *base, "--grid", "k=1:1,a=1:1")
+    assert code == 0 and len(out.splitlines()) == 1
+    assert sizes == [2]  # one point runs in-process
+
+
 def test_sweep_skips_invalid_points(capsys):
     code, out = run(capsys, "sweep", "--check", "d2-nis2",
                     "--grid", "k=2:2,a=0:2,b=0:2", "--order", "8")
@@ -150,6 +191,48 @@ def test_list_checks(capsys):
         "spec-char              (family, n, two_k, [two_lambda])  the "
         "specialised character determinant sum equals the product "
         "(integral data) or vanishes (half-integral data)")
+    assert lines["jms"] == (
+        "jms                    (n, a)  level-one A-family counts equal "
+        "the modulus-(2n+3) product")
+    assert lines["dk1"] == (
+        "dk1                    (n, a)  level-one D-family counts equal "
+        "the modulus-(2n+2) product")
+    assert lines["c-level1"] == (
+        "c-level1               (n, a)  level-one C-family counts equal "
+        "the modulus-(2n+4) product")
+    assert lines["con-dn2"] == (
+        "con-dn2                (n, [weights])  counts of the D-family "
+        "equal the non-standard character product")
+    assert lines["level-rank-gen1"] == (
+        "level-rank-gen1        (k, n)  phi_n of the level-2k vacuum "
+        "weight matches phi_k of the level-2n vacuum weight")
+    assert lines["level-rank-gen2"] == (
+        "level-rank-gen2        (k, n)  the (k-2)L0+2L1 duality pattern")
+    assert lines["level-rank-gen3"] == (
+        "level-rank-gen3        (k, n)  the (k-3)L0+2L1+L2 duality "
+        "pattern")
+    assert lines["macdonald-b"] == (
+        "macdonald-b            (base, sigma, [e1], [e2], [e3], [e4])  "
+        "the type-B determinant sum equals 2 Pi_{B;sigma}")
+    assert lines["con-c-qseries"] == (
+        "con-c-qseries          (n, k)  C_{kL0}(z,q) = HL_{k,2n}(z,q)")
+    assert lines["con-d-qseries"] == (
+        "con-d-qseries          (n, k)  D_{kL0}(z,q) = "
+        "HL_{k,2n-2}(zq,q), n >= 2")
+    assert lines["wz-edge"] == (
+        "wz-edge                (which, edge)  boundary reductions of "
+        "the deformed series: w=0 gives the rank-1 series in (z,q), z=0 "
+        "the same in (w,q^2)")
+    assert lines["guess-reduction"] == (
+        "guess-reduction        (k, which, edge)  w=0 / z=0 reductions "
+        "of the conjectured k-fold interwoven sums")
+    assert lines["con-shun2"] == (
+        "con-shun2              (k, variant)  the three rank-2 double "
+        "multisums against enumeration; variant in {kL0, kL1, omega}")
+    assert lines["ag-type-product"] == (
+        "ag-type-product        (k, which)  the four conjectural "
+        "Andrews-Gordon-type product identities; which in {c-kL0, d-kL0, "
+        "d-kL1, d-omega}")
 
 
 def test_mismatch_reporting_paths(monkeypatch, capsys):
@@ -238,7 +321,9 @@ def test_sweep_timings_reach_run_check(monkeypatch, capsys):
      for grid in ("k=1:2", "k=1:1,a=0:1,kk=0:1", "k=1:1,a=0:1,k=2:2")
 ] + [("expand", "--series", text, "--order", "3")
      for text in ("poch(1,1,7)", "hl_chain(2,2,3)", "hl_chain(2,2,foo=1)",
-                  "theta(1,5,9)", "gen_fun(A,1,0:1,boundary=1:0)")])
+                  "theta(1,5,9)", "gen_fun(A,1,0:1,boundary=1:0)")
+] + [("sweep", "--check", "con-a2n2", "--grid", "n=1:1,weights=1:0",
+      "--order", "3")])
 def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     assert cli.main(list(argv)) == 1
     captured = capsys.readouterr()
