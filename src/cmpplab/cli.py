@@ -95,21 +95,30 @@ def _parse_value(text: str):
         return text
 
 
-def parse_params(text: str) -> dict:
-    """k=1,a=2,weights=0:0:1,family=C -> dict."""
-    out: dict = {}
-    if not text:
-        return out
+def _items(text: str, what: str, positional: bool = False):
+    """(name, value) for each comma-separated item of text.  A name given
+    twice is a usage error, and so is an item without '=' unless
+    positional, where its name is None."""
+    seen = set()
     for item in text.split(","):
         if "=" not in item:
-            raise SystemExit("malformed param %r (expected name=value)"
-                             % item)
+            if not positional:
+                raise SystemExit("malformed %s %r (expected name=value)"
+                                 % (what, item))
+            yield None, item
+            continue
         name, val = item.split("=", 1)
         name = name.strip()
-        if name in out:
-            raise SystemExit("param %r given twice" % name)
-        out[name] = _parse_value(val)
-    return out
+        if name in seen:
+            raise SystemExit("%s %r given twice" % (what, name))
+        seen.add(name)
+        yield name, val
+
+
+def parse_params(text: str) -> dict:
+    """k=1,a=2,weights=0:0:1,family=C -> dict."""
+    return {name: _parse_value(val)
+            for name, val in (_items(text, "param") if text else ())}
 
 
 def _tuple(value) -> tuple:
@@ -162,12 +171,11 @@ def parse_series(text: str, order: int) -> QSeries:
     args: list = []
     kwargs: dict = {}
     if argstr.strip():
-        for item in argstr.split(","):
-            if "=" in item:
-                k, v = item.split("=", 1)
-                kwargs[k.strip()] = _parse_value(v)
+        for key, val in _items(argstr, "argument", positional=True):
+            if key is None:
+                args.append(_parse_value(val))
             else:
-                args.append(_parse_value(item))
+                kwargs[key] = _parse_value(val)
     builder = SERIES_BUILDERS[name]
     try:
         # a stray, repeated or missing argument is a TypeError, as in a call
@@ -196,13 +204,8 @@ def parse_grid(text: str) -> list[dict]:
     int parameter; a value with more is a fixed tuple, as in --params.  A
     grid without a point is an error."""
     axes: list[tuple[str, object]] = []
-    for item in text.split(","):
-        if "=" not in item:
-            raise SystemExit("malformed grid entry %r" % item)
-        name, val = item.split("=", 1)
-        name, val = name.strip(), val.strip()
-        if name in dict(axes):
-            raise SystemExit("grid entry %r given twice" % name)
+    for name, val in _items(text, "grid entry"):
+        val = val.strip()
         if val.count(":") == 1:
             lo, hi = val.split(":")
             axes.append((name, slice(lo.strip(), hi.strip())))
@@ -232,12 +235,7 @@ def parse_grid(text: str) -> list[dict]:
 
 
 def _sweep_worker(job):
-    check_id, params, order, timings = job
-    try:
-        rep = run_check(check_id, params, order, timings=timings)
-    except ParamError:
-        return None
-    return rep
+    return run_check(*job)
 
 
 def run_sweep(check_id: str, grid: list[dict], order: int,
@@ -249,10 +247,9 @@ def run_sweep(check_id: str, grid: list[dict], order: int,
     if jobs > 1:
         import multiprocessing as mp
         with mp.Pool(jobs) as pool:
-            results = pool.map(_sweep_worker, tasks)
+            reports = pool.map(_sweep_worker, tasks)
     else:
-        results = [_sweep_worker(t) for t in tasks]
-    reports = [r for r in results if r is not None]
+        reports = [_sweep_worker(t) for t in tasks]
     reports.sort(key=lambda r: sorted(r.params.items()))
     return reports
 
@@ -353,15 +350,19 @@ def _run(args) -> int:
                 jobs = int(os.environ.get("CMPPLAB_JOBS", "1"))
             except ValueError:
                 return _usage_error("CMPPLAB_JOBS must be an integer")
-        grid = parse_grid(args.grid)
-        for params in grid:
+        points, rejected = [], []
+        for params in parse_grid(args.grid):
             try:
                 funceq.catalog(args.check, params)
-            except ParamError:
-                continue  # out of the check's range: run_sweep skips it
+                points.append(params)
+            except ParamError as exc:
+                rejected.append(exc)  # out of the check's range: skipped
             except _BAD_PARAMS as exc:
                 return _usage_error(exc)
-        reports = run_sweep(args.check, grid, args.order, jobs=max(jobs, 1),
+        if not points:  # a sweep that would check nothing
+            return _usage_error("no grid point is in range for %s: %s"
+                                % (args.check, rejected[0]))
+        reports = run_sweep(args.check, points, args.order, jobs=max(jobs, 1),
                             timings=args.timings)
         for rep in reports:
             print(rep.to_json())

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from . import cmpp, hall_littlewood as hl, macdonald, multisums, products
-from .series import QSeries
+from .series import Mismatch, QSeries
 
 
 class ParamError(ValueError):
@@ -201,16 +201,14 @@ class EquationSpec:
     status: str  # "proved" | "conjectural"
 
 
-def _eval_term(term: Term, N: int) -> QSeries:
-    """The term through order N.  With f the least q-exponent of the
-    prefactor, its series is fetched through N' = N - min(f, 0), or
-    through N' // m under q -> q^m, whose image is exact through
-    (N' // m + 1) m - 1 >= N'."""
+def _eval_term(term: Term, M: int) -> QSeries:
+    """The term's series, post-processed and substituted, exact through
+    order M at least: fetched through M // m under q -> q^m, whose image
+    is exact through (M // m + 1) m - 1 >= M."""
     cz, cw, m = term.subst
     if cz < 0 or cw < 0 or m < 1:
         raise ValueError("catalog terms must use raising substitutions")
-    low = min((p[3] for p in term.pref), default=0)
-    s = _series(term.series, (N - min(low, 0)) // m)
+    s = _series(term.series, M // m)
     if term.post == "z1":
         s = s.at_one("z")
     elif term.post == "w0":
@@ -225,36 +223,37 @@ def _eval_term(term: Term, N: int) -> QSeries:
         raise ValueError(term.post)
     if (cz, cw, m) != (0, 0, 1):
         s = s.substitute(z=(1, 0, cz), w=(0, 1, cw), qpow=m)
-    if term.pref == _UNIT:
-        # a series cut at or below N, with no term above its cut, is its
-        # own cut at N
-        if s.q_order is not None and s.q_order <= N and \
-                all(k[2] <= s.q_order for k in s.terms):
-            return s
-        return s.truncate(N)
-    # the product with the prefactor, one shifted copy of s per monomial
-    return QSeries.collect(
-        (((dz, dw, dq), s.scale(c)) for c, dz, dw, dq in term.pref),
-        N if s.q_order is None else min(N, s.q_order + low), s.q_floor + low)
-
-
-def evaluate_sides(spec: EquationSpec, N: int) -> tuple[QSeries, QSeries]:
-    sides: tuple[list[QSeries], list[QSeries]] = ([], [])
-    for t in spec.terms:
-        sides[t.side <= 0].append(_eval_term(t, N))
-    return tuple(
-        QSeries.collect((((0, 0, 0), v) for v in vs),
-                        min([N] + [v.q_order for v in vs]),
-                        min([0] + [v.q_floor for v in vs]))
-        for vs in sides)
+    return s
 
 
 def residual(spec: EquationSpec, N: int):
-    """Evaluate the spec; returns (residual series, verdict) where verdict
-    is None for a zero residual and the first mismatch otherwise."""
-    lhs, rhs = evaluate_sides(spec, N)
-    mm = lhs.compare(rhs, N)
-    return lhs - rhs, mm
+    """The spec's residual through order N, left side minus right, as one
+    signed sum: each term's sign times its prefactor's shifted copies of
+    its series, which a prefactor exponent f < 0 needs through N - f.
+    Returns (residual, verdict): None for a zero residual, else the
+    mismatch at its lexicographically least (dz, dw, dq)."""
+    parts, lhs_parts = [], []
+    floor = 0
+    for t in spec.terms:
+        low = min((p[3] for p in t.pref), default=0)
+        s = _eval_term(t, N - min(low, 0))
+        if s.q_order is not None and s.q_order + low < N:
+            raise ValueError("insufficient truncation for compare(%d): "
+                             "order %d" % (N, s.q_order + low))
+        floor = min(floor, s.q_floor + low)
+        for c, dz, dw, dq in t.pref:
+            c *= t.side
+            part = ((dz, dw, dq), s if c == 1 else s.scale(c))
+            parts.append(part)
+            if t.side > 0:
+                lhs_parts.append(part)
+    res = QSeries.collect(parts, N, floor)
+    if not res.terms:
+        return res, None
+    k = min(res.terms)
+    lhs = sum(s.coeff(k[0] - a, k[1] - b, k[2] - c)
+              for (a, b, c), s in lhs_parts)
+    return res, Mismatch(*k, lhs, lhs - res.terms[k])
 
 
 # -- weight helpers -----------------------------------------------------------

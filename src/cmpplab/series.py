@@ -238,13 +238,12 @@ class QSeries:
     # -- inversion -----------------------------------------------------------
 
     def invert(self, order: Optional[int] = None) -> "QSeries":
-        """Multiplicative inverse through the given (or own) q-order.
+        """Multiplicative inverse through the given q-order, at most its own.
 
         Requires q_floor = 0 and lowest layer equal to +-1 with no z/w
         dependence; solved layer by layer in ascending q-degree.
         """
-        if order is None:
-            order = self.q_order
+        order = _min_order(order, self.q_order)
         if order is None:
             raise ValueError("invert needs a finite truncation order")
         if self.q_floor < 0 or self.min_q_degree() not in (0, None):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cmpplab import cli
+from cmpplab.series import QSeries
 
 
 def run(capsys, *argv):
@@ -264,6 +265,47 @@ def test_mismatch_reporting_paths(monkeypatch, capsys):
     assert json.loads(out)["status"] == "fail"
 
 
+def test_mismatch_report_names_the_least_key(monkeypatch, capsys):
+    # the sides differ at five keys, two of them below q^0; the report
+    # names the lexicographically least (dz, dw, dq), not the least dq,
+    # with each side's coefficient summed over its terms
+    from cmpplab import funceq
+    from cmpplab.funceq import Check, Term
+    from cmpplab.products import ProductSpec
+
+    one = ("prodspec", ProductSpec())
+
+    def build():
+        # 5/q + 1 - 1/q  =  4/q + z + 4 q^3 + 3 z/q^2 - 2/q
+        return [Term(1, one, pref=((5, 0, 0, -1), (1, 0, 0, 0))),
+                Term(1, one, pref=((-1, 0, 0, -1),)),
+                Term(-1, one, pref=((4, 0, 0, -1), (1, 1, 0, 0),
+                                    (4, 0, 0, 3), (3, 1, 0, -2))),
+                Term(-1, one, pref=((-2, 0, 0, -1),))], "proved"
+
+    monkeypatch.setitem(funceq.CHECKS, "synthetic",
+                        Check("synthetic", (), build, "test entry"))
+    code, out = run(capsys, "verify", "--check", "synthetic",
+                    "--params", "", "--order", "5")
+    assert code == 2
+    assert json.loads(out)["first_mismatch"] == {"dz": 0, "dw": 0, "dq": -1,
+                                                 "lhs": "4", "rhs": "2"}
+    res, _ = funceq.residual(funceq.catalog("synthetic", {}), 5)
+    assert res == QSeries({(0, 0, -1): 2, (0, 0, 0): 1, (1, 0, 0): -1,
+                           (0, 0, 3): -4, (1, 0, -2): -3}, 5, -2)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("sweep", "--check", "jtp", "--grid", "a=1:2,m=0:0", "--order", "5"),
+     "no grid point is in range for jtp: m >= 1"),
+    (("expand", "--series", "hl_chain(k=1,k=2,n=2)", "--order", "3"),
+     "argument 'k' given twice"),
+])
+def test_usage_error_names_the_reason(capsys, argv, message):
+    assert cli.main(list(argv)) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_param_parsing():
     assert cli.parse_params("k=1,a=2") == {"k": 1, "a": 2}
     assert cli.parse_params("weights=0:0:1,family=C") == \
@@ -323,7 +365,13 @@ def test_sweep_timings_reach_run_check(monkeypatch, capsys):
      for text in ("poch(1,1,7)", "hl_chain(2,2,3)", "hl_chain(2,2,foo=1)",
                   "theta(1,5,9)", "gen_fun(A,1,0:1,boundary=1:0)")
 ] + [("sweep", "--check", "con-a2n2", "--grid", "n=1:1,weights=1:0",
-      "--order", "3")])
+      "--order", "3")
+] + [("sweep", "--check", check, "--grid", grid, "--order", "5")
+     for check, grid in (("jtp", "a=1:2,m=0:0"),
+                         ("con-c-qseries", "n=0:0,k=0:3"))
+] + [("expand", "--series", text, "--order", "3")
+     for text in ("hl_chain(k=1,k=2,n=2)",
+                  "gen_fun(A,1,boundary=0:1,boundary=1:0)")])
 def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     assert cli.main(list(argv)) == 1
     captured = capsys.readouterr()

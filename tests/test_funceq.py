@@ -549,9 +549,14 @@ def _in_w_q2(build, args: tuple, N: int) -> QSeries:
     return inner.substitute(z=(0, 1, 0), qpow=2).truncate(N)
 
 
+def _one_term(term) -> funceq.EquationSpec:
+    return funceq.EquationSpec((term,), "proved")
+
+
 def test_z_to_w_terms_match_the_substituted_build(monkeypatch):
-    # a (z -> w, q -> q^2) term fetches its series at N // 2 and equals
-    # the substituted build, terms, q_order and q_floor
+    # a (z -> w, q -> q^2) term fetches its series at N // 2, and the
+    # residual of the term alone equals the substituted build, terms,
+    # q_order and q_floor
     rng = random.Random(20261023)
     memo, built = _counting_memo(monkeypatch)
     refs = _random_enumeration_refs(rng) + [
@@ -560,26 +565,30 @@ def test_z_to_w_terms_match_the_substituted_build(monkeypatch):
         N = rng.randint(0, 14)
         memo.cache_clear()
         built.clear()
-        got = funceq._eval_term(
-            funceq.Term(1, ref, post="z_to_w", subst=(0, 0, 2)), N)
+        got, _ = residual(_one_term(
+            funceq.Term(1, ref, post="z_to_w", subst=(0, 0, 2))), N)
         assert built == [(ref, N // 2)]
         build = gen_fun if ref[0] == "gen" else multisums.ag_sum
         assert got == _in_w_q2(build, ref[1:], N), (ref, N)
 
 
 def test_unit_term_cuts_only_what_needs_cutting(monkeypatch):
-    # a unit term returns a series already cut at or below N as it is; an
-    # exact series, one cut above N or one with a term above its cut is
-    # cut at N
+    # the residual of a unit term alone is its series cut at N: a series
+    # cut at or above N, one with a term above its cut, or an exact one;
+    # a series cut below N is too short for a verdict at N
     cut = QSeries({(0, 0, 1): 2, (1, 0, 3): -1}, 3)
     stray = QSeries({(0, 0, 1): 2, (0, 0, 5): 1}, 3)
     exact = QSeries({(0, 0, 1): 2, (0, 0, 9): 1})
-    for s, N, kept in ((cut, 3, True), (cut, 6, True), (cut, 2, False),
-                       (stray, 6, False), (exact, 6, False)):
+    for s, N in ((cut, 3), (cut, 2), (stray, 3), (stray, 2), (exact, 6),
+                 (cut, 6), (stray, 6)):
         monkeypatch.setattr(funceq, "_series", lambda ref, M: s)
-        got = funceq._eval_term(funceq.Term(1, ("x",)), N)
-        assert (got is s) == kept, (s, N)
-        assert got == s.truncate(N)
+        spec = _one_term(funceq.Term(1, ("x",)))
+        if s.q_order is not None and s.q_order < N:
+            with pytest.raises(ValueError, match="insufficient truncation"):
+                residual(spec, N)
+            continue
+        got, _ = residual(spec, N)
+        assert got == s.truncate(N), (s, N)
 
 
 def test_random_atomic_points_match_atomic_residual():

@@ -229,3 +229,97 @@ def test_dense_multiplication_speed():
     c = a * b
     assert time.monotonic() - t0 < 1.0
     assert c.coeff(dq=0) == 1
+
+
+# -- window laws against exact polynomials ------------------------------------
+
+
+def _exact_poly(rng, unit=False) -> QSeries:
+    """A random exact polynomial with an honest floor; a unit one has the
+    constant term +-1, free of z and w, and its other terms above q^0."""
+    floor = 0 if unit else rng.randint(-3, 1)
+    low = 1 if unit else floor
+    terms = {(rng.randint(0, 2), rng.randint(0, 2), rng.randint(low, low + 8)):
+             rng.randint(-4, 4) for _ in range(rng.randint(0, 8))}
+    if unit:
+        terms[(0, 0, 0)] = rng.choice((1, -1))
+    return QSeries(terms, None, floor - rng.randint(0, 1) * (not unit))
+
+
+def _cut(rng, p: QSeries) -> QSeries:
+    """p as it is or cut to a random window around its terms."""
+    if rng.random() < 0.25:
+        return p
+    return p.truncate(rng.randint(p.q_floor - 1, p.q_floor + 9))
+
+
+def _exact(terms: dict) -> QSeries:
+    return QSeries(terms, None, min([0] + [k[2] for k in terms]))
+
+
+def _assert_honest(got: QSeries, exact: QSeries, what):
+    """got agrees with the exact series at every key through its claimed
+    q_order (at every key if it claims to be exact), and its q_floor is at
+    or below its least q-exponent."""
+    top = got.q_order
+    assert top is not None or exact.q_order is None, what
+    for k in set(got.terms) | set(exact.terms):
+        if top is None or k[2] <= top:
+            assert got.coeff(*k) == exact.coeff(*k), (what, k)
+    assert not got.terms or got.q_floor <= got.min_q_degree(), what
+
+
+def test_window_laws_against_exact_polynomials():
+    # every ring operation on cut windows of exact polynomials claims a
+    # window (q_order, q_floor) that the untruncated result bears out; the
+    # exact results come from plain loops over the terms
+    rng = random.Random(20261019)
+    for _ in range(300):
+        p, r = _exact_poly(rng), _exact_poly(rng)
+        a, b = _cut(rng, p), _cut(rng, r)
+
+        prod: dict = {}
+        for (z1, w1, d1), c1 in p.terms.items():
+            for (z2, w2, d2), c2 in r.terms.items():
+                k = (z1 + z2, w1 + w2, d1 + d2)
+                prod[k] = prod.get(k, 0) + c1 * c2
+        _assert_honest(a * b, _exact(prod), ("mul", a, b))
+        _assert_honest(a + b, p + r, ("add", a, b))
+
+        n = rng.randint(a.q_floor - 1, a.q_floor + 9)
+        _assert_honest(a.truncate(n), p, ("truncate", a, n))
+
+        zi = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2))
+        wi = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2))
+        m = rng.randint(1, 3)
+        sub: dict = {}
+        for (dz, dw, dq), c in p.terms.items():
+            k = (zi[0] * dz + wi[0] * dw, zi[1] * dz + wi[1] * dw,
+                 m * dq + zi[2] * dz + wi[2] * dw)
+            sub[k] = sub.get(k, 0) + c
+        _assert_honest(a.substitute(z=zi, w=wi, qpow=m), _exact(sub),
+                       ("substitute", a, zi, wi, m))
+
+        # collect with the window a caller states: the least shifted
+        # order and floor of its parts
+        shifts = [(rng.randint(0, 2), rng.randint(0, 2), rng.randint(-2, 2))
+                  for _ in (a, b)]
+        orders = [s.q_order + c for (_, _, c), s in zip(shifts, (a, b))
+                  if s.q_order is not None]
+        order = min(orders) if orders else None
+        floor = min(s.q_floor + c for (_, _, c), s in zip(shifts, (a, b)))
+        total: dict = {}
+        for (x, y, c), s in zip(shifts, (p, r)):
+            for (dz, dw, dq), v in s.terms.items():
+                k = (dz + x, dw + y, dq + c)
+                total[k] = total.get(k, 0) + v
+        _assert_honest(QSeries.collect(zip(shifts, (a, b)), order, floor),
+                       _exact(total), ("collect", a, b, shifts))
+
+        # an inverse times the exact polynomial is 1 through its window
+        u = _exact_poly(rng, unit=True)
+        cu = u.truncate(rng.randint(0, 10))
+        for inv in (cu.invert(), cu.invert(rng.randint(0, 12)),
+                    u.invert(rng.randint(0, 12))):
+            _assert_honest(inv, inv, ("invert floor", cu))
+            _assert_honest(inv * u, QSeries.one(), ("invert", cu))
