@@ -243,7 +243,9 @@ def _exact_poly(rng, unit=False) -> QSeries:
              rng.randint(-4, 4) for _ in range(rng.randint(0, 8))}
     if unit:
         terms[(0, 0, 0)] = rng.choice((1, -1))
-    return QSeries(terms, None, floor - rng.randint(0, 1) * (not unit))
+        return QSeries(terms, None, 0)
+    # the floor is honest at or below the least exponent
+    return QSeries(terms, None, floor - rng.randint(0, 1))
 
 
 def _cut(rng, p: QSeries) -> QSeries:
@@ -272,7 +274,8 @@ def _assert_honest(got: QSeries, exact: QSeries, what):
 def test_window_laws_against_exact_polynomials():
     # every ring operation on cut windows of exact polynomials claims a
     # window (q_order, q_floor) that the untruncated result bears out; the
-    # exact results come from plain loops over the terms
+    # exact products, substitutions and shifted sums come from plain loops
+    # over the terms
     rng = random.Random(20261019)
     for _ in range(300):
         p, r = _exact_poly(rng), _exact_poly(rng)
@@ -321,5 +324,5 @@ def test_window_laws_against_exact_polynomials():
         cu = u.truncate(rng.randint(0, 10))
         for inv in (cu.invert(), cu.invert(rng.randint(0, 12)),
                     u.invert(rng.randint(0, 12))):
-            _assert_honest(inv, inv, ("invert floor", cu))
+            assert inv.q_floor <= inv.min_q_degree(), cu
             _assert_honest(inv * u, QSeries.one(), ("invert", cu))
