@@ -44,8 +44,8 @@ class VerificationReport:
     def to_json(self) -> str:
         obj = {
             "check": self.check_id,
-            "params": {k: _param_to_json(v) for k, v in
-                       sorted(self.params.items())},
+            "params": {k: list(v) if isinstance(v, tuple) else v
+                       for k, v in sorted(self.params.items())},
             "order": self.order,
             "status": self.status,
             "first_mismatch": self.first_mismatch,
@@ -53,12 +53,6 @@ class VerificationReport:
             "conjecture_status": self.conjecture_status,
         }
         return json.dumps(obj, sort_keys=True)
-
-
-def _param_to_json(v):
-    if isinstance(v, tuple):
-        return list(v)
-    return v
 
 
 def run_check(check_id: str, params: dict, order: int,
@@ -172,10 +166,13 @@ def parse_series(text: str, order: int) -> QSeries:
     kwargs: dict = {}
     if argstr.strip():
         for key, val in _items(argstr, "argument", positional=True):
-            if key is None:
-                args.append(_parse_value(val))
-            else:
+            if key is not None:
                 kwargs[key] = _parse_value(val)
+            elif kwargs:
+                raise SystemExit("bad arguments for %s: positional argument "
+                                 "follows keyword argument" % name)
+            else:
+                args.append(_parse_value(val))
     builder = SERIES_BUILDERS[name]
     try:
         # a stray, repeated or missing argument is a TypeError, as in a call

@@ -21,7 +21,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from . import cmpp, hall_littlewood as hl, macdonald, multisums, products
+from . import cmpp, hall_littlewood, macdonald, multisums, products
 from .series import Mismatch, QSeries
 
 
@@ -50,64 +50,54 @@ def _mac_cross(kd, exps_sum, exps_pi, base, sigma, tau, N: int) -> QSeries:
     return (s1 * p1).truncate(N)
 
 
-def _d2_tagged(k: int, N: int, solved: bool) -> QSeries:
-    """All level-k rank-2 series, the weight tagged by the w-exponent."""
-    from .d2solver import solve_d2_system, _weights
-    ws = _weights(k)
-    if solved:
-        family = solve_d2_system(k, N)
-    else:
-        family = {w: _series(("gen", "D", 2, w), N) for w in ws}
+def _d2_solved(k: int, N: int) -> QSeries:
+    """All level-k rank-2 solver series, w^idx tagging the idx-th weight
+    in sorted order, as d2-unique tags the enumerations."""
+    from .d2solver import solve_d2_system
+    family = solve_d2_system(k, N)
     return QSeries.collect((((0, idx, 0), family[w])
-                            for idx, w in enumerate(sorted(ws))), N, 0)
+                            for idx, w in enumerate(sorted(family))), N, 0)
 
 
 # Series kind -> builder; a ref (kind, *args) is built at order N as
-# _BUILDERS[kind](*args, N).  Entries reach other modules' functions
-# through the module attribute at call time, never a stored function
-# object, so that rebinding that attribute (tracing, test patches) also
-# changes what the catalog builds.
-_BUILDERS: dict[str, Callable[..., QSeries]] = {
-    "gen": lambda fam, n, w, N: cmpp.gen_fun(fam, n, w, N),
-    "gordon_b": lambda k, a, N: cmpp.gordon_series(k, a, N),
-    "prodspec": lambda spec, N: products.expand(spec, N),
-    "charprod": lambda fam, kind, n, w, N: products.char_product(
-        fam, kind, n, w, N),
-    "charprod-negpart": lambda fam, kind, n, w, N: _negative_part(
-        products.char_product(fam, kind, n, w, N)),
-    "c_n0_2var": lambda k, N: products.c_n0_two_variable(k, N),
-    "fsum": lambda n, a, delta, N: multisums.f_sum(n, a, delta, N),
-    "ag": lambda k, a, N: multisums.ag_sum(k, a, N),
-    "hlchain": lambda k, n, N: hl.hl_chain_sum(k, n, N),
-    "hlsum": lambda k, m, N: hl.hl_sum_over_bounded(k, m, N),
-    "hlweighted": lambda variant, param, N: hl.hl_weighted_chain(
-        variant, param, N),
-    "hlinf": lambda shape, m, N: hl.hl_inf_spec(shape, m, N),
-    "gow": lambda r, n, delta, N: hl.prop_gow_sum(r, n, delta, N),
-    "shun": lambda k, N: multisums.shun_sum(k, N),
-    "shun2": lambda k, variant, N: multisums.shun2_sum(k, variant, N),
+# builder(*args, N).  A "module.function" name is looked up on the module
+# at each build, never stored, so that rebinding that attribute (tracing,
+# test patches) changes what the catalog builds.  A kind has an adapter
+# only where its ref's arguments are not the builder's own, in order.
+_BUILDERS: dict[str, str | Callable[..., QSeries]] = {
+    "gen": "cmpp.gen_fun",
+    "gordon_b": "cmpp.gordon_series",
+    "prodspec": "products.expand",
+    "charprod": "products.char_product",
+    "charprod-negpart": lambda *a: _negative_part(products.char_product(*a)),
+    "c_n0_2var": "products.c_n0_two_variable",
+    "fsum": "multisums.f_sum",
+    "ag": "multisums.ag_sum",
+    "hlchain": "hall_littlewood.hl_chain_sum",
+    "hlsum": "hall_littlewood.hl_sum_over_bounded",
+    "hlweighted": "hall_littlewood.hl_weighted_chain",
+    "hlinf": "hall_littlewood.hl_inf_spec",
+    "gow": "hall_littlewood.prop_gow_sum",
+    "shun": "multisums.shun_sum",
+    "shun2": "multisums.shun2_sum",
     # ("wz", variant) or ("wz", variant, k)
     "wz": lambda variant, *k_N: multisums.wz_sum(variant, k_N[-1],
                                                  *k_N[:-1]),
-    "sser": lambda k1, k2, l1, l2, N: multisums.s_series(k1, k2, l1, l2, N),
-    "pi": lambda kd, exps, base, sigma, tau, N: macdonald.pi_product(
-        kd, exps, base, sigma, tau, N),
-    "macsum": lambda kd, exps, base, sigma, tau, N: macdonald.macdonald_sum(
-        kd, exps, base, sigma, tau, N),
+    "sser": "multisums.s_series",
+    "pi": "macdonald.pi_product",
+    "macsum": "macdonald.macdonald_sum",
     "speccharsum": lambda fam, n, two_k, two_lambda, N:
         macdonald.specialized_character_sum(
             fam, n, macdonald.HalfWeight(two_k, two_lambda), N),
-    "hlsym": lambda shape, L, m, xstep, N: hl.hl_symmetrization(
-        shape, L, m, N, xstep=xstep),
-    "hlls": lambda r, s, L, m, N: hl.hl_ls_2r1s(r, s, L, m, N),
-    "hlpf": lambda shape, L, m, N: hl.hl_principal_finite(shape, L, m, N),
-    "baileyl": lambda s, m, r_max, N: hl.bailey_alpha_side(s, m, r_max, N),
-    "baileyr": lambda s, m, r_max, N: hl.bailey_hl_side(s, m, r_max, N),
+    "hlsym": lambda shape, L, m, xstep, N:
+        hall_littlewood.hl_symmetrization(shape, L, m, N, xstep=xstep),
+    "hlls": "hall_littlewood.hl_ls_2r1s",
+    "hlpf": "hall_littlewood.hl_principal_finite",
+    "baileyl": "hall_littlewood.bailey_alpha_side",
+    "baileyr": "hall_littlewood.bailey_hl_side",
     "jtp_sum": lambda a, m, N: products.theta_sum(m, a, N),
     "mac_cross": _mac_cross,
-    "d2solved": lambda k, N: _d2_tagged(k, N, solved=True),
-    "d2enum": lambda k, N: _d2_tagged(k, N, solved=False),
-    "zero": lambda N: QSeries.zero(),
+    "d2solved": _d2_solved,
 }
 
 
@@ -117,6 +107,9 @@ def _build(ref: tuple, N: int) -> QSeries:
         build = _BUILDERS[ref[0]]
     except KeyError:
         raise ValueError("unknown series kind %r" % (ref[0],)) from None
+    if isinstance(build, str):
+        module, name = build.split(".")
+        build = getattr(globals()[module], name)
     return build(*ref[1:], N)
 
 
@@ -192,7 +185,7 @@ class Term:
     series: tuple
     pref: tuple[tuple[int, int, int, int], ...] = _UNIT
     subst: tuple[int, int, int] = (0, 0, 1)  # z -> z q^cz, w -> w q^cw, q^m
-    post: str = ""  # "", "z1", "w0", "z0", "w_to_z", "z_to_w"
+    post: str = ""  # a key of _POST
 
 
 @dataclass(frozen=True)
@@ -201,26 +194,21 @@ class EquationSpec:
     status: str  # "proved" | "conjectural"
 
 
+# Term.post -> what it does to the term's series, before the substitution
+_POST = {"": lambda s: s,
+         "z1": lambda s: s.at_one("z"),
+         "w0": lambda s: s.at_zero("w"),
+         "z0": lambda s: s.at_zero("z"),
+         "w_to_z": lambda s: s.substitute(w=(1, 0, 0)),
+         "z_to_w": lambda s: s.substitute(z=(0, 1, 0))}
+
+
 def _eval_term(term: Term, M: int) -> QSeries:
     """The term's series, post-processed and substituted, exact through
     order M at least: fetched through M // m under q -> q^m, whose image
     is exact through (M // m + 1) m - 1 >= M."""
     cz, cw, m = term.subst
-    if cz < 0 or cw < 0 or m < 1:
-        raise ValueError("catalog terms must use raising substitutions")
-    s = _series(term.series, M // m)
-    if term.post == "z1":
-        s = s.at_one("z")
-    elif term.post == "w0":
-        s = s.at_zero("w")
-    elif term.post == "z0":
-        s = s.at_zero("z")
-    elif term.post == "w_to_z":
-        s = s.substitute(w=(1, 0, 0))
-    elif term.post == "z_to_w":
-        s = s.substitute(z=(0, 1, 0))
-    elif term.post:
-        raise ValueError(term.post)
+    s = _POST[term.post](_series(term.series, M // m))
     if (cz, cw, m) != (0, 0, 1):
         s = s.substitute(z=(1, 0, cz), w=(0, 1, cw), qpow=m)
     return s
@@ -567,7 +555,7 @@ def _d2combo(k, a):
 def _auto(family, n, *, weights=None):
     if family not in ("C", "D"):
         raise ParamError("family C or D")
-    w = _weights_param(weights, n)
+    w = _weights_param(weights, n, 0 if family == "C" else 1)
     terms = [Term(1, ("gen", family, n, w)),
              Term(-1, ("gen", family, n, tuple(reversed(w))))]
     return terms, "proved"
@@ -744,12 +732,14 @@ _level_rank("level-rank-gen3", "the (k-3)L0+2L1+L2 duality pattern",
 # -- the three coloured-partition conjectures ---------------------------------
 
 
-def _weights_param(w, n):
+def _weights_param(w, n, n_min=1):
     if w is None:
         raise ParamError("weights required")
     w = tuple(w)
     if len(w) != n + 1 or any(v < 0 for v in w):
         raise ParamError("weights must be n+1 non-negative entries")
+    if n < n_min:
+        raise ParamError("n >= %d" % n_min)
     return w
 
 
@@ -759,9 +749,8 @@ def _weights_param(w, n):
            "coefficient is a finding")
 def _apos(n, *, weights=None):
     w = _weights_param(weights, n)
-    terms = [Term(1, ("charprod-negpart", "A", "nonstandard", n, w)),
-             Term(-1, ("zero",))]
-    return terms, "conjectural"
+    return [Term(1, ("charprod-negpart", "A", "nonstandard", n, w))], \
+        "conjectural"
 
 
 def _con_nonstandard(check_id, family):
@@ -785,7 +774,7 @@ _con_nonstandard("con-dn2", "D")
            "counts of the C-family equal the principally "
            "specialised character product")
 def _conc(n, *, weights=None):
-    w = _weights_param(weights, n)
+    w = _weights_param(weights, n, 0)
     k = sum(w)
     vac = w[0] == k or w[-1] == k
     status = "proved" if (n <= 1 or k <= 1 or vac) else "conjectural"
@@ -853,6 +842,8 @@ def _shun2(k, variant) -> tuple:
         raise ParamError("variant in {kL0, kL1, omega}")
     if variant == "omega" and k < 1:
         raise ParamError("omega needs k >= 1")
+    if k < 0:
+        raise ParamError("k >= 0")
     return ("shun2", k, variant)
 
 
@@ -873,6 +864,8 @@ def _conshun2(k, variant="kL0"):
 def _agtype(k, which="c-kL0"):
     if which not in ("c-kL0", "d-kL0", "d-kL1", "d-omega"):
         raise ParamError("which in {c-kL0, d-kL0, d-kL1, d-omega}")
+    if which == "c-kL0" and k < 0:
+        raise ParamError("k >= 0")
     lhs = ("shun", k) if which == "c-kL0" else _shun2(k, which[2:])
     status = "proved" if k <= 1 else "conjectural"
     terms = [Term(1, lhs, post="z1"),
@@ -974,10 +967,9 @@ def _wzedge(which="B", edge="w0"):
 
 
 def _s_relation(which: str, params: tuple[int, ...]) -> list[Term]:
-    """multisums.atomic_relation as terms against zero."""
+    """multisums.atomic_relation as a left side against zero."""
     return [Term(1, ("sser",) + sp, pref=pref)
-            for pref, sp in multisums.atomic_relation(which, params)] + \
-        [Term(-1, ("zero",))]
+            for pref, sp in multisums.atomic_relation(which, params)]
 
 
 @_register("atomic", "the four atomic shift relations of the S-series")
@@ -1072,6 +1064,8 @@ def _hlca(k):
 def _gow(r, n, delta):
     if delta not in (0, 1) or 2 * n + delta < 1:
         raise ParamError("delta in {0, 1}, 2n + delta >= 1")
+    if r < 0:
+        raise ParamError("r >= 0")
     terms = [Term(1, ("gow", r, n, delta)),
              Term(-1, ("hlinf", tuple([2] * r), 2 * n + delta))]
     return terms, "proved"
@@ -1113,6 +1107,8 @@ def _bailey(s, m, r_max=4):
 def _jtp(a, m):
     if m < 1:
         raise ParamError("m >= 1")
+    if not isinstance(a, int):
+        raise ParamError("a must be an int")
     prod = products.ProductSpec((products.ThetaFactor(a, m),),
                                 (products.PochFactor(m, m, 1),))
     terms = [Term(1, ("prodspec", prod)), Term(-1, ("jtp_sum", a, m))]
@@ -1134,6 +1130,8 @@ def _mac_exps(kind, base, sigma, tau, *es) -> tuple[int, ...]:
         macdonald.check_macdonald_data(kind, exps, base, sigma, tau)
     except ValueError as exc:
         raise ParamError(str(exc)) from None
+    if not all(isinstance(e, int) for e in exps):
+        raise ParamError("the exponents e1..ek must be ints")
     return exps
 
 
@@ -1183,8 +1181,6 @@ def _specchar(family, n, two_k, *, two_lambda=()):
     if hw.k_integral and hw.lambda_integral:
         w = hw.weight()
         terms.append(Term(-1, ("charprod", family, "nonstandard", n, w)))
-    else:
-        terms.append(Term(-1, ("zero",)))
     return terms, "proved"
 
 
@@ -1194,5 +1190,7 @@ def _specchar(family, n, two_k, *, two_lambda=()):
 def _d2u(k):
     if k < 1:
         raise ParamError("k >= 1")
-    terms = [Term(1, ("d2solved", k)), Term(-1, ("d2enum", k))]
-    return terms, "proved"
+    from .d2solver import _weights
+    return [Term(1, ("d2solved", k))] + [
+        Term(-1, ("gen", "D", 2, w), pref=(_mono(1, dw=idx),))
+        for idx, w in enumerate(sorted(_weights(k)))], "proved"

@@ -245,8 +245,7 @@ def test_mismatch_reporting_paths(monkeypatch, capsys):
 
     def make(status):
         def build():
-            return [Term(1, ("prodspec", ProductSpec())),
-                    Term(-1, ("zero",))], status
+            return [Term(1, ("prodspec", ProductSpec()))], status
         return Check("synthetic", (), build, "test entry")
 
     monkeypatch.setitem(funceq.CHECKS, "synthetic", make("conjectural"))
@@ -300,6 +299,9 @@ def test_mismatch_report_names_the_least_key(monkeypatch, capsys):
      "no grid point is in range for jtp: m >= 1"),
     (("expand", "--series", "hl_chain(k=1,k=2,n=2)", "--order", "3"),
      "argument 'k' given twice"),
+    (("expand", "--series", "gen_fun(A,boundary=0:1,1)", "--order", "3"),
+     "bad arguments for gen_fun: positional argument follows keyword "
+     "argument"),
 ])
 def test_usage_error_names_the_reason(capsys, argv, message):
     assert cli.main(list(argv)) == 1
@@ -371,7 +373,17 @@ def test_sweep_timings_reach_run_check(monkeypatch, capsys):
                          ("con-c-qseries", "n=0:0,k=0:3"))
 ] + [("expand", "--series", text, "--order", "3")
      for text in ("hl_chain(k=1,k=2,n=2)",
-                  "gen_fun(A,1,boundary=0:1,boundary=1:0)")])
+                  "gen_fun(A,1,boundary=0:1,boundary=1:0)")
+] + [("verify", "--check", check, "--params", params, "--order", order)
+     for check, params, order in (
+         ("gow", "r=-1,n=1,delta=0", "6"),
+         ("con-shun2", "k=-1", "6"),
+         ("ag-type-product", "k=-1", "6"),
+         ("jtp", "a=x,m=1", "5"),
+         ("macdonald-b", "base=7,e1=x", "5"),
+         ("macdonald-d", "base=8,e1=x,e2=1", "5"),
+         ("mac-quasiperiod", "kind=B,base=7,e1=3,e2=x", "5"))
+] + [("expand", "--series", "gen_fun(A,boundary=0:1,1)", "--order", "3")])
 def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     assert cli.main(list(argv)) == 1
     captured = capsys.readouterr()

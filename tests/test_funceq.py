@@ -47,25 +47,53 @@ def test_param_validation():
             catalog(cid, params)
 
 
+def _assert_valid_point_passes(check_id, params):
+    # a point is rejected as the CLI rejects bad input, or it builds at
+    # order 3 and, if proved, passes there; a builder error or a failed
+    # proved check is a gap in the validator
+    from cmpplab.cli import _BAD_PARAMS
+    try:
+        spec = catalog(check_id, params)
+    except _BAD_PARAMS:
+        return False
+    _, mm = residual(spec, 3)
+    assert spec.status != "proved" or mm is None, (check_id, params, mm)
+    return True
+
+
 def test_points_the_validators_pass_build():
-    # every point over {-1, 0, 1, 2} that a check's validator lets through
-    # builds at order 3; a builder error there is a gap in the validator.
-    # The Macdonald checks need e1, and a kind, to get past their first
-    # tests.
+    # every point over {-1, 0, 1, 2}, once with every parameter set and
+    # once with the defaulted ones left at their defaults.  The Macdonald
+    # checks need e1, and a kind, to get past their first tests, and the
+    # weight and character checks their weights and a family.  At the
+    # first valid point of each check, each parameter in turn is also
+    # given a str and a tuple.
     for chk in list_checks():
         extras = [{}]
+        if "weights" in chk.defaults:
+            extras = [{"weights": (1,) * n} for n in range(4)]
+        if "two_lambda" in chk.defaults:
+            extras = [{"two_lambda": (v,) * n} for v in (1, 2)
+                      for n in range(3)]
         if "e1" in chk.defaults:
             extras += [{"e1": 1}, {"e1": 2, "e2": -1}]
-        if "kind" in chk.param_names:
-            extras = [dict(e, kind=kind) for e in extras for kind in "BD"]
-        for extra, values in product(
-                extras, product((-1, 0, 1, 2), repeat=len(chk.param_names))):
-            params = dict(zip(chk.param_names, values), **extra)
-            try:
-                spec = catalog(chk.check_id, params)
-            except ParamError:
-                continue
-            residual(spec, 3)
+        for name, letters in (("kind", "BD"), ("family", "ACD")):
+            if name in chk.param_names:
+                extras = [dict(e, **{name: x}) for e in extras
+                          for x in letters]
+        required = tuple(n for n in chk.param_names if n not in chk.defaults)
+        valid = []
+        for names in dict.fromkeys((chk.param_names, required)):
+            for extra, values in product(
+                    extras, product((-1, 0, 1, 2), repeat=len(names))):
+                params = dict(zip(names, values), **extra)
+                if _assert_valid_point_passes(chk.check_id, params):
+                    valid.append(params)
+        assert valid, chk.check_id
+        for name in valid[0]:
+            for value in ("x", (0, 1)):
+                _assert_valid_point_passes(chk.check_id,
+                                           dict(valid[0], **{name: value}))
 
 
 def test_rogers_selberg_small():
@@ -322,8 +350,9 @@ def test_series_memo_keeps_the_deeper_of_two_builds(monkeypatch):
 
 def test_series_memo_serves_an_exact_build_unchanged(monkeypatch):
     memo, built = _counting_memo(monkeypatch)
-    ref = ("zero",)
+    ref = ("pi", "B", (3, 1), 7, -1, 1)  # a vanishing product
     exact = funceq._series(ref, 10)
+    assert exact.is_exact_zero()
     assert exact.q_order is None
     assert funceq._series(ref, 3) is exact
     assert built == [(ref, 10)]
@@ -385,6 +414,19 @@ def test_mac_cross_builds_each_factor_once(monkeypatch):
         '{"check": "mac-quasiperiod", "conjecture_status": "proved", '
         '"elapsed_ms": 0, "first_mismatch": null, "order": 12, "params": '
         '{"base": 7, "e1": 3, "e2": 1, "kind": "B"}, "status": "pass"}')
+
+
+def test_builders_are_looked_up_at_call_time(monkeypatch):
+    # a builder named "module.function" is found on the module at each
+    # build, so a rebound module attribute changes what the catalog builds
+    for kind, build in funceq._BUILDERS.items():
+        if isinstance(build, str):
+            module, name = build.split(".")
+            assert callable(getattr(getattr(funceq, module), name)), kind
+    ref = ("gen", "A", 1, (0, 1))
+    marker = QSeries({(0, 0, 0): 7})
+    monkeypatch.setattr(funceq.cmpp, "gen_fun", lambda *args: marker)
+    assert funceq._build(ref, 5) is marker
 
 
 def test_resolver_table_is_exactly_the_referenced_kinds():
