@@ -168,7 +168,7 @@ class _OrderMemo:
 
 
 # Refs the series memo keeps: a catalog pass over every acceptance point
-# asks for 2,116 distinct refs, and none may be evicted on the way.
+# asks for 2,115 distinct refs, and none may be evicted on the way.
 _SERIES_MEMO_SIZE = 4096
 
 _series = _OrderMemo(_build, _SERIES_MEMO_SIZE)
