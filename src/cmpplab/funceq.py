@@ -50,13 +50,18 @@ def _mac_cross(kd, exps_sum, exps_pi, base, sigma, tau, N: int) -> QSeries:
     return (s1 * p1).truncate(N)
 
 
+def _d2_tags(k: int):
+    """(idx, w): d2-unique tags the idx-th level-k rank-2 weight by w^idx."""
+    from .d2solver import _weights
+    return enumerate(sorted(_weights(k)))
+
+
 def _d2_solved(k: int, N: int) -> QSeries:
-    """All level-k rank-2 solver series, w^idx tagging the idx-th weight
-    in sorted order, as d2-unique tags the enumerations."""
+    """All level-k rank-2 solver series, tagged as by _d2_tags."""
     from .d2solver import solve_d2_system
     family = solve_d2_system(k, N)
     return QSeries.collect((((0, idx, 0), family[w])
-                            for idx, w in enumerate(sorted(family))), N, 0)
+                            for idx, w in _d2_tags(k)), N, 0)
 
 
 # Series kind -> builder; a ref (kind, *args) is built at order N as
@@ -1190,7 +1195,6 @@ def _specchar(family, n, two_k, *, two_lambda=()):
 def _d2u(k):
     if k < 1:
         raise ParamError("k >= 1")
-    from .d2solver import _weights
     return [Term(1, ("d2solved", k))] + [
         Term(-1, ("gen", "D", 2, w), pref=(_mono(1, dw=idx),))
-        for idx, w in enumerate(sorted(_weights(k)))], "proved"
+        for idx, w in _d2_tags(k)], "proved"

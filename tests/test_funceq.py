@@ -47,14 +47,13 @@ def test_param_validation():
             catalog(cid, params)
 
 
-def _assert_valid_point_passes(check_id, params):
-    # a point is rejected as the CLI rejects bad input, or it builds at
-    # order 3 and, if proved, passes there; a builder error or a failed
-    # proved check is a gap in the validator
-    from cmpplab.cli import _BAD_PARAMS
+def _assert_valid_point_passes(check_id, params, rejected=ParamError):
+    # a point is rejected with one of `rejected`, or it builds at order 3
+    # and, if proved, passes there; a builder error or a failed proved
+    # check is a gap in the validator
     try:
         spec = catalog(check_id, params)
-    except _BAD_PARAMS:
+    except rejected:
         return False
     _, mm = residual(spec, 3)
     assert spec.status != "proved" or mm is None, (check_id, params, mm)
@@ -67,7 +66,10 @@ def test_points_the_validators_pass_build():
     # checks need e1, and a kind, to get past their first tests, and the
     # weight and character checks their weights and a family.  At the
     # first valid point of each check, each parameter in turn is also
-    # given a str and a tuple.
+    # given a str and a tuple, which may also be rejected as the CLI
+    # rejects any bad input.  An int point must be a ParamError or build,
+    # since a sweep skips only ParamError points.
+    from cmpplab.cli import _BAD_PARAMS
     for chk in list_checks():
         extras = [{}]
         if "weights" in chk.defaults:
@@ -92,8 +94,9 @@ def test_points_the_validators_pass_build():
         assert valid, chk.check_id
         for name in valid[0]:
             for value in ("x", (0, 1)):
-                _assert_valid_point_passes(chk.check_id,
-                                           dict(valid[0], **{name: value}))
+                _assert_valid_point_passes(
+                    chk.check_id, dict(valid[0], **{name: value}),
+                    _BAD_PARAMS)
 
 
 def test_rogers_selberg_small():
