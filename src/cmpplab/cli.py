@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import cmpp, funceq, hall_littlewood, multisums, products
-from .funceq import ParamError
+from .funceq import ParamError, as_tuple
 from .series import QSeries, poch, qbin
 
 
@@ -115,18 +115,13 @@ def parse_params(text: str) -> dict:
             for name, val in (_items(text, "param") if text else ())}
 
 
-def _tuple(value) -> tuple:
-    """The value of a tuple argument; a single int is its 1-tuple."""
-    return (value,) if isinstance(value, int) else tuple(value)
-
-
 # Each builder declares the arguments of its series as its parameters,
 # after the order N; the text binds to them as in a call.
 SERIES_BUILDERS = {
     "gen_fun": lambda N, family, n, boundary=(): cmpp.gen_fun(
-        str(family), int(n), _tuple(boundary), N),
+        str(family), int(n), as_tuple(boundary), N),
     "char_product": lambda N, family, kind, n, weight=():
-        products.char_product(str(family), str(kind), int(n), _tuple(weight),
+        products.char_product(str(family), str(kind), int(n), as_tuple(weight),
                               N),
     "theta": lambda N, a, m: products.theta_q(int(a), int(m), N),
     "poch": lambda N, c, m: poch(int(c), int(m), None, N),
@@ -144,7 +139,7 @@ SERIES_BUILDERS = {
     "hl_chain": lambda N, k, n: hall_littlewood.hl_chain_sum(int(k), int(n),
                                                              N),
     "hl_inf": lambda N, shape, m: hall_littlewood.hl_inf_spec(
-        _tuple(shape), int(m), N),
+        as_tuple(shape), int(m), N),
     "gow": lambda N, r, n, delta: hall_littlewood.prop_gow_sum(
         int(r), int(n), int(delta), N),
     "gordon_product": lambda N, k, a: products.expand(

@@ -271,6 +271,22 @@ def _scan_table(parities: tuple[int, ...], level: int) -> _ScanTable:
     return _ScanTable(parities, level)
 
 
+def _scan_start(family: str, n: int, boundary: tuple[int, ...],
+                N: int) -> tuple[_ScanTable, int] | None:
+    """The scan table of the boundary's row layout and level, and the id
+    of its start state; None when only the empty partition is admissible
+    (level 0 or N = 0)."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    boundary = tuple(boundary)
+    parities, bases = _row_layout(family, n, boundary)
+    level = sum(boundary)
+    if level == 0 or N == 0:
+        return None
+    table = _scan_table(tuple(parities), level)
+    return table, table.start(bases)
+
+
 def gen_fun(family: str, n: int, boundary: tuple[int, ...], N: int) -> QSeries:
     """Two-variable generating function sum z^{l} q^{|lambda|} over
     admissible coloured partitions with |lambda| <= N.
@@ -283,18 +299,12 @@ def gen_fun(family: str, n: int, boundary: tuple[int, ...], N: int) -> QSeries:
     visits to such a column fold back two columns onto entries >= 0), so
     a pair leaves the scan as soon as no nonzero column fits its budget.
     """
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    boundary = tuple(boundary)
-    parities, bases = _row_layout(family, n, boundary)
-    level = sum(boundary)
-    if level == 0 or N == 0:
-        # only the empty partition is admissible
+    scan = _scan_start(family, n, boundary, N)
+    if scan is None:
         return QSeries({(0, 0, 0): 1}, N, 0, _clean=True)
-
-    table = _scan_table(tuple(parities), level)
+    table, start = scan
     W = N + 1  # a (length z, weight w) pair is the key w * W + z
-    cur = {table.start(bases): {0: 1}}
+    cur = {start: {0: 1}}
     out: dict[int, int] = {}
     for j in range(1, N + 2):
         nxt: dict[int, dict[int, int]] = {}
@@ -325,6 +335,67 @@ def gen_fun(family: str, n: int, boundary: tuple[int, ...], N: int) -> QSeries:
         cur = nxt
     return QSeries({(key % W, 0, key // W): c for key, c in out.items()},
                    N, 0, _clean=True)
+
+
+@lru_cache(maxsize=64)
+def _slot_bits(rows: int, N: int) -> int:
+    """The slot width of ``gen_fun_z1``: the bit length of the number of
+    ``rows``-coloured partitions of weight <= N.
+
+    A slot holds the count of one weight w <= N at one state: the number
+    of distinct frequency arrays over the columns scanned so far, of
+    weight w, that reach the state (or, in the output, that are
+    admissible).  Giving the entry in row r and column j colour r maps
+    such arrays one-to-one to ``rows``-coloured partitions of weight w,
+    so no slot count, nor any sum of them that the scan forms, exceeds
+    this number, and no slot carries into the next.
+    """
+    p = [1] + [0] * N  # p[w]: rows-coloured partitions of weight w
+    for _ in range(rows):
+        for part in range(1, N + 1):
+            for w in range(part, N + 1):
+                p[w] += p[w - part]
+    return sum(p).bit_length()
+
+
+def gen_fun_z1(family: str, n: int, boundary: tuple[int, ...],
+               N: int) -> QSeries:
+    """``gen_fun(family, n, boundary, N).at_one("z")``: the admissible
+    coloured partitions with |lambda| <= N counted by weight alone.
+
+    The same column scan as ``gen_fun``, but a state carries its counts
+    as one int, a slot of B bits per weight (Kronecker substitution, B
+    from ``_slot_bits``): a column with entry sum s at part j shifts the
+    slots up by j s, and the mask cuts the weights above N.
+    """
+    scan = _scan_start(family, n, boundary, N)
+    if scan is None:
+        return QSeries({(0, 0, 0): 1}, N, 0, _clean=True)
+    table, start = scan
+    B = _slot_bits(family_rows(family, n), N)
+    full = (1 << B * (N + 1)) - 1
+    cur = {start: 1}
+    out = 0
+    for j in range(1, N + 2):
+        nxt: dict[int, int] = {}
+        room = (1 << B * (N - j + 1)) - 1  # the weights with room for j
+        for sid, counts in cur.items():
+            live = counts & room
+            out += counts ^ live
+            if not live:
+                continue
+            cap = (N - ((live & -live).bit_length() - 1) // B) // j
+            moves = table.column_moves(sid, cap)
+            for total in range(min(cap + 1, len(moves))):
+                if not moves[total]:
+                    continue
+                moved = (live << B * j * total) & full
+                for nid in moves[total]:
+                    nxt[nid] = nxt.get(nid, 0) + moved
+        cur = nxt
+    slot = (1 << B) - 1
+    return QSeries({(0, 0, w): c for w in range(N + 1)
+                    if (c := (out >> B * w) & slot)}, N, 0, _clean=True)
 
 
 def gordon_series(k: int, a: int, N: int) -> QSeries:

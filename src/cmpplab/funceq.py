@@ -71,6 +71,7 @@ def _d2_solved(k: int, N: int) -> QSeries:
 # only where its ref's arguments are not the builder's own, in order.
 _BUILDERS: dict[str, str | Callable[..., QSeries]] = {
     "gen": "cmpp.gen_fun",
+    "gen1": "cmpp.gen_fun_z1",
     "gordon_b": "cmpp.gordon_series",
     "prodspec": "products.expand",
     "charprod": "products.char_product",
@@ -173,7 +174,7 @@ class _OrderMemo:
 
 
 # Refs the series memo keeps: a catalog pass over every acceptance point
-# asks for 2,115 distinct refs, and none may be evicted on the way.
+# asks for 2,210 distinct refs, and none may be evicted on the way.
 _SERIES_MEMO_SIZE = 4096
 
 _series = _OrderMemo(_build, _SERIES_MEMO_SIZE)
@@ -250,6 +251,11 @@ def residual(spec: EquationSpec, N: int):
 
 
 # -- weight helpers -----------------------------------------------------------
+
+
+def as_tuple(value) -> tuple:
+    """The value of a tuple argument; a single int is its 1-tuple."""
+    return (value,) if isinstance(value, int) else tuple(value)
 
 
 def _unit(n: int, a: int) -> tuple[int, ...]:
@@ -586,7 +592,7 @@ def _bb(k0, k1):
 def _gordon(k, a):
     if not 0 <= a <= k:
         raise ParamError("0 <= a <= k")
-    terms = [Term(1, ("gen", "A", 1, (k - a, a)), post="z1"),
+    terms = [Term(1, ("gen1", "A", 1, (k - a, a))),
              Term(-1, ("prodspec", products.gordon_product(k, a)))]
     return terms, "proved"
 
@@ -616,7 +622,7 @@ def _agtv(k, a):
 def _gfsum(k, a):
     if k < 1 or not 0 <= a <= k:
         raise ParamError("k >= 1, 0 <= a <= k")
-    terms = [Term(1, ("gen", "A", 1, (k - a, a)), post="z1"),
+    terms = [Term(1, ("gen1", "A", 1, (k - a, a))),
              Term(-1, ("fsum", k, a, 1), post="z1")]
     return terms, "proved"
 
@@ -629,7 +635,7 @@ def _level_one(check_id, family, mod, product, n_min=1):
     def build(n, a):
         if n < n_min:
             raise ParamError("n >= %d" % n_min)
-        terms = [Term(1, ("gen", family, n, _unit(n, a)), post="z1"),
+        terms = [Term(1, ("gen1", family, n, _unit(n, a))),
                  Term(-1, ("prodspec", getattr(products, product)(n, a)))]
         return terms, "proved"
 
@@ -740,7 +746,7 @@ _level_rank("level-rank-gen3", "the (k-3)L0+2L1+L2 duality pattern",
 def _weights_param(w, n, n_min=1):
     if w is None:
         raise ParamError("weights required")
-    w = tuple(w)
+    w = as_tuple(w)
     if len(w) != n + 1 or any(v < 0 for v in w):
         raise ParamError("weights must be n+1 non-negative entries")
     if n < n_min:
@@ -766,7 +772,7 @@ def _con_nonstandard(check_id, family):
     def build(n, *, weights=None):
         w = _weights_param(weights, n)
         status = "proved" if (n == 1 or sum(w) <= 1) else "conjectural"
-        terms = [Term(1, ("gen", family, n, w), post="z1"),
+        terms = [Term(1, ("gen1", family, n, w)),
                  Term(-1, ("charprod", family, "nonstandard", n, w))]
         return terms, status
 
@@ -784,10 +790,10 @@ def _conc(n, *, weights=None):
     vac = w[0] == k or w[-1] == k
     status = "proved" if (n <= 1 or k <= 1 or vac) else "conjectural"
     if n == 0:
-        terms = [Term(1, ("gen", "C", 0, w), post="z1"),
+        terms = [Term(1, ("gen1", "C", 0, w)),
                  Term(-1, ("prodspec", products.c_n0_product(k)))]
     else:
-        terms = [Term(1, ("gen", "C", n, w), post="z1"),
+        terms = [Term(1, ("gen1", "C", n, w)),
                  Term(-1, ("charprod", "C", "nonstandard", n, w))]
     return terms, status
 
@@ -1176,7 +1182,7 @@ def _macqp(kind, base, sigma=1, tau=1, *, e1=None, e2=None, e3=None,
            "the specialised character determinant sum equals the product "
            "(integral data) or vanishes (half-integral data)")
 def _specchar(family, n, two_k, *, two_lambda=()):
-    tl = tuple(two_lambda)
+    tl = as_tuple(two_lambda)
     try:
         hw = macdonald.HalfWeight(two_k, tl)
         macdonald.check_character_data(family, n, hw)

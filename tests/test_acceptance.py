@@ -83,9 +83,9 @@ def test_criterion_03_conjecture_product_sweep():
     _report(3, "A/C/D product conjectures, %d weights, N=20" % count, t0)
 
 
-def test_conjecture_products_at_order_40():
-    # the criterion-3 conjecture grid at twice its order: every report is
-    # a pass
+def _conjecture_grid_passes(N):
+    # the 96 points of the criterion-3 conjecture grid: every report at
+    # order N is a pass
     t0 = time.monotonic()
     points = [(cid, n, w) for n in range(1, 4) for k in range(3)
               for w in _weights(n, k) for cid in ("con-a2n2", "con-dn2")]
@@ -93,10 +93,18 @@ def test_conjecture_products_at_order_40():
                for w in _weights(n, k)]
     assert len(points) == 96
     for cid, n, w in points:
-        rep = cli.run_check(cid, {"n": n, "weights": w}, 40, timings=False)
+        rep = cli.run_check(cid, {"n": n, "weights": w}, N, timings=False)
         assert rep.status == "pass", (cid, n, w, rep.first_mismatch)
-    print("[acceptance] conjecture products at N=40: PASS (%.1fs) 96 checks"
-          % (time.monotonic() - t0))
+    print("[acceptance] conjecture products at N=%d: PASS (%.1fs) 96 checks"
+          % (N, time.monotonic() - t0))
+
+
+def test_conjecture_products_at_order_40():
+    _conjecture_grid_passes(40)
+
+
+def test_conjecture_products_at_order_80():
+    _conjecture_grid_passes(80)
 
 
 def test_criterion_04_hall_littlewood_bridges():

@@ -70,6 +70,18 @@ def test_one_entry_tuple_binds_in_either_form(capsys, positional, keyword):
     assert outs[0][1].count("\n") > 2
 
 
+@pytest.mark.parametrize("check, params", [
+    ("con-cn1", "n=0,weights=3"),
+    ("spec-char", "family=A,n=1,two_k=2,two_lambda=2"),
+])
+def test_one_entry_tuple_parameter_verifies(capsys, check, params):
+    # a single int given for a tuple parameter is its 1-tuple
+    code, out = run(capsys, "verify", "--check", check, "--params", params,
+                    "--order", "5")
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+
+
 def test_verify_pass(capsys):
     code, out = run(capsys, "verify", "--check", "gordon",
                     "--params", "k=1,a=1", "--order", "40")

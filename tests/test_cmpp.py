@@ -3,8 +3,9 @@ from itertools import product
 
 import pytest
 
+from cmpplab import cmpp
 from cmpplab.cmpp import (_row_layout, _ScanTable, family_rows, gen_fun,
-                          gordon_series)
+                          gen_fun_z1, gordon_series)
 from oracles import FrequencyArray, gen_fun_reference, max_path_sum
 
 
@@ -196,6 +197,55 @@ def test_scan_matches_reference_at_level_4():
             assert (a.terms, a.q_order, a.q_floor) == \
                 (b.terms, b.q_order, b.q_floor), (fam, n, w)
     assert len(refs) == 9 + 19
+
+
+def _window(s):
+    return s.terms, s.q_order, s.q_floor
+
+
+def test_weight_scan_matches_the_bivariate_scan_and_reference():
+    # gen_fun_z1 is gen_fun at z = 1, and the brute force at z = 1: every
+    # family at small n, every boundary of level <= 3, N = 0..12
+    cases = 0
+    for fam, ns in (("A", (1, 2)), ("C", (0, 1, 2)), ("D", (1, 2, 3))):
+        for n in ns:
+            for w in product(range(4), repeat=n + 1):
+                if sum(w) > 3:
+                    continue
+                for N in range(13):
+                    got = _window(gen_fun_z1(fam, n, w, N))
+                    assert got == _window(gen_fun(fam, n, w, N).at_one("z")) \
+                        == _window(gen_fun_reference(fam, n, w, N)
+                                   .at_one("z")), (fam, n, w, N)
+                    cases += 1
+    assert cases == 13 * (10 + 20 + 4 + 10 + 20 + 10 + 20 + 35)
+    # counts up to 1.3 * 10^8 (at N = 60) and levels above 254, whose
+    # states are tuples
+    for fam, n, w, N in (("A", 3, (1, 0, 1, 1), 40), ("C", 2, (2, 1, 1), 60),
+                         ("D", 4, (1, 0, 1, 0, 1), 40), ("A", 1, (300, 2), 8),
+                         ("C", 1, (255, 0), 6)):
+        assert _window(gen_fun_z1(fam, n, w, N)) == \
+            _window(gen_fun(fam, n, w, N).at_one("z")), (fam, n, w, N)
+
+
+def test_slot_width_bounds_every_count():
+    # 19 partitions of weight <= 5 need 5 bits; 2 colours: 1 + 2 + 5 = 8
+    # of weight <= 2, 4 bits
+    assert cmpp._slot_bits(1, 5) == 5
+    assert cmpp._slot_bits(2, 2) == 4
+    for fam, n, w, N in (("C", 2, (2, 1, 1), 30), ("A", 2, (1, 1, 1), 30)):
+        top = max(gen_fun_z1(fam, n, w, N).terms.values())
+        assert top < 1 << cmpp._slot_bits(family_rows(fam, n), N)
+
+
+def test_too_narrow_slots_are_caught(monkeypatch):
+    # a mutant whose slots are far too narrow carries one weight's count
+    # into the next, and the comparison with the bivariate scan sees it
+    ref = ("C", 2, (1, 1, 1), 20)
+    right = gen_fun(*ref).at_one("z")
+    assert max(right.terms.values()) > 1000
+    monkeypatch.setattr(cmpp, "_slot_bits", lambda rows, N: 3)
+    assert gen_fun_z1(*ref) != right
 
 
 def _all_moves(table: _ScanTable, state) -> list[list[int]]:

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from cmpplab.cmpp import gen_fun
+from cmpplab.cmpp import gen_fun, gen_fun_z1
 from cmpplab.d2solver import solve_d2_system
 from cmpplab import funceq, macdonald, multisums, products
 from cmpplab.funceq import ParamError, catalog, list_checks, residual
@@ -561,7 +561,7 @@ def test_random_multisum_windows():
 
 
 def _random_enumeration_refs(rng) -> list[tuple]:
-    """``gen`` refs of every shape the tests cover: the empty
+    """``gen`` and ``gen1`` refs of every shape the tests cover: the empty
     boundary, a full one (every label positive) where its level is <= 3,
     and random boundaries of level 0..3."""
     refs = []
@@ -577,7 +577,7 @@ def _random_enumeration_refs(rng) -> list[tuple]:
                 w[rng.randrange(n + 1)] += 1
             ws.add(tuple(w))
         for w in sorted(ws):
-            refs.append(("gen", fam, n, w))
+            refs += [("gen", fam, n, w), ("gen1", fam, n, w)]
     return refs
 
 
@@ -613,7 +613,8 @@ def test_z_to_w_terms_match_the_substituted_build(monkeypatch):
         got, _ = residual(_one_term(
             funceq.Term(1, ref, post="z_to_w", subst=(0, 0, 2))), N)
         assert built == [(ref, N // 2)]
-        build = gen_fun if ref[0] == "gen" else multisums.ag_sum
+        build = {"gen": gen_fun, "gen1": gen_fun_z1,
+                 "ag": multisums.ag_sum}[ref[0]]
         assert got == _in_w_q2(build, ref[1:], N), (ref, N)
 
 
