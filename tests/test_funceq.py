@@ -64,7 +64,8 @@ def test_points_the_validators_pass_build():
     # every point over {-1, 0, 1, 2}, once with every parameter set and
     # once with the defaulted ones left at their defaults.  The Macdonald
     # checks need e1, and a kind, to get past their first tests, and the
-    # weight and character checks their weights and a family.  At the
+    # weight and character checks their weights and a family; a weight
+    # is also given as a single int, which reads as its 1-tuple.  At the
     # first valid point of each check, each parameter in turn is also
     # given a str and a tuple, which may also be rejected as the CLI
     # rejects any bad input.  An int point must be a ParamError or build,
@@ -73,10 +74,11 @@ def test_points_the_validators_pass_build():
     for chk in list_checks():
         extras = [{}]
         if "weights" in chk.defaults:
-            extras = [{"weights": (1,) * n} for n in range(4)]
+            extras = [{"weights": w} for w in ((), (1,), (1, 1), (1, 1, 1),
+                                               1)]
         if "two_lambda" in chk.defaults:
-            extras = [{"two_lambda": (v,) * n} for v in (1, 2)
-                      for n in range(3)]
+            extras = [{"two_lambda": tl} for v in (1, 2)
+                      for tl in ((), (v,), (v, v), v)]
         if "e1" in chk.defaults:
             extras += [{"e1": 1}, {"e1": 2, "e2": -1}]
         for name, letters in (("kind", "BD"), ("family", "ACD")):
