@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
-from .series import QSeries, inv_poch, poch, qbin
+from .series import QSeries, euler_product, inv_poch, poch, qbin
 
 # A partition is a tuple of weakly decreasing positive ints; the empty
 # tuple is the unique partition of 0.
@@ -55,12 +55,12 @@ def n_stat(lam: Partition) -> int:
 
 def multisum_term(e: int, factors, N: int) -> QSeries:
     """q^e / prod over (base, count) in factors of (q^base; q^base)_count,
-    to order N (each inverse to order N - e); count 0 factors are 1."""
-    term = QSeries.monomial(1, dq=e, order=None)
-    for base, count in factors:
-        if count:
-            term = term * inv_poch(base, base, count, N - e)
-    return term
+    to order N; count 0 factors are 1, and with no other factor the term
+    is the exact monomial q^e."""
+    pochs = [(base, base, count, -1) for base, count in factors if count]
+    if not pochs:
+        return QSeries.monomial(1, dq=e, order=None)
+    return euler_product(pochs, N, 1, e)
 
 
 def _ls_factor(i: int, s: int, m: int, e: int, N: int) -> QSeries:
@@ -83,12 +83,9 @@ def hl_principal_finite(lam: Partition, kvars: int, m: int, N: int) -> QSeries:
         raise ValueError("m >= 1")
     if len(lam) > kvars:
         return QSeries({}, N, 0, _clean=True)
-    out = QSeries.monomial(1, dq=m * n_stat(lam), order=None)
-    out = out * poch(m, m, kvars, N + m * n_stat(lam))
-    out = out * inv_poch(m, m, kvars - len(lam), N)
-    for f in frequencies(lam).values():
-        out = out * inv_poch(m, m, f, N)
-    return out.truncate(N)
+    return euler_product([(m, m, kvars, 1), (m, m, kvars - len(lam), -1)] +
+                         [(m, m, f, -1) for f in frequencies(lam).values()],
+                         N, 1, m * n_stat(lam))
 
 
 def hl_ls_2r1s(r: int, s: int, kvars: int, m: int, N: int) -> QSeries:
@@ -182,13 +179,8 @@ def _sym_cosets(padded: list[int], m: int, xstep: int):
 def _sym_unit(sign: int, num_factors: list[int], den_factors: list[int],
               inner: int) -> QSeries:
     """sign * prod (1 - q^u) / prod (1 - q^v), exact through q^inner."""
-    unit = QSeries.one(inner)
-    for u in num_factors:
-        unit = (unit * QSeries({(0, 0, 0): 1, (0, 0, u): -1}, None, 0,
-                               _clean=True)).truncate(inner)
-    for v in den_factors:
-        unit = unit * inv_poch(v, v, 1, inner)
-    return unit if sign > 0 else -unit
+    return euler_product([(u, u, 1, 1) for u in num_factors] +
+                         [(v, v, 1, -1) for v in den_factors], inner, sign)
 
 
 # -- infinite principal specialisation via branching -------------------------

@@ -41,7 +41,7 @@ from typing import Optional
 
 from .products import (PochFactor, ProductSpec, ThetaFactor, expand,
                        theta_reduce, theta_sum)
-from .series import QSeries, inv_poch
+from .series import QSeries, euler_product
 
 
 @dataclass(frozen=True)
@@ -236,15 +236,14 @@ def specialized_character_sum(family: str, n: int, hw: HalfWeight,
     if family == "A":
         y = tuple(hw.two_lambda[i] // 2 + n - i for i in range(n))
         raw = macdonald_sum("B", y, hw.two_k + 2 * n + 1, sigma, 1, N)
-        den = inv_poch(1, 1, None, N - min(raw.q_floor, 0)) ** n
+        den = euler_product(((1, 1, None, -n),), N - min(raw.q_floor, 0))
         return _halve((raw * den).truncate(N), 2, N)
     tau = 1 if hw.lambda_integral else -1
     yu = tuple(hw.two_lambda[i] + 2 * (n - i) - 1 for i in range(n))
     Nu = 2 * N + 1
     raw = macdonald_sum("D", yu, 2 * (hw.two_k + 2 * n), sigma, tau, Nu)
     inner = Nu - min(raw.q_floor, 0)
-    den = inv_poch(2, 2, None, inner) ** (n - 1)
-    den = den * inv_poch(4, 4, None, inner)
+    den = euler_product(((2, 2, None, 1 - n), (4, 4, None, -1)), inner)
     out = (raw * den).truncate(Nu)
     out = _halve(out, 4, Nu)
     terms: dict[tuple[int, int, int], int] = {}

@@ -6,18 +6,17 @@ theta(x; p) = -x theta(xp; p), which contributes a signed q-power (possibly
 with a negative exponent, carried by the series' q_floor).
 
 ProductSpec is declarative data: a list of theta factors theta(q^a; q^m)^e
-and Pochhammer factors (q^c; q^m)_inf^e, assembled by expand().  All the
-named product sides (Gordon, the level-one theorems, the specialised
-character products, the Andrews-Gordon-type conjectural products) are
-built here as ProductSpecs.
+and Pochhammer factors (q^c; q^m)_inf^e, assembled by expand() in one call
+of series.euler_product.  All the named product sides (Gordon, the
+level-one theorems, the specialised character products, the
+Andrews-Gordon-type conjectural products) are built here as ProductSpecs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .series import QSeries, inv_poch, poch
+from .series import QSeries, euler_product
 
 
 @dataclass(frozen=True)
@@ -74,50 +73,37 @@ def theta_sum(m: int, a: int, N: int, sign: int = -1,
     return QSeries(terms, N, min(low, 0))
 
 
-@lru_cache(maxsize=256)  # a catalog pass fills 97
 def theta_q(a: int, m: int, N: int) -> QSeries:
     """theta(q^a; q^m) truncated at order N; zero when a = 0 (mod m)."""
     sign, shift, r = theta_reduce(a, m)
     if r == 0:
         return QSeries.zero()
-    inner = N - shift  # shift <= 0
-    s = poch(r, m, None, inner) * poch(m - r, m, None, inner)
-    return s.scale(sign) * QSeries.monomial(1, dq=shift)
+    return euler_product(((r, m, None, 1), (m - r, m, None, 1)), N, sign,
+                         shift)
 
 
 def expand(spec: ProductSpec, N: int) -> QSeries:
     """Expand a ProductSpec to order N (exact).
 
-    Theta factors with out-of-range arguments contribute signed negative
-    q-shifts; every factor is expanded far enough past N that the
-    assembled product stays exact through N."""
-    out = QSeries.one(None)
-    shift_total = 0
-    for t in spec.thetas:
-        _, shift, _ = theta_reduce(t.a, t.m)
-        shift_total += shift * max(t.power, 0)
-    inner = N - shift_total
-    for t in spec.thetas:
-        if t.power >= 0:
-            factor = theta_q(t.a, t.m, inner)
-        else:
-            # theta in a denominator: invert the reduced unit part
-            sign, shift, r = theta_reduce(t.a, t.m)
-            if r == 0:
-                raise ValueError("division by a vanishing theta")
-            factor = inv_poch(r, t.m, None, inner - shift) * \
-                inv_poch(t.m - r, t.m, None, inner - shift) * \
-                QSeries.monomial(sign, dq=-shift)
-        for _ in range(abs(t.power)):
-            out = out * factor
-    for p in spec.pochs:
-        if p.power >= 0:
-            factor = poch(p.c, p.m, None, inner)
-        else:
-            factor = inv_poch(p.c, p.m, None, inner - min(out.q_floor, 0))
-        for _ in range(abs(p.power)):
-            out = out * factor
-    return out.truncate(N)
+    A theta factor is sign * q^shift times two Pochhammer factors (see
+    theta_reduce), so the product is one euler_product with the window
+    (N, the total shift); a theta that vanishes makes it the zero series
+    cut at N."""
+    reduced = [theta_reduce(t.a, t.m) for t in spec.thetas]
+    factors = [(p.c, p.m, None, p.power) for p in spec.pochs]
+    sign, shift, vanishes = 1, 0, False
+    for t, (t_sign, t_shift, r) in zip(spec.thetas, reduced):
+        if r == 0 and t.power < 0:
+            raise ValueError("division by a vanishing theta")
+        if r == 0:
+            vanishes = vanishes or t.power > 0
+            continue
+        sign *= t_sign ** abs(t.power)
+        shift += t_shift * t.power
+        factors += [(r, t.m, None, t.power), (t.m - r, t.m, None, t.power)]
+    out = euler_product(factors, N, sign, shift)
+    # the factors are checked even when a theta vanishes
+    return QSeries({}, N, 0, _clean=True) if vanishes else out
 
 
 # -- specialised character products ----------------------------------------

@@ -341,30 +341,66 @@ class QSeries:
 # -- named constructors ---------------------------------------------------
 
 
+def euler_product(factors: Iterable[tuple[int, int, Optional[int], int]],
+                  order: int, sign: int = 1, shift: int = 0) -> QSeries:
+    """sign * q^shift * prod (q^c; q^m)_count^power over the (c, m, count,
+    power) in factors (count None: the infinite product), exact through
+    q^order: the window (order, shift).
+
+    The factors are first reduced to the exponent vector of
+    prod_{e=1}^{L} (1 - q^e)^{c_e}, L = order - shift, since no factor
+    past q^L reaches q^order.  The product's coefficients f_n then follow
+    from its logarithmic derivative, q f'/f = -sum_k sigma(k) q^k with
+    sigma(k) = sum_{e | k} e c_e (Euler's recurrence):
+
+        n f_n = -sum_{k <= n, sigma(k) != 0} sigma(k) f_{n-k},  f_0 = 1.
+
+    The division by n is exact, because f has integer coefficients."""
+    top = order - shift
+    vec = [0] * (top + 1)
+    for c, m, count, power in factors:
+        if m < 1:
+            raise ValueError("base exponent m must be >= 1")
+        if c < 1:
+            raise ValueError("infinite product needs c >= 1 to terminate")
+        stop = top + 1 if count is None else min(top + 1, c + count * m)
+        for e in range(c, stop, m):
+            vec[e] += power
+    if top < 0:
+        return QSeries({}, order, shift, _clean=True)
+    sigma = [0] * (top + 1)
+    for e in range(1, top + 1):
+        if vec[e]:
+            w = e * vec[e]
+            for k in range(e, top + 1, e):
+                sigma[k] += w
+    nonzero = [(k, s) for k, s in enumerate(sigma) if s]
+    f = [1] + [0] * top
+    for n in range(1, top + 1):
+        acc = 0
+        for k, s in nonzero:
+            if k > n:
+                break
+            acc += s * f[n - k]
+        f[n] = -acc // n
+    return QSeries({(0, 0, d + shift): sign * v for d, v in enumerate(f) if v},
+                   order, shift, _clean=True)
+
+
 def poch(c: int, m: int, count: Optional[int], n: int) -> QSeries:
     """Truncated q-Pochhammer product prod_{j<count} (1 - q^{c+jm}), to order n.
 
     count=None means the infinite product; factors beyond q^n are dropped
-    either way, so the result's order is n.
+    either way, so the result's order is n.  c must be >= 1 for every
+    count: a factor 1 - q^e with e <= 0 has no place under floor 0.
     """
-    if m < 1:
-        raise ValueError("base exponent m must be >= 1")
-    if count is None and c < 1:
-        raise ValueError("infinite product needs c >= 1 to terminate")
-    out = QSeries.one(n)
-    j = 0
-    e = c
-    while (count is None or j < count) and e <= n:
-        out = out * QSeries({(0, 0, 0): 1, (0, 0, e): -1}, None, 0, _clean=True)
-        j += 1
-        e += m
-    return out.truncate(n)
+    return euler_product(((c, m, count, 1),), n)
 
 
-@lru_cache(maxsize=1024)  # a catalog pass fills 471
+@lru_cache(maxsize=1024)  # a catalog pass fills 109
 def inv_poch(c: int, m: int, count: Optional[int], n: int) -> QSeries:
     """1 / poch(c, m, count, n): the one cached Pochhammer inverse."""
-    return poch(c, m, count, n).invert()
+    return euler_product(((c, m, count, -1),), n)
 
 
 @lru_cache(maxsize=128)  # a catalog pass fills 42

@@ -4,7 +4,11 @@
   frequency arrays, pruned by their max-path sum (``max_path_sum``);
 * ``partitions_iter`` and ``sub_partitions``: the partitions that the
   Hall-Littlewood pair-DP oracle sums over;
-* ``d_n1_product``: the product side of the one-row D family.
+* ``d_n1_product``: the product side of the one-row D family;
+* ``poch_by_factors``, ``theta_by_factors`` and ``expand_by_factors``:
+  ``series.poch``, ``products.theta_q`` and ``products.expand`` multiplied
+  out one factor 1 - q^e at a time, each denominator by
+  ``QSeries.invert``.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Iterator, Optional
 
 from cmpplab.cmpp import _NEG, _row_layout, family_rows
 from cmpplab.hall_littlewood import Partition
-from cmpplab.products import PochFactor, ProductSpec
+from cmpplab.products import PochFactor, ProductSpec, theta_reduce
 from cmpplab.series import QSeries
 
 # -- coloured partitions by brute force -------------------------------------
@@ -233,3 +237,66 @@ def d_n1_product(k: int) -> ProductSpec:
     """(q^{2k+2}; q^{2k+2})_inf / (q^2; q^2)_inf: even parts, multiplicity <= k."""
     return ProductSpec((), (PochFactor(2 * k + 2, 2 * k + 2, 1),
                             PochFactor(2, 2, -1)))
+
+
+# -- q-products factor by factor ---------------------------------------------
+
+
+def poch_by_factors(c: int, m: int, count: Optional[int], n: int) -> QSeries:
+    """prod_{j<count} (1 - q^{c+jm}) to order n, one mul per factor."""
+    if m < 1:
+        raise ValueError("base exponent m must be >= 1")
+    if count is None and c < 1:
+        raise ValueError("infinite product needs c >= 1 to terminate")
+    out = QSeries.one(n)
+    j = 0
+    e = c
+    while (count is None or j < count) and e <= n:
+        out = out * QSeries({(0, 0, 0): 1, (0, 0, e): -1}, None, 0)
+        j += 1
+        e += m
+    return out.truncate(n)
+
+
+def theta_by_factors(a: int, m: int, N: int) -> QSeries:
+    """theta(q^a; q^m) to order N as sign * q^shift times two products."""
+    sign, shift, r = theta_reduce(a, m)
+    if r == 0:
+        return QSeries.zero()
+    inner = N - shift  # shift <= 0
+    s = poch_by_factors(r, m, None, inner) * \
+        poch_by_factors(m - r, m, None, inner)
+    return s.scale(sign) * QSeries.monomial(1, dq=shift)
+
+
+def expand_by_factors(spec: ProductSpec, N: int) -> QSeries:
+    """A ProductSpec to order N, one factor at a time: each theta and each
+    Pochhammer factor is expanded far enough past N that the product stays
+    exact through N, and multiplied in once per unit of its power."""
+    out = QSeries.one(None)
+    shift_total = 0
+    for t in spec.thetas:
+        _, shift, _ = theta_reduce(t.a, t.m)
+        shift_total += shift * max(t.power, 0)
+    inner = N - shift_total
+    for t in spec.thetas:
+        if t.power >= 0:
+            factor = theta_by_factors(t.a, t.m, inner)
+        else:
+            sign, shift, r = theta_reduce(t.a, t.m)
+            if r == 0:
+                raise ValueError("division by a vanishing theta")
+            factor = poch_by_factors(r, t.m, None, inner - shift).invert() * \
+                poch_by_factors(t.m - r, t.m, None, inner - shift).invert() * \
+                QSeries.monomial(sign, dq=-shift)
+        for _ in range(abs(t.power)):
+            out = out * factor
+    for p in spec.pochs:
+        if p.power >= 0:
+            factor = poch_by_factors(p.c, p.m, None, inner)
+        else:
+            factor = poch_by_factors(p.c, p.m, None,
+                                     inner - min(out.q_floor, 0)).invert()
+        for _ in range(abs(p.power)):
+            out = out * factor
+    return out.truncate(N)

@@ -103,8 +103,9 @@ def test_conjecture_products_at_order_40():
     _conjecture_grid_passes(40)
 
 
-def test_conjecture_products_at_order_80():
-    _conjecture_grid_passes(80)
+def test_conjecture_products_at_order_120():
+    # a pass through q^120 checks every coefficient an N = 80 pass does
+    _conjecture_grid_passes(120)
 
 
 def test_criterion_04_hall_littlewood_bridges():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cmpplab.cmpp import gen_fun
@@ -8,7 +10,7 @@ from cmpplab.products import (PochFactor, ProductSpec, ThetaFactor,
                               jms_product, theta_q, theta_reduce,
                               theta_sum)
 from cmpplab.series import QSeries, poch
-from oracles import d_n1_product
+from oracles import d_n1_product, expand_by_factors, theta_by_factors
 
 
 def test_theta_basic():
@@ -198,3 +200,62 @@ def test_poch_factor_powers():
     spec = ProductSpec((), (PochFactor(1, 1, 2),))
     direct = poch(1, 1, None, 15) * poch(1, 1, None, 15)
     assert expand(spec, 15).compare(direct, 15) is None
+
+
+def _outcome(build, *args):
+    """(terms, q_order, q_floor) of a build, or its ValueError text."""
+    try:
+        s = build(*args)
+    except ValueError as exc:
+        return str(exc)
+    return s.terms, s.q_order, s.q_floor
+
+
+def test_theta_matches_factor_by_factor():
+    for m in range(1, 10):
+        for a in range(-12, 15):
+            for n in range(31):
+                assert _outcome(theta_q, a, m, n) == \
+                    _outcome(theta_by_factors, a, m, n), (a, m, n)
+    for a, m in ((1, 0), (3, -2)):
+        assert _outcome(theta_q, a, m, 5) == \
+            _outcome(theta_by_factors, a, m, 5)
+
+
+def test_expand_matches_factor_by_factor():
+    # one recurrence over the exponent vector against a mul per factor
+    # and an invert per denominator: terms, window and error text
+    fixed = [
+        ProductSpec((ThetaFactor(5, 5, 1), ThetaFactor(1, 5, -1)),
+                    (PochFactor(1, 1, -1),)),  # vanishing numerator
+        ProductSpec((ThetaFactor(2, 5, 1), ThetaFactor(10, 5, -2)), ()),
+        ProductSpec((ThetaFactor(0, 3, 0), ThetaFactor(-4, 3, -1)),
+                    (PochFactor(3, 3, 2),)),  # vanishing at power 0
+        ProductSpec((ThetaFactor(6, 6, 1),), (PochFactor(0, 2, 1),)),
+        ProductSpec((ThetaFactor(1, 4, 1),), (PochFactor(2, 0, 0),)),
+    ]
+    rng = random.Random(19)
+    specs = [(spec, n) for spec in fixed for n in (0, 1, 7, 30)]
+    for _ in range(1500):
+        thetas = tuple(ThetaFactor(rng.randint(-12, 14), rng.randint(1, 9),
+                                   rng.randint(-2, 3))
+                       for _ in range(rng.randint(0, 3)))
+        pochs = tuple(PochFactor(rng.randint(1, 9), rng.randint(1, 9),
+                                 rng.randint(-2, 3))
+                      for _ in range(rng.randint(0, 3)))
+        specs.append((ProductSpec(thetas, pochs), rng.randint(0, 30)))
+    seen = set()
+    for spec, n in specs:
+        got = _outcome(expand, spec, n)
+        assert got == _outcome(expand_by_factors, spec, n), (spec, n)
+        for t in spec.thetas:
+            if t.a % t.m == 0:
+                seen.add("vanishing, power %s" % ((t.power > 0) -
+                                                  (t.power < 0)))
+        seen.add("error" if isinstance(got, str) else
+                 "zero" if not got[0] else "series")
+        seen.update("a < 0" if t.a < 0 else "a >= m" if t.a >= t.m else
+                    "a in [0, m)" for t in spec.thetas)
+    assert seen == {"vanishing, power 1", "vanishing, power 0",
+                    "vanishing, power -1", "error", "zero", "series",
+                    "a < 0", "a >= m", "a in [0, m)"}
