@@ -9,8 +9,9 @@ from cmpplab.products import (PochFactor, ProductSpec, ThetaFactor,
                               d_level1_product, expand, gordon_product,
                               jms_product, theta_q, theta_reduce,
                               theta_sum)
-from cmpplab.series import QSeries, poch
-from oracles import d_n1_product, expand_by_factors, theta_by_factors
+from cmpplab.series import QSeries, inv_poch, poch
+from oracles import (d_n1_product, expand_by_factors, poch_by_factors,
+                     theta_by_factors)
 
 
 def test_theta_basic():
@@ -209,6 +210,25 @@ def _outcome(build, *args):
     except ValueError as exc:
         return str(exc)
     return s.terms, s.q_order, s.q_floor
+
+
+def test_pochhammer_products_match_factor_by_factor():
+    # the recurrence against one mul per factor 1 - q^e, and its inverse
+    # against invert()
+    for c in range(1, 8):
+        for m in range(1, 6):
+            for count in (None, 0, 1, 2, 3, 4, 5):
+                for n in range(31):
+                    want = poch_by_factors(c, m, count, n)
+                    inv = want.invert()
+                    assert _outcome(poch, c, m, count, n) == \
+                        (want.terms, want.q_order, want.q_floor)
+                    assert _outcome(inv_poch, c, m, count, n) == \
+                        (inv.terms, inv.q_order, inv.q_floor)
+    for c, m in ((1, 0), (2, -1), (0, 2), (-3, 1)):
+        for build in (poch, inv_poch):
+            assert _outcome(build, c, m, None, 6) == \
+                _outcome(poch_by_factors, c, m, None, 6)
 
 
 def test_theta_matches_factor_by_factor():

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from cmpplab.series import QSeries, inv_poch, poch, qbin
-from oracles import poch_by_factors
 
 
 def q_only(coeffs, order):
@@ -150,34 +149,9 @@ def test_poch_examples():
         for build in (poch, inv_poch):
             with pytest.raises(ValueError, match="c >= 1"):
                 build(c, m, count, 5)
-
-
-def _outcome(build, *args):
-    """(terms, q_order, q_floor) of a build, or its ValueError text."""
-    try:
-        s = build(*args)
-    except ValueError as exc:
-        return str(exc)
-    return s.terms, s.q_order, s.q_floor
-
-
-def test_pochhammer_products_match_factor_by_factor():
-    # the recurrence against one mul per factor 1 - q^e, and its inverse
-    # against invert()
-    for c in range(1, 8):
-        for m in range(1, 6):
-            for count in (None, 0, 1, 2, 3, 4, 5):
-                for n in range(31):
-                    want = poch_by_factors(c, m, count, n)
-                    inv = want.invert()
-                    assert _outcome(poch, c, m, count, n) == \
-                        (want.terms, want.q_order, want.q_floor)
-                    assert _outcome(inv_poch, c, m, count, n) == \
-                        (inv.terms, inv.q_order, inv.q_floor)
-    for c, m in ((1, 0), (2, -1), (0, 2), (-3, 1)):
-        for build in (poch, inv_poch):
-            assert _outcome(build, c, m, None, 6) == \
-                _outcome(poch_by_factors, c, m, None, 6)
+    # below order 0 there is nothing to claim, for a product or its inverse
+    for build in (poch, inv_poch):
+        assert build(1, 1, None, -1) == QSeries({}, -1, 0)
 
 
 def test_qbin_examples():
