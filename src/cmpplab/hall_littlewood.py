@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
-from .series import QSeries, euler_product, inv_poch, poch, qbin
+from .series import QSeries, euler_product, poch
 
 # A partition is a tuple of weakly decreasing positive ints; the empty
 # tuple is the unique partition of 0.
@@ -63,15 +63,20 @@ def multisum_term(e: int, factors, N: int) -> QSeries:
     return euler_product(pochs, N, 1, e)
 
 
-def _ls_factor(i: int, s: int, m: int, e: int, N: int) -> QSeries:
-    """(-1)^i q^e [i+s, s]_t (1 - t^{2i+s}) / (1 - t^{i+s}) at t = q^m,
-    to order N; the i = 0 ratio counts as 1."""
-    out = QSeries.monomial((-1) ** i, dq=e, order=None) * qbin(i + s, s, m)
+def _qbin_factors(n: int, k: int, m: int) -> list:
+    """[n, k]_t at t = q^m, 0 <= k <= n, as the euler_product factors of
+    (t^{n-k+1}; t)_k / (t; t)_k."""
+    return [(m * (n - k + 1), m, k, 1), (m, m, k, -1)]
+
+
+def _ls_factors(i: int, s: int, m: int) -> list:
+    """[i+s, s]_t (1 - t^{2i+s}) / (1 - t^{i+s}) at t = q^m, s >= 0, as
+    euler_product factors ([i+s, s] = [i+s, i]); the i = 0 ratio counts
+    as 1."""
+    out = _qbin_factors(i + s, i, m)
     if i > 0:
-        num = QSeries({(0, 0, 0): 1, (0, 0, m * (2 * i + s)): -1},
-                      None, 0, _clean=True)
-        d = m * (i + s)
-        out = out * num * inv_poch(d, d, 1, N + e)
+        a, b = m * (2 * i + s), m * (i + s)
+        out += [(a, a, 1, 1), (b, b, 1, -1)]
     return out
 
 
@@ -93,14 +98,21 @@ def hl_ls_2r1s(r: int, s: int, kvars: int, m: int, N: int) -> QSeries:
     sum over i = 0..r; the i = 0 ratio (1-t^s)/(1-t^s) counts as 1."""
     if r < 0 or s < 0:
         raise ValueError("r, s >= 0")
+    if m < 1:
+        raise ValueError("base exponent m must be >= 1")
 
     def term(i: int) -> QSeries:
         e = m * (i * (i - 1) // 2) + \
             (r - i) * (r - i - 1) // 2 + (r + s + i) * (r + s + i - 1) // 2
-        return (_ls_factor(i, s, m, e, N) * qbin(kvars, r - i, 1) *
-                qbin(kvars, r + s + i, 1))
+        return euler_product(_ls_factors(i, s, m) +
+                             _qbin_factors(kvars, r - i, 1) +
+                             _qbin_factors(kvars, r + s + i, 1),
+                             N, (-1) ** i, e)
 
-    return QSeries.collect((((0, 0, 0), term(i)) for i in range(r + 1)),
+    # the term i is 0 once [kvars, r+s+i]_q is, at r+s+i > kvars (and
+    # r-i <= r+s+i); its factors would read that as a count of 0
+    return QSeries.collect((((0, 0, 0), term(i))
+                            for i in range(min(r, kvars - r - s) + 1)),
                            N, 0)
 
 
@@ -191,10 +203,8 @@ def _psi_poly(mu: Partition, nu: Partition, m: int) -> tuple[tuple[int, int], ..
     """Branching weight of the horizontal strip nu/mu as (exponent, coeff)
     pairs: prod over {i: m_i(mu) = m_i(nu) + 1} of (1 - t^{m_i(mu)}), t=q^m."""
     mm, mn = frequencies(mu), frequencies(nu)
-    poly = QSeries.one()
-    for i, f in mm.items():
-        if f == mn.get(i, 0) + 1:
-            poly = poly * (QSeries.one() - QSeries.monomial(1, dq=m * f))
+    exps = [m * f for i, f in mm.items() if f == mn.get(i, 0) + 1]
+    poly = euler_product([(e, e, 1, 1) for e in exps], sum(exps))
     return tuple(sorted((dq, c) for (_, _, dq), c in poly.terms.items()))
 
 
@@ -322,15 +332,12 @@ def _h_step(u: int, l: int, l_next: int, m: int, W: int) -> QSeries:
     the product of these over the parts (u, l, l_next) = (mu_i, nu_i,
     nu_{i+1}), with nu padded by zeros.
 
-    The factor is q^e times a Gaussian binomial with constant term 1, so
-    it is the empty series with floor e when e > W, else q^e (floor e)
-    times the binomial cut at W - e.  A floor of 0 there would claim a
-    window e short of W, and a product with it would drop kept terms."""
+    The factor is q^e times a Gaussian binomial with constant term 1,
+    built with euler_product's window (W, e): the empty series with floor
+    e when e > W.  A floor of 0 there would claim a window e short of W,
+    and a product with it would drop kept terms."""
     e = l + m * ((u - l) * (u - l - 1) // 2)
-    if e > W:
-        return QSeries({}, W, e, _clean=True)
-    return QSeries.monomial(1, dq=e, order=W) * \
-        qbin(u - l_next, u - l, m).truncate(W - e)
+    return euler_product(_qbin_factors(u - l_next, u - l, m), W, 1, e)
 
 
 def _eliminate(mu: Partition, m: int, cut, below, memo: dict,
@@ -504,8 +511,8 @@ def bailey_alpha_side(s: int, m: int, r_max: int, N: int) -> QSeries:
     sequence of the Bailey pair relative to q^s with t = q^m."""
     def term(r: int, i: int) -> QSeries:
         e = m * (i * (i - 1) // 2) + i * (i + s)
-        return (_ls_factor(i, s, m, e, N) * inv_poch(1, 1, r - i, N) *
-                inv_poch(s + 1, 1, r + i, N))
+        return euler_product(_ls_factors(i, s, m) + [
+            (1, 1, r - i, -1), (s + 1, 1, r + i, -1)], N, (-1) ** i, e)
 
     return QSeries.collect((((r, 0, 0), term(r, i))
                             for r in range(r_max + 1) for i in range(r + 1)),

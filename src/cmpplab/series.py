@@ -156,20 +156,6 @@ class QSeries:
                 terms[k] = terms.get(k, 0) + c1 * c2
         return QSeries(terms, order, floor)
 
-    def __pow__(self, n: int) -> "QSeries":
-        if n < 0:
-            raise ValueError("negative powers: use invert()")
-        result = QSeries.one(None)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return result
-
     def scale(self, c: int) -> "QSeries":
         if c == 0:
             return QSeries({}, self.q_order, 0, _clean=True)
@@ -395,12 +381,6 @@ def poch(c: int, m: int, count: Optional[int], n: int) -> QSeries:
     count: a factor 1 - q^e with e <= 0 has no place under floor 0.
     """
     return euler_product(((c, m, count, 1),), n)
-
-
-@lru_cache(maxsize=1024)  # a catalog pass fills 109
-def inv_poch(c: int, m: int, count: Optional[int], n: int) -> QSeries:
-    """1 / poch(c, m, count, n): the one cached Pochhammer inverse."""
-    return euler_product(((c, m, count, -1),), n)
 
 
 @lru_cache(maxsize=128)  # a catalog pass fills 42

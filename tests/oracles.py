@@ -8,7 +8,11 @@
 * ``poch_by_factors``, ``theta_by_factors`` and ``expand_by_factors``:
   ``series.poch``, ``products.theta_q`` and ``products.expand`` multiplied
   out one factor 1 - q^e at a time, each denominator by
-  ``QSeries.invert``.
+  ``QSeries.invert``;
+* ``hl_ls_2r1s_by_factors``, ``bailey_alpha_side_by_factors``,
+  ``h_step_by_factors`` and ``psi_poly_by_factors``: the Hall-Littlewood
+  q-products multiplied out one ``qbin`` or Pochhammer factor at a time;
+* ``outcome``: what the differential tests compare.
 """
 
 from __future__ import annotations
@@ -17,9 +21,19 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from cmpplab.cmpp import _NEG, _row_layout, family_rows
-from cmpplab.hall_littlewood import Partition
+from cmpplab.hall_littlewood import Partition, frequencies
 from cmpplab.products import PochFactor, ProductSpec, theta_reduce
-from cmpplab.series import QSeries
+from cmpplab.series import QSeries, qbin
+
+
+def outcome(build, *args):
+    """(terms, q_order, q_floor) of a build, or its ValueError text."""
+    try:
+        s = build(*args)
+    except ValueError as exc:
+        return str(exc)
+    return s.terms, s.q_order, s.q_floor
+
 
 # -- coloured partitions by brute force -------------------------------------
 
@@ -246,7 +260,7 @@ def poch_by_factors(c: int, m: int, count: Optional[int], n: int) -> QSeries:
     """prod_{j<count} (1 - q^{c+jm}) to order n, one mul per factor."""
     if m < 1:
         raise ValueError("base exponent m must be >= 1")
-    if count is None and c < 1:
+    if c < 1:
         raise ValueError("infinite product needs c >= 1 to terminate")
     out = QSeries.one(n)
     j = 0
@@ -300,3 +314,71 @@ def expand_by_factors(spec: ProductSpec, N: int) -> QSeries:
         for _ in range(abs(p.power)):
             out = out * factor
     return out.truncate(N)
+
+
+# -- Hall-Littlewood q-products factor by factor ------------------------------
+
+
+def _ls_factor_by_factors(i: int, s: int, m: int, e: int, N: int) -> QSeries:
+    """(-1)^i q^e [i+s, s]_t (1 - t^{2i+s}) / (1 - t^{i+s}) at t = q^m,
+    to order N; the i = 0 ratio counts as 1."""
+    out = QSeries.monomial((-1) ** i, dq=e, order=None) * qbin(i + s, s, m)
+    if i > 0:
+        num = QSeries({(0, 0, 0): 1, (0, 0, m * (2 * i + s)): -1}, None, 0)
+        d = m * (i + s)
+        out = out * num * poch_by_factors(d, d, 1, N + e).invert()
+    return out
+
+
+def hl_ls_2r1s_by_factors(r: int, s: int, kvars: int, m: int,
+                          N: int) -> QSeries:
+    """hall_littlewood.hl_ls_2r1s, each term a product of the
+    Lassalle-Schlosser factor and two Gaussian binomials in q."""
+    if r < 0 or s < 0:
+        raise ValueError("r, s >= 0")
+
+    def term(i: int) -> QSeries:
+        e = m * (i * (i - 1) // 2) + \
+            (r - i) * (r - i - 1) // 2 + (r + s + i) * (r + s + i - 1) // 2
+        return (_ls_factor_by_factors(i, s, m, e, N) *
+                qbin(kvars, r - i, 1) * qbin(kvars, r + s + i, 1))
+
+    return QSeries.collect((((0, 0, 0), term(i)) for i in range(r + 1)),
+                           N, 0)
+
+
+def bailey_alpha_side_by_factors(s: int, m: int, r_max: int,
+                                 N: int) -> QSeries:
+    """hall_littlewood.bailey_alpha_side, each term the Lassalle-Schlosser
+    factor over two Pochhammer products, each inverted by invert()."""
+    def term(r: int, i: int) -> QSeries:
+        e = m * (i * (i - 1) // 2) + i * (i + s)
+        return (_ls_factor_by_factors(i, s, m, e, N) *
+                poch_by_factors(1, 1, r - i, N).invert() *
+                poch_by_factors(s + 1, 1, r + i, N).invert())
+
+    return QSeries.collect((((r, 0, 0), term(r, i))
+                            for r in range(r_max + 1) for i in range(r + 1)),
+                           N, 0)
+
+
+def h_step_by_factors(u: int, l: int, l_next: int, m: int,
+                      W: int) -> QSeries:
+    """hall_littlewood._h_step as q^e times a cut qbin, with floor e, and
+    the empty series with floor e when e > W."""
+    e = l + m * ((u - l) * (u - l - 1) // 2)
+    if e > W:
+        return QSeries({}, W, e)
+    return QSeries.monomial(1, dq=e, order=W) * \
+        qbin(u - l_next, u - l, m).truncate(W - e)
+
+
+def psi_poly_by_factors(mu: Partition, nu: Partition,
+                        m: int) -> tuple[tuple[int, int], ...]:
+    """hall_littlewood._psi_poly, one mul per factor 1 - t^f."""
+    mm, mn = frequencies(mu), frequencies(nu)
+    poly = QSeries.one()
+    for i, f in mm.items():
+        if f == mn.get(i, 0) + 1:
+            poly = poly * (QSeries.one() - QSeries.monomial(1, dq=m * f))
+    return tuple(sorted((dq, c) for (_, _, dq), c in poly.terms.items()))

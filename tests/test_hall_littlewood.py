@@ -4,14 +4,17 @@ import pytest
 
 import cmpplab
 from cmpplab import hall_littlewood
-from cmpplab.hall_littlewood import (hl_chain_sum, hl_inf_spec, hl_ls_2r1s,
+from cmpplab.hall_littlewood import (bailey_alpha_side, hl_chain_sum,
+                                     hl_inf_spec, hl_ls_2r1s,
                                      hl_principal_finite,
                                      hl_sum_over_bounded, hl_symmetrization,
                                      hl_weighted_chain, multisum_term,
                                      prop_gow_sum)
 from cmpplab.multisums import ag_sum
 from cmpplab.series import QSeries, qbin
-from oracles import partitions_iter, sub_partitions
+from oracles import (bailey_alpha_side_by_factors, h_step_by_factors,
+                     hl_ls_2r1s_by_factors, outcome, partitions_iter,
+                     psi_poly_by_factors, sub_partitions)
 
 
 def test_public_names_resolve():
@@ -116,6 +119,47 @@ def test_chain_sum_is_ag_at_base_q():
         a = hl_chain_sum(k, 1, 16)
         b = ag_sum(k, k, 16)
         assert a.compare(b, 16) is None
+
+
+def test_ls_and_bailey_terms_match_factor_by_factor():
+    # one euler_product call per term against the qbin and Pochhammer
+    # products it replaced: terms, q_order, q_floor and error text; the
+    # Bailey sum through r_max = 4 holds every r <= 4 as its z^r part
+    orders = (0, 1, 2, 3, 5, 8, 12, 17, 23, 30)
+    for m in range(4):
+        for s in range(-1, 4):
+            for r in range(5):
+                for kvars in range(-1, 9):
+                    for N in orders:
+                        assert outcome(hl_ls_2r1s, r, s, kvars, m, N) == \
+                            outcome(hl_ls_2r1s_by_factors, r, s, kvars, m,
+                                    N), (r, s, kvars, m, N)
+            for N in orders:
+                assert outcome(bailey_alpha_side, s, m, 4, N) == \
+                    outcome(bailey_alpha_side_by_factors, s, m, 4, N), \
+                    (s, m, N)
+    # m is checked before the terms past kvars are skipped
+    with pytest.raises(ValueError, match="base exponent m must be >= 1"):
+        hl_ls_2r1s(0, 1, 0, 0, 6)
+
+
+def test_h_step_and_psi_match_factor_by_factor():
+    # m >= 1, as their callers ensure: hl_chain_sum and hl_weighted_chain
+    # pass n >= 1, and hl_inf_spec checks m
+    for m in range(1, 4):
+        for u in range(7):
+            for l in range(u + 1):
+                for l_next in range(l + 1):
+                    for W in range(-2, 25):
+                        # == compares terms, q_order and q_floor
+                        assert hall_littlewood._h_step.__wrapped__(
+                            u, l, l_next, m, W) == \
+                            h_step_by_factors(u, l, l_next, m, W), \
+                            (u, l, l_next, m, W)
+        for mu in partitions_iter(8):
+            for nu in partitions_iter(8):
+                assert hall_littlewood._psi_poly.__wrapped__(mu, nu, m) == \
+                    psi_poly_by_factors(mu, nu, m), (mu, nu, m)
 
 
 def test_chain_sum_equals_bounded_hl_sum():

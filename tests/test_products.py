@@ -9,9 +9,9 @@ from cmpplab.products import (PochFactor, ProductSpec, ThetaFactor,
                               d_level1_product, expand, gordon_product,
                               jms_product, theta_q, theta_reduce,
                               theta_sum)
-from cmpplab.series import QSeries, inv_poch, poch
-from oracles import (d_n1_product, expand_by_factors, poch_by_factors,
-                     theta_by_factors)
+from cmpplab.series import QSeries, euler_product, poch
+from oracles import (d_n1_product, expand_by_factors, outcome,
+                     poch_by_factors, theta_by_factors)
 
 
 def test_theta_basic():
@@ -203,15 +203,6 @@ def test_poch_factor_powers():
     assert expand(spec, 15).compare(direct, 15) is None
 
 
-def _outcome(build, *args):
-    """(terms, q_order, q_floor) of a build, or its ValueError text."""
-    try:
-        s = build(*args)
-    except ValueError as exc:
-        return str(exc)
-    return s.terms, s.q_order, s.q_floor
-
-
 def test_pochhammer_products_match_factor_by_factor():
     # the recurrence against one mul per factor 1 - q^e, and its inverse
     # against invert()
@@ -221,25 +212,25 @@ def test_pochhammer_products_match_factor_by_factor():
                 for n in range(31):
                     want = poch_by_factors(c, m, count, n)
                     inv = want.invert()
-                    assert _outcome(poch, c, m, count, n) == \
+                    assert outcome(poch, c, m, count, n) == \
                         (want.terms, want.q_order, want.q_floor)
-                    assert _outcome(inv_poch, c, m, count, n) == \
-                        (inv.terms, inv.q_order, inv.q_floor)
+                    assert outcome(euler_product, ((c, m, count, -1),),
+                                    n) == (inv.terms, inv.q_order, inv.q_floor)
     for c, m in ((1, 0), (2, -1), (0, 2), (-3, 1)):
-        for build in (poch, inv_poch):
-            assert _outcome(build, c, m, None, 6) == \
-                _outcome(poch_by_factors, c, m, None, 6)
+        want = outcome(poch_by_factors, c, m, None, 6)
+        assert outcome(poch, c, m, None, 6) == want
+        assert outcome(euler_product, ((c, m, None, -1),), 6) == want
 
 
 def test_theta_matches_factor_by_factor():
     for m in range(1, 10):
         for a in range(-12, 15):
             for n in range(31):
-                assert _outcome(theta_q, a, m, n) == \
-                    _outcome(theta_by_factors, a, m, n), (a, m, n)
+                assert outcome(theta_q, a, m, n) == \
+                    outcome(theta_by_factors, a, m, n), (a, m, n)
     for a, m in ((1, 0), (3, -2)):
-        assert _outcome(theta_q, a, m, 5) == \
-            _outcome(theta_by_factors, a, m, 5)
+        assert outcome(theta_q, a, m, 5) == \
+            outcome(theta_by_factors, a, m, 5)
 
 
 def test_expand_matches_factor_by_factor():
@@ -266,8 +257,8 @@ def test_expand_matches_factor_by_factor():
         specs.append((ProductSpec(thetas, pochs), rng.randint(0, 30)))
     seen = set()
     for spec, n in specs:
-        got = _outcome(expand, spec, n)
-        assert got == _outcome(expand_by_factors, spec, n), (spec, n)
+        got = outcome(expand, spec, n)
+        assert got == outcome(expand_by_factors, spec, n), (spec, n)
         for t in spec.thetas:
             if t.a % t.m == 0:
                 seen.add("vanishing, power %s" % ((t.power > 0) -
