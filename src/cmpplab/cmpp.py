@@ -99,7 +99,7 @@ def _row_layout(family: str, n: int,
 
 
 class _ScanTable:
-    """The column moves of ``gen_fun``'s part-size scan, for one row layout
+    """The column moves of ``_scan``'s part-size scan, for one row layout
     and level, explored lazily and shared by every boundary and order.
 
     A state summarises the array in the columns scanned so far (all part
@@ -271,84 +271,20 @@ def _scan_table(parities: tuple[int, ...], level: int) -> _ScanTable:
     return _ScanTable(parities, level)
 
 
-def _scan_start(family: str, n: int, boundary: tuple[int, ...],
-                N: int) -> tuple[_ScanTable, int] | None:
-    """The scan table of the boundary's row layout and level, and the id
-    of its start state; None when only the empty partition is admissible
-    (level 0 or N = 0)."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    boundary = tuple(boundary)
-    parities, bases = _row_layout(family, n, boundary)
-    level = sum(boundary)
-    if level == 0 or N == 0:
-        return None
-    table = _scan_table(tuple(parities), level)
-    return table, table.start(bases)
-
-
-def gen_fun(family: str, n: int, boundary: tuple[int, ...], N: int) -> QSeries:
-    """Two-variable generating function sum z^{l} q^{|lambda|} over
-    admissible coloured partitions with |lambda| <= N.
-
-    Scans the part sizes j = 1..N as columns of the frequency array (see
-    ``_ScanTable``): each state of the scan carries the counts of the
-    (length, weight) pairs reaching it, and a column with entry sum s
-    adds z^s q^{j s}.  Columns above a partition's weight budget are
-    zero, and zero columns at j >= 1 never fail the path bound (a path's
-    visits to such a column fold back two columns onto entries >= 0), so
-    a pair leaves the scan as soon as no nonzero column fits its budget.
-    """
-    scan = _scan_start(family, n, boundary, N)
-    if scan is None:
-        return QSeries({(0, 0, 0): 1}, N, 0, _clean=True)
-    table, start = scan
-    W = N + 1  # a (length z, weight w) pair is the key w * W + z
-    cur = {start: {0: 1}}
-    out: dict[int, int] = {}
-    for j in range(1, N + 2):
-        nxt: dict[int, dict[int, int]] = {}
-        done = (N - j + 1) * W  # keys from here have no room for part j
-        for sid, keys in cur.items():
-            live = []
-            for key, cnt in keys.items():
-                if key >= done:
-                    out[key] = out.get(key, 0) + cnt
-                else:
-                    live.append((key, cnt))
-            if not live:
-                continue
-            cap = (N - min(live)[0] // W) // j
-            moves = table.column_moves(sid, cap)
-            for total in range(min(cap + 1, len(moves))):
-                if not moves[total]:
-                    continue
-                shift = total * (j * W + 1)
-                lim = (N - j * total + 1) * W
-                moved = [(key + shift, cnt) for key, cnt in live if key < lim]
-                for nid in moves[total]:
-                    d = nxt.get(nid)
-                    if d is None:
-                        d = nxt[nid] = {}
-                    for key, cnt in moved:
-                        d[key] = d.get(key, 0) + cnt
-        cur = nxt
-    return QSeries({(key % W, 0, key // W): c for key, c in out.items()},
-                   N, 0, _clean=True)
-
-
 @lru_cache(maxsize=64)
 def _slot_bits(rows: int, N: int) -> int:
-    """The slot width of ``gen_fun_z1``: the bit length of the number of
+    """The slot width of ``_scan``: the bit length of the number of
     ``rows``-coloured partitions of weight <= N.
 
-    A slot holds the count of one weight w <= N at one state: the number
-    of distinct frequency arrays over the columns scanned so far, of
-    weight w, that reach the state (or, in the output, that are
-    admissible).  Giving the entry in row r and column j colour r maps
-    such arrays one-to-one to ``rows``-coloured partitions of weight w,
-    so no slot count, nor any sum of them that the scan forms, exceeds
-    this number, and no slot carries into the next.
+    A slot holds the count of one key at one state: the number of
+    distinct frequency arrays over the columns scanned so far, of one
+    weight w <= N (and, keyed by length too, one length l), that reach
+    the state (or, in the output, that are admissible).  A (length,
+    weight) count is at most its weight's count, and giving the entry in
+    row r and column j colour r maps the arrays of weight w one-to-one
+    to ``rows``-coloured partitions of weight w, so no slot count, nor
+    any sum of them that the scan forms, exceeds this number, and no
+    slot carries into the next.
     """
     p = [1] + [0] * N  # p[w]: rows-coloured partitions of weight w
     for _ in range(rows):
@@ -358,44 +294,73 @@ def _slot_bits(rows: int, N: int) -> int:
     return sum(p).bit_length()
 
 
-def gen_fun_z1(family: str, n: int, boundary: tuple[int, ...],
-               N: int) -> QSeries:
-    """``gen_fun(family, n, boundary, N).at_one("z")``: the admissible
-    coloured partitions with |lambda| <= N counted by weight alone.
+def _scan(family: str, n: int, boundary: tuple[int, ...], N: int, W: int,
+          dz: int) -> QSeries:
+    """sum z^{dz l} q^w over the admissible coloured partitions of weight
+    w <= N and length l: ``gen_fun`` with W = N + 1 and dz = 1, and
+    ``gen_fun_z1`` with W = 1 and dz = 0.
 
-    The same column scan as ``gen_fun``, but a state carries its counts
-    as one int, a slot of B bits per weight (Kronecker substitution, B
-    from ``_slot_bits``): a column with entry sum s at part j shifts the
-    slots up by j s, and the mask cuts the weights above N.
+    Scans the part sizes j = 1..N as columns of the frequency array (see
+    ``_ScanTable``).  A state of the scan carries its counts as one int,
+    a slot of B bits per key w W + dz l (Kronecker substitution, B from
+    ``_slot_bits``): a column with entry sum s at part j shifts the slots
+    up by s (j W + dz), and a mask cuts the weights above N.  Keyed by
+    length too, keys cannot collide, as l <= w <= N < W.  Columns above
+    a partition's weight budget are zero, and zero columns at j >= 1
+    never fail the path bound (a path's visits to such a column fold back
+    two columns onto entries >= 0), so a count leaves the scan as soon as
+    no nonzero column fits its weight budget.
     """
-    scan = _scan_start(family, n, boundary, N)
-    if scan is None:
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    boundary = tuple(boundary)
+    parities, bases = _row_layout(family, n, boundary)
+    level = sum(boundary)
+    if level == 0 or N == 0:
         return QSeries({(0, 0, 0): 1}, N, 0, _clean=True)
-    table, start = scan
-    B = _slot_bits(family_rows(family, n), N)
-    full = (1 << B * (N + 1)) - 1
-    cur = {start: 1}
+    table = _scan_table(tuple(parities), level)
+    B = _slot_bits(len(parities), N)
+    full = (1 << B * W * (N + 1)) - 1
+    cur = {table.start(bases): 1}
     out = 0
     for j in range(1, N + 2):
         nxt: dict[int, int] = {}
-        room = (1 << B * (N - j + 1)) - 1  # the weights with room for j
+        room = (1 << B * W * (N - j + 1)) - 1  # the weights with room for j
         for sid, counts in cur.items():
             live = counts & room
             out += counts ^ live
             if not live:
                 continue
-            cap = (N - ((live & -live).bit_length() - 1) // B) // j
+            cap = (N - ((live & -live).bit_length() - 1) // (B * W)) // j
             moves = table.column_moves(sid, cap)
             for total in range(min(cap + 1, len(moves))):
                 if not moves[total]:
                     continue
-                moved = (live << B * j * total) & full
+                moved = (live << B * total * (j * W + dz)) & full
                 for nid in moves[total]:
                     nxt[nid] = nxt.get(nid, 0) + moved
         cur = nxt
-    slot = (1 << B) - 1
-    return QSeries({(0, 0, w): c for w in range(N + 1)
-                    if (c := (out >> B * w) & slot)}, N, 0, _clean=True)
+    # cut out each weight's W slots first: shifting the small blocks is
+    # cheaper than shifting out once per key
+    slot, block = (1 << B) - 1, (1 << B * W) - 1
+    return QSeries({(l, 0, w): c for w in range(N + 1)
+                    if (ws := (out >> B * W * w) & block)
+                    for l in range(W) if (c := (ws >> B * l) & slot)},
+                   N, 0, _clean=True)
+
+
+def gen_fun(family: str, n: int, boundary: tuple[int, ...], N: int) -> QSeries:
+    """Two-variable generating function sum z^{l} q^{|lambda|} over
+    admissible coloured partitions with |lambda| <= N (see ``_scan``)."""
+    return _scan(family, n, boundary, N, N + 1, 1)
+
+
+def gen_fun_z1(family: str, n: int, boundary: tuple[int, ...],
+               N: int) -> QSeries:
+    """``gen_fun(family, n, boundary, N).at_one("z")``: the admissible
+    coloured partitions with |lambda| <= N counted by weight alone (see
+    ``_scan``)."""
+    return _scan(family, n, boundary, N, 1, 0)
 
 
 def gordon_series(k: int, a: int, N: int) -> QSeries:

@@ -73,11 +73,6 @@ class QSeries:
         return QSeries.monomial(1, order=order)
 
     @staticmethod
-    def from_q_coeffs(coeffs: Iterable[int], order: int) -> "QSeries":
-        terms = {(0, 0, d): c for d, c in enumerate(coeffs) if c}
-        return QSeries(terms, order, 0, _clean=True)
-
-    @staticmethod
     def collect(parts: Iterable[tuple[Key, "QSeries"]],
                 order: Optional[int], floor: int) -> "QSeries":
         """sum of z^a w^b q^c * s over the ((a, b, c), s) in parts, cut at
@@ -291,11 +286,6 @@ class QSeries:
             if ca != cb:
                 return Mismatch(k[0], k[1], k[2], ca, cb)
         return None
-
-    def is_zero_through(self, up_to: int) -> bool:
-        if self.q_order is not None and self.q_order < up_to:
-            raise ValueError("insufficient truncation")
-        return all(k[2] > up_to for k in self.terms)
 
     # -- export -------------------------------------------------------------
 

@@ -12,7 +12,8 @@
 * ``hl_ls_2r1s_by_factors``, ``bailey_alpha_side_by_factors``,
   ``h_step_by_factors`` and ``psi_poly_by_factors``: the Hall-Littlewood
   q-products multiplied out one ``qbin`` or Pochhammer factor at a time;
-* ``outcome``: what the differential tests compare.
+* ``outcome``: what the differential tests compare;
+* ``is_zero_through``: whether a series has no term through a q order.
 """
 
 from __future__ import annotations
@@ -33,6 +34,13 @@ def outcome(build, *args):
     except ValueError as exc:
         return str(exc)
     return s.terms, s.q_order, s.q_floor
+
+
+def is_zero_through(s: QSeries, up_to: int) -> bool:
+    """No term of s has q degree <= up_to; raises when s is cut below."""
+    if s.q_order is not None and s.q_order < up_to:
+        raise ValueError("insufficient truncation")
+    return all(k[2] > up_to for k in s.terms)
 
 
 # -- coloured partitions by brute force -------------------------------------

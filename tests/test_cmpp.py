@@ -220,7 +220,9 @@ def test_weight_scan_matches_the_bivariate_scan_and_reference():
                     cases += 1
     assert cases == 13 * (10 + 20 + 4 + 10 + 20 + 10 + 20 + 35)
     # counts up to 1.3 * 10^8 (at N = 60) and levels above 254, whose
-    # states are tuples
+    # states are tuples; both sides run through _scan, so these rows check
+    # the two keyings against each other only (the criterion-3 grid checks
+    # z = 1 at large N against the products, an independent route)
     for fam, n, w, N in (("A", 3, (1, 0, 1, 1), 40), ("C", 2, (2, 1, 1), 60),
                          ("D", 4, (1, 0, 1, 0, 1), 40), ("A", 1, (300, 2), 8),
                          ("C", 1, (255, 0), 6)):
@@ -234,18 +236,28 @@ def test_slot_width_bounds_every_count():
     assert cmpp._slot_bits(1, 5) == 5
     assert cmpp._slot_bits(2, 2) == 4
     for fam, n, w, N in (("C", 2, (2, 1, 1), 30), ("A", 2, (1, 1, 1), 30)):
-        top = max(gen_fun_z1(fam, n, w, N).terms.values())
-        assert top < 1 << cmpp._slot_bits(family_rows(fam, n), N)
+        bound = 1 << cmpp._slot_bits(family_rows(fam, n), N)
+        for build in (gen_fun, gen_fun_z1):
+            assert max(build(fam, n, w, N).terms.values()) < bound
+    # level 0 and N = 0 admit only the empty partition, with no scan
+    for fam, n, w, N in (("C", 2, (0, 0, 0), 9), ("A", 1, (2, 1), 0)):
+        for build in (gen_fun, gen_fun_z1):
+            assert _window(build(fam, n, w, N)) == ({(0, 0, 0): 1}, N, 0)
 
 
 def test_too_narrow_slots_are_caught(monkeypatch):
-    # a mutant whose slots are far too narrow carries one weight's count
-    # into the next, and the comparison with the bivariate scan sees it
-    ref = ("C", 2, (1, 1, 1), 20)
-    right = gen_fun(*ref).at_one("z")
-    assert max(right.terms.values()) > 1000
+    # a mutant whose slots are far too narrow carries one key's count into
+    # the next; both keyings run through _scan, so each is compared with
+    # the brute force, whose largest counts here are 258 and 527
+    ref = ("C", 2, (1, 1, 1), 12)
+    right = gen_fun_reference(*ref)
+    right_z1 = right.at_one("z")
+    assert max(right.terms.values()) == 258
+    assert max(right_z1.terms.values()) == 527
+    assert gen_fun(*ref) == right and gen_fun_z1(*ref) == right_z1
     monkeypatch.setattr(cmpp, "_slot_bits", lambda rows, N: 3)
-    assert gen_fun_z1(*ref) != right
+    assert gen_fun(*ref) != right
+    assert gen_fun_z1(*ref) != right_z1
 
 
 def _all_moves(table: _ScanTable, state) -> list[list[int]]:
