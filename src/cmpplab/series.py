@@ -373,7 +373,7 @@ def poch(c: int, m: int, count: Optional[int], n: int) -> QSeries:
     return euler_product(((c, m, count, 1),), n)
 
 
-@lru_cache(maxsize=128)  # a catalog pass fills 42
+@lru_cache(maxsize=128)  # a catalog pass fills 0 (only `expand qbin`)
 def _qbin_poly(n: int, k: int) -> QSeries:
     """Gaussian binomial [n, k]_q as an exact polynomial."""
     if k < 0 or k > n:

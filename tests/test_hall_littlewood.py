@@ -183,8 +183,10 @@ def _h_step_uncut(upper, lower, m):
     return QSeries.monomial(1, dq=e) * out
 
 
-# -- the pair DP: the chain sums over every pair (mu, nu <= mu), the oracle
-# of the one-part-at-a-time elimination in hall_littlewood._chain_dp
+# -- the pair DP: the chain sums over every pair (mu, nu <= mu), memoised
+# per (a, mu) and top, the oracle of hall_littlewood._chain_dp, which sums
+# hl_chain_sum and both levels of hl_weighted_chain one part at a time in
+# tables shared by every top and cut by the key alone
 
 
 def _pair_step(upper, lower, m, W):
@@ -281,6 +283,12 @@ def test_chain_sums_match_the_pair_dp():
         for N in (-1, 0, 1, 2, 3, 6, 10, 13):
             assert hl_weighted_chain(variant, param, N) == \
                 _pair_weighted_chain(variant, param, N), (variant, param, N)
+    # the criterion-12 points at their order, where level-0 tables are
+    # shared by tops of different shifts (v2, k >= 2)
+    for variant, param in grid:
+        if param <= {"v1": 4, "v2": 3}[variant]:
+            assert hl_weighted_chain(variant, param, 18) == \
+                _pair_weighted_chain(variant, param, 18), (variant, param)
 
 
 def test_chain_sums_match_uncut_steps():
