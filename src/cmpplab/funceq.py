@@ -32,24 +32,6 @@ class ParamError(ValueError):
 # -- series resolver ----------------------------------------------------------
 
 
-def _negative_part(s: QSeries) -> QSeries:
-    return QSeries({k: c for k, c in s.terms.items() if c < 0},
-                   s.q_order, s.q_floor, _clean=True)
-
-
-def _mac_cross(kd, exps_sum, exps_pi, base, sigma, tau, N: int) -> QSeries:
-    """macdonald_sum(exps_sum) * pi_product(exps_pi) to order N.  Each
-    factor is fetched once, through N minus the other's (nonpositive)
-    floor: the product's floor is known without a build, the sum's from
-    its build."""
-    p_floor = macdonald.pi_floor(kd, exps_pi, base, sigma, tau)
-    s1 = _series(("macsum", kd, exps_sum, base, sigma, tau),
-                 N - min(p_floor, 0))
-    p1 = _series(("pi", kd, exps_pi, base, sigma, tau),
-                 N - min(s1.q_floor, 0))
-    return (s1 * p1).truncate(N)
-
-
 def _d2_tags(k: int):
     """(idx, w): d2-unique tags the idx-th level-k rank-2 weight by w^idx."""
     from .d2solver import _weights
@@ -67,15 +49,18 @@ def _d2_solved(k: int, N: int) -> QSeries:
 # Series kind -> builder; a ref (kind, *args) is built at order N as
 # builder(*args, N).  A "module.function" name is looked up on the module
 # at each build, never stored, so that rebinding that attribute (tracing,
-# test patches) changes what the catalog builds.  A kind has an adapter
-# only where its ref's arguments are not the builder's own, in order.
+# test patches) changes what the catalog builds.  Every ref's arguments are
+# its builder's own, in order, but for three kinds: wz and hlsym, whose
+# builders take a defaulted argument after N that their refs give before
+# it, and d2solved, which tags the solver's series.  No builder asks the
+# memo for another series: a term is one series under a monomial
+# prefactor.
 _BUILDERS: dict[str, str | Callable[..., QSeries]] = {
     "gen": "cmpp.gen_fun",
     "gen1": "cmpp.gen_fun_z1",
     "gordon_b": "cmpp.gordon_series",
     "prodspec": "products.expand",
     "charprod": "products.char_product",
-    "charprod-negpart": lambda *a: _negative_part(products.char_product(*a)),
     "c_n0_2var": "products.c_n0_two_variable",
     "fsum": "multisums.f_sum",
     "ag": "multisums.ag_sum",
@@ -92,17 +77,14 @@ _BUILDERS: dict[str, str | Callable[..., QSeries]] = {
     "sser": "multisums.s_series",
     "pi": "macdonald.pi_product",
     "macsum": "macdonald.macdonald_sum",
-    "speccharsum": lambda fam, n, two_k, two_lambda, N:
-        macdonald.specialized_character_sum(
-            fam, n, macdonald.HalfWeight(two_k, two_lambda), N),
+    "speccharsum": "macdonald.specialized_character_sum",
     "hlsym": lambda shape, L, m, xstep, N:
         hall_littlewood.hl_symmetrization(shape, L, m, N, xstep=xstep),
     "hlls": "hall_littlewood.hl_ls_2r1s",
     "hlpf": "hall_littlewood.hl_principal_finite",
     "baileyl": "hall_littlewood.bailey_alpha_side",
     "baileyr": "hall_littlewood.bailey_hl_side",
-    "jtp_sum": lambda a, m, N: products.theta_sum(m, a, N),
-    "mac_cross": _mac_cross,
+    "jtp_sum": "products.theta_sum",
     "d2solved": _d2_solved,
 }
 
@@ -205,6 +187,8 @@ _POST = {"": lambda s: s,
          "z1": lambda s: s.at_one("z"),
          "w0": lambda s: s.at_zero("w"),
          "z0": lambda s: s.at_zero("z"),
+         "neg": lambda s: QSeries({k: c for k, c in s.terms.items() if c < 0},
+                                  s.q_order, s.q_floor, _clean=True),
          "w_to_z": lambda s: s.substitute(w=(1, 0, 0)),
          "z_to_w": lambda s: s.substitute(z=(0, 1, 0))}
 
@@ -760,7 +744,7 @@ def _weights_param(w, n, n_min=1):
            "coefficient is a finding")
 def _apos(n, *, weights=None):
     w = _weights_param(weights, n)
-    return [Term(1, ("charprod-negpart", "A", "nonstandard", n, w))], \
+    return [Term(1, ("charprod", "A", "nonstandard", n, w), post="neg")], \
         "conjectural"
 
 
@@ -1122,7 +1106,7 @@ def _jtp(a, m):
         raise ParamError("a must be an int")
     prod = products.ProductSpec((products.ThetaFactor(a, m),),
                                 (products.PochFactor(m, m, 1),))
-    terms = [Term(1, ("prodspec", prod)), Term(-1, ("jtp_sum", a, m))]
+    terms = [Term(1, ("prodspec", prod)), Term(-1, ("jtp_sum", m, a))]
     return terms, "proved"
 
 
@@ -1168,13 +1152,20 @@ def _macd(base, sigma=1, tau=1, *, e1=None, e2=None, e3=None, e4=None):
 
 @_register("mac-quasiperiod",
            "shifting e1 by the base changes both sides by the same signed "
-           "monomial (checked by cross-multiplication)")
+           "monomial")
 def _macqp(kind, base, sigma=1, tau=1, *, e1=None, e2=None, e3=None,
            e4=None):
+    """The sum at e1 + base against (-1)^c q^{-c e1} times the sum at e.
+    Pi has c theta factors theta(q^a; q^base) that contain +e1: a = e1
+    (type B only) and a = e1 - e_j, e1 + e_j for j >= 2, so their a sum
+    to c e1.  Shifting e1 by the base multiplies each by -q^{-a}, as
+    theta(q^{a + base}; q^base) = -q^{-a} theta(q^a; q^base)."""
     exps = _mac_exps(kind, base, sigma, tau, e1, e2, e3, e4)
+    c = 2 * len(exps) - (1 if kind == "B" else 2)
     shifted = (exps[0] + base,) + exps[1:]
-    terms = [Term(1, ("mac_cross", kind, exps, shifted, base, sigma, tau)),
-             Term(-1, ("mac_cross", kind, shifted, exps, base, sigma, tau))]
+    terms = [Term(1, ("macsum", kind, shifted, base, sigma, tau)),
+             Term(-1, ("macsum", kind, exps, base, sigma, tau),
+                  pref=(_mono((-1) ** c, dq=-c * exps[0]),))]
     return terms, "proved"
 
 
@@ -1188,7 +1179,7 @@ def _specchar(family, n, two_k, *, two_lambda=()):
         macdonald.check_character_data(family, n, hw)
     except ValueError as exc:
         raise ParamError(str(exc)) from None
-    terms = [Term(1, ("speccharsum", family, n, two_k, tl))]
+    terms = [Term(1, ("speccharsum", family, n, hw))]
     if hw.k_integral and hw.lambda_integral:
         w = hw.weight()
         terms.append(Term(-1, ("charprod", family, "nonstandard", n, w)))

@@ -359,6 +359,8 @@ def _chain_dp(k: int, n: int, N: int, spent, lift: int = 0) -> QSeries:
     L = l(mu).  The key of T_j is (mu_1, ..., mu_j, nu_{j+1}, ..., nu_L)
     without trailing zeros, again a partition; one memo per level holds
     the tables by (j, key), shared by every mu and top that reaches them.
+    A table with no terms is one shared empty series, and a top whose
+    G_0(mu0) has none builds no lead.
 
     T_j(key) at level a is cut at N - spent(a, key) - (key_{j+1} + ... +
     key_L), and a term whose factor (with its lift) alone passes the cut
@@ -375,11 +377,12 @@ def _chain_dp(k: int, n: int, N: int, spent, lift: int = 0) -> QSeries:
     T_{j-1}(key') is no lower: by (1) when j >= 2, and by (2) when j =
     1, where T_0(key') = G_{a+1}(key') is cut at N - spent(a+1, key')."""
     memos: list[dict] = [{} for _ in range(n)]
+    empty = QSeries.zero()
 
     def T(a: int, j: int, key: Partition) -> QSeries:
         if j == 0:
             if a + 1 == n:
-                return QSeries.one(None) if not key else QSeries.zero()
+                return QSeries.one(None) if not key else empty
             return T(a + 1, len(key), key)
         got = memos[a].get((j, key))
         if got is not None:
@@ -397,15 +400,17 @@ def _chain_dp(k: int, n: int, N: int, spent, lift: int = 0) -> QSeries:
             rest = T(a, j - 1, key[:j - 1] + ((l,) if l else ()) + key[j:])
             if rest.terms:
                 parts.append(((0, 0, s), _h_step(u, l, nxt, n, W - s) * rest))
-        memos[a][(j, key)] = out = QSeries.collect(parts, W, 0)
+        memos[a][(j, key)] = out = \
+            QSeries.collect(parts, W, 0) if parts else empty
         return out
 
     def parts():
         for csum, mu0, factors in _tops(k, n, N):
             e = spent(0, mu0)
             if e <= N:
-                yield (csum, 0, e), \
-                    multisum_term(0, factors, N - e) * T(0, len(mu0), mu0)
+                g = T(0, len(mu0), mu0)
+                if g.terms:
+                    yield (csum, 0, e), multisum_term(0, factors, N - e) * g
 
     return QSeries.collect(parts(), N, 0)
 

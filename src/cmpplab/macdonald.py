@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Optional
 
 from .products import (PochFactor, ProductSpec, ThetaFactor, expand,
                        theta_reduce, theta_sum)
@@ -101,26 +100,6 @@ def pi_product(kind: str, exps: tuple[int, ...], base: int, sigma: int,
     """Pi_{B;sigma}(x, p) (kind "B") or Pi_{D;sigma,tau}(x, p) (kind "D")
     at x_i = q^{exps[i]}, p = q^base; zero for sigma = -1 (B) and for
     sigma = -1 or tau = -1 (D)."""
-    args = _pi_thetas(kind, exps, base, sigma, tau)
-    # a vanishing product is the exact zero, not a zero series cut at N
-    if args is None:
-        return QSeries.zero()
-    return expand(ProductSpec(tuple(ThetaFactor(a, base) for a in args),
-                              (PochFactor(base, base, len(exps)),)), N)
-
-
-def pi_floor(kind: str, exps: tuple[int, ...], base: int, sigma: int,
-             tau: int = 1) -> int:
-    """The q_floor of pi_product at every order N >= 0, without building
-    it: the least exponents of its theta factors summed (0 if it
-    vanishes)."""
-    args = _pi_thetas(kind, exps, base, sigma, tau)
-    return 0 if args is None else sum(theta_reduce(a, base)[1] for a in args)
-
-
-def _pi_thetas(kind, exps, base, sigma, tau) -> Optional[list[int]]:
-    """The arguments a of the theta(q^a; q^base) factors of pi_product, or
-    None when the product vanishes."""
     if kind not in ("B", "D"):
         raise ValueError(kind)
     n = len(exps)
@@ -128,10 +107,12 @@ def _pi_thetas(kind, exps, base, sigma, tau) -> Optional[list[int]]:
     for i in range(n):
         for j in range(i + 1, n):
             args += [exps[i] - exps[j], exps[i] + exps[j]]
+    # a vanishing product is the exact zero, not a zero series cut at N
     if sigma == -1 or (kind == "D" and tau == -1) or \
             any(theta_reduce(a, base)[2] == 0 for a in args):
-        return None
-    return args
+        return QSeries.zero()
+    return expand(ProductSpec(tuple(ThetaFactor(a, base) for a in args),
+                              (PochFactor(base, base, n),)), N)
 
 
 def check_macdonald_data(kind: str, exps: tuple[int, ...], base: int,

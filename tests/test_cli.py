@@ -199,7 +199,7 @@ def test_list_checks(capsys):
     assert lines["mac-quasiperiod"] == (
         "mac-quasiperiod        (kind, base, sigma, tau, [e1], [e2], [e3], "
         "[e4])  shifting e1 by the base changes both sides by the same "
-        "signed monomial (checked by cross-multiplication)")
+        "signed monomial")
     assert lines["spec-char"] == (
         "spec-char              (family, n, two_k, [two_lambda])  the "
         "specialised character determinant sum equals the product "

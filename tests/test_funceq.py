@@ -394,31 +394,44 @@ def test_series_memo_evicts_the_least_recently_used_ref():
     assert memo.cache_info() == (0, 0, 2, 0)
 
 
-def test_mac_cross_builds_each_factor_once(monkeypatch):
-    # each factor has floor 0 or -9 here; every cross is the product of
-    # factors built far past that, cut to N, and is built from one
-    # macdonald_sum and one pi_product
+def test_mac_quasiperiod_builds_two_sums_and_no_product(monkeypatch):
+    # the check is the sum at e1 + base against a monomial times the sum
+    # at e: two macdonald_sum builds, and the product side is never built
     from cmpplab import cli
-    for args in (((3, 1), (10, 1)), ((10, 1), (3, 1)), ((3, 1), (3, 1))):
-        for N in (0, 5, 12):
-            deep = (macdonald.macdonald_sum("B", args[0], 7, 1, 1, N + 20) *
-                    macdonald.pi_product("B", args[1], 7, 1, 1, N + 20))
-            assert funceq._build(("mac_cross", "B") + args + (7, 1, 1), N) \
-                == deep.truncate(N), (args, N)
     _counting_memo(monkeypatch)
-    calls = []
-    for name in ("macdonald_sum", "pi_product"):
+    calls = {"macdonald_sum": [], "pi_product": []}
+    for name, seen in calls.items():
         fn = getattr(macdonald, name)
         monkeypatch.setattr(macdonald, name,
-                            lambda *a, fn=fn: calls.append(a) or fn(*a))
+                            lambda *a, fn=fn, seen=seen: seen.append(a)
+                            or fn(*a))
     rep = cli.run_check("mac-quasiperiod",
                         {"kind": "B", "base": 7, "e1": 3, "e2": 1}, 12,
                         timings=False)
-    assert len(calls) == 4
+    assert sorted(a[1] for a in calls["macdonald_sum"]) == [(3, 1), (10, 1)]
+    assert calls["pi_product"] == []
     assert rep.to_json() == (
         '{"check": "mac-quasiperiod", "conjecture_status": "proved", '
         '"elapsed_ms": 0, "first_mismatch": null, "order": 12, "params": '
         '{"base": 7, "e1": 3, "e2": 1, "kind": "B"}, "status": "pass"}')
+
+
+def test_mac_quasiperiod_holds_where_the_sums_are_not_zero():
+    # Sigma(e1 + base) = (-1)^c q^{-c e1} Sigma(e), c = 2n - 1 (B) or 2n - 2
+    # (D).  A wrong sign or exponent shows only where the sums are not
+    # zero, so the grid keeps the points whose product Pi does not vanish
+    # (the twisted sums all vanish); e1 = -1 and 0 give prefactors q^{>= 0}
+    points = []
+    for kind, n in (("B", 1), ("B", 2), ("B", 3), ("D", 2), ("D", 3)):
+        for exps in product(range(-1, 4), repeat=n):
+            for base in range(1, 9):
+                if not macdonald.pi_product(kind, exps, base, 1, 1,
+                                            8).is_exact_zero():
+                    points.append((kind, exps, base))
+    assert len(points) == 382
+    for kind, exps, base in points:
+        check("mac-quasiperiod", N=8, kind=kind, base=base,
+              **{"e%d" % (i + 1): e for i, e in enumerate(exps)})
 
 
 def test_builders_are_looked_up_at_call_time(monkeypatch):
@@ -437,6 +450,19 @@ def test_builders_are_looked_up_at_call_time(monkeypatch):
 def test_resolver_table_is_exactly_the_referenced_kinds():
     kinds = {ref[0] for ref in _resolver_refs()}
     assert kinds == set(funceq._BUILDERS)
+
+
+def test_no_builder_asks_the_memo(monkeypatch):
+    # every catalog term is one series from its own builder: a build of
+    # any kind never fetches another series through funceq._series
+    def fetch(ref, N):
+        raise AssertionError("a builder fetched %r" % (ref,))
+    monkeypatch.setattr(funceq, "_series", fetch)
+    first = {}
+    for ref in _resolver_refs():
+        first.setdefault(ref[0], ref)
+    for ref in first.values():
+        assert isinstance(funceq._build(ref, 6), QSeries), ref
 
 
 @pytest.mark.parametrize("N, M", [(10, 6), (9, 4), (12, 7), (6, 0), (5, 1),
@@ -491,11 +517,11 @@ def _random_lattice_and_product_refs(rng) -> list[tuple]:
         tl = tuple(sorted((rng.randint(0, two_k) for _ in range(n)),
                           reverse=True))
         try:
-            macdonald.check_character_data(
-                fam, n, macdonald.HalfWeight(two_k, tl))
+            hw = macdonald.HalfWeight(two_k, tl)
+            macdonald.check_character_data(fam, n, hw)
         except ValueError:
             continue
-        refs.append(("speccharsum", fam, n, two_k, tl))
+        refs.append(("speccharsum", fam, n, hw))
     for _ in range(30):
         thetas = []
         for _ in range(rng.randint(0, 3)):
@@ -508,7 +534,8 @@ def _random_lattice_and_product_refs(rng) -> list[tuple]:
                       for _ in range(rng.randint(0, 3)))
         refs.append(("prodspec", products.ProductSpec(tuple(thetas), pochs)))
     for _ in range(30):
-        refs.append(("jtp_sum", rng.randint(-6, 10), rng.randint(1, 8)))
+        a, m = rng.randint(-6, 10), rng.randint(1, 8)
+        refs.append(("jtp_sum", m, a))
     for _ in range(30):
         n = rng.randint(1, 3)
         w = tuple(rng.randint(0, 3 - n // 2) for _ in range(n + 1))

@@ -3,8 +3,8 @@ from itertools import permutations, product
 
 import pytest
 
-from cmpplab.macdonald import (HalfWeight, macdonald_sum, pi_floor,
-                               pi_product, specialized_character_sum)
+from cmpplab.macdonald import (HalfWeight, macdonald_sum, pi_product,
+                               specialized_character_sum)
 from cmpplab.products import char_product
 from oracles import is_zero_through
 
@@ -30,18 +30,6 @@ def test_pi_vanishing_cases():
     # coincident theta argument makes the product vanish identically
     assert pi_product("B", (7, 3), 7, 1, 1, 10).is_exact_zero()
 
-
-
-def test_pi_floor_is_the_floor_of_every_build():
-    # funceq._mac_cross sizes the Macdonald sum by pi_floor before it
-    # builds the product; a floor above the real one would cut it short
-    for kind, n in (("B", 1), ("B", 2), ("B", 3), ("D", 2), ("D", 3)):
-        for exps in product(range(-3, 7, 2), repeat=n):
-            for base, sigma, tau in product((1, 2, 5), (1, -1), (1, -1)):
-                want = pi_floor(kind, exps, base, sigma, tau)
-                for N in (0, 4):
-                    got = pi_product(kind, exps, base, sigma, tau, N)
-                    assert got.q_floor == want, (kind, exps, base, N)
 
 
 def test_macdonald_b_identity():
