@@ -420,7 +420,8 @@ def test_mac_quasiperiod_holds_where_the_sums_are_not_zero():
     # Sigma(e1 + base) = (-1)^c q^{-c e1} Sigma(e), c = 2n - 1 (B) or 2n - 2
     # (D).  A wrong sign or exponent shows only where the sums are not
     # zero, so the grid keeps the points whose product Pi does not vanish
-    # (the twisted sums all vanish); e1 = -1 and 0 give prefactors q^{>= 0}
+    # (the twisted sums all vanish); e1 in -1..3 puts the prefactor's
+    # exponent -c e1 on both sides of 0
     points = []
     for kind, n in (("B", 1), ("B", 2), ("B", 3), ("D", 2), ("D", 3)):
         for exps in product(range(-1, 4), repeat=n):
