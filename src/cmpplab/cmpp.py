@@ -26,6 +26,7 @@ used anywhere).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import lru_cache
 
 from .series import QSeries
@@ -122,6 +123,15 @@ class _ScanTable:
     ids of the next states bucketed by the column's sum of entries.  They
     depend only on the state, so a table holds no result of any one
     boundary, and a larger cap only appends the buckets above the old one.
+
+    The moves of a state of parity par are explored by ``kernels[par]``,
+    one Python function that ``_kernel`` compiles from ``plans[par]``.
+    Its locals are the state's cells and the new column's cells A', S'
+    and E'.  Its loops are one nested ``for`` per row of the new column,
+    bottom-up, over the row's entry, with each segment sum inlined as a
+    ``max`` of sums before the loop.  Its exits are one flag per row,
+    which breaks the loop of the row below (see ``successors``), and its
+    innermost body interns the next state.
     """
 
     def __init__(self, parities: tuple[int, ...], level: int):
@@ -137,10 +147,15 @@ class _ScanTable:
         self.ids: dict = {}
         self.states: list = []
         self.moves: list[list[list[int]]] = []  # per state: ids by sum
-        # ``successors`` from a state of parity par works on one list w:
-        # the state, then 0 (S[m] = E[m] = 0 let a path start in the new
-        # column at row 0 and end there at the last row), -inf, and the
-        # next state's cells A', S', E'; its plan holds indices into w
+        self.free = (0,) * m, (level,) * m  # the entry bounds of any row
+        # a plan names each value that a move from a state of parity par
+        # reads or writes by an int: the state's cells 1.., then the next
+        # state's cells A', S', E'; 0 is the constant 0 (S[m] = E[m] = 0
+        # let a path start in the new column at row 0 and end there at the
+        # last row) and -1 the constant -inf (the unread cells of the next
+        # state).  It holds the next state's parity, per new row the reads
+        # and writes of choosing it, the sums of the S' cells, and the next
+        # state's cells in order.
         self.plans = []
         for par in (0, 1):
             old, new = rows[par], rows[1 - par]
@@ -148,31 +163,28 @@ class _ScanTable:
                      + [("E", r) for r in old])
             news = ([("A'",) + p for p in pairs[1 - par]]
                     + [("S'", r) for r in new] + [("E'", r) for r in new])
-            zero = 1 + len(cells)
-            at = {key: i for i, key in enumerate(cells, 1)}
-            at["S", m] = at["E", m] = zero
-            at.update((key, zero + 2 + i) for i, key in enumerate(news))
+            at = {key: i for i, key in enumerate(cells + news, 1)}
+            at["S", m] = at["E", m] = 0
             unread = {("S'", m - 1), ("E'", 0)}
             unread.update(("A'", a, b) for a, b in pairs[1 - par]
                           if a == 0 or b == m - 1)
             # rows are chosen bottom-up; row r1 sets A'[r1, r2] for the
             # new rows r2 >= r1 and E'[r1]
-            choose = []
-            for k, r1 in enumerate(reversed(new)):
-                choose.append((
-                    r1, at["S", r1 - 1 if r1 else m], at["E", r1 + 1],
-                    [(at["A'", r1, r2], at["E", r2 + 1],
-                      [(at["A", r1 + 1, s], at["A'", s + 1, r2])
-                       for s in range(r1 + 1, r2, 2)])
-                     for r2 in new[len(new) - k:]],
-                    at["A'", r1, r1], at["E'", r1]))
-            leaf = [(at["S'", r], [(at["S", s if s >= 0 else m],
-                                    at["A'", s + 1, r])
-                                   for s in range(r - 1, -2, -2)])
-                    for r in new]
-            out = [zero + 1 if key in unread else at[key] for key in news]
-            self.plans.append((choose, leaf, out,
-                               [0] + [_NEG] * (1 + len(news))))
+            choose = tuple(
+                (r1, at["S", r1 - 1 if r1 else m], at["E", r1 + 1],
+                 tuple((at["A'", r1, r2], at["E", r2 + 1],
+                        tuple((at["A", r1 + 1, s], at["A'", s + 1, r2])
+                              for s in range(r1 + 1, r2, 2)))
+                       for r2 in new[len(new) - k:]),
+                 at["A'", r1, r1], at["E'", r1])
+                for k, r1 in enumerate(reversed(new)))
+            leaf = tuple((at["S'", r], tuple((at["S", s if s >= 0 else m],
+                                              at["A'", s + 1, r])
+                                             for s in range(r - 1, -2, -2)))
+                         for r in new)
+            out = tuple(-1 if key in unread else at[key] for key in news)
+            self.plans.append((1 - par, choose, leaf, out))
+        self.kernels = [_kernel(plan) for plan in self.plans]
 
     def intern(self, state) -> int:
         sid = self.ids.get(state)
@@ -186,7 +198,7 @@ class _ScanTable:
         """The state after the boundary columns -1 and 0."""
         # the all -inf state of parity 0, whose cells are those that a
         # move from parity 1 writes
-        state = self.pack([0] * (1 + len(self.plans[1][2])))
+        state = self.pack([0] * (1 + len(self.plans[1][3])))
         for _ in range(2):
             moves: list[list[int]] = [[] for _ in range(self.level + 1)]
             self.successors(state, moves, 0, bases)
@@ -197,7 +209,7 @@ class _ScanTable:
     def column_moves(self, sid: int, cap: int) -> list[list[int]]:
         """The moves of state ``sid`` by sum, through cap (maybe more)."""
         state, moves = self.states[sid], self.moves[sid]
-        cap = min(cap, self.level * len(self.plans[state[0]][0]))
+        cap = min(cap, self.level * len(self.plans[state[0]][1]))
         if len(moves) <= cap:
             need = len(moves)
             moves.extend([] for _ in range(cap + 1 - need))
@@ -218,52 +230,147 @@ class _ScanTable:
         at its first failing value, and a failure at a row's smallest value
         ends the loop of the row below as well.  A row's values start where
         the rows above it, at most level each, can still bring the sum to
-        need.
+        need.  Row r's entries lie in lo[r]..hi[r]: 0..level, or the given
+        entry.
         """
-        choose, leaf, out, tail = self.plans[state[0]]
-        w = [v - 1 if v else _NEG for v in state] + tail
-        level, last, par, pack, ids = (self.level, len(choose), 1 - state[0],
-                                       self.pack, self.ids)
+        lo, hi = self.free if fixed is None else (fixed, fixed)
+        self.kernels[state[0]](state, moves, need, lo, hi, self.level,
+                               self.pack, self.ids, self.intern)
 
-        def pick(k: int, rem: int, total: int) -> bool:
-            if k == last:
-                for dst, terms in leaf:
-                    w[dst] = max([w[x] + w[y] for x, y in terms])
-                nxt = pack([par] + [
-                    v + 1 if v >= 0 else 0 for v in [w[i] for i in out]])
-                sid = ids.get(nxt)
-                moves[total].append(self.intern(nxt) if sid is None else sid)
-                return True
-            r1, pre, e, rel, own, end = choose[k]
-            # segments from row r1 to each new row below, less r1's entry
-            e0 = w[e]
-            segs = []
-            for dst, e, terms in rel:
-                b = max([w[x] + w[y] for x, y in terms])
-                segs.append((dst, b))
-                e0 = max(e0, b + w[e])
-            pre = w[pre]
-            hi = level - pre - e0 if pre >= 0 and e0 >= 0 else level
-            if fixed is None:
-                lo, hi = 0, min(hi, rem)
-            else:
-                lo = fixed[r1]
-                if lo > hi:
-                    return False
-                hi = lo
-            for v in range(max(lo, need - total - level * (last - 1 - k)),
-                           hi + 1):
-                w[own] = v
-                w[end] = v + e0
-                for dst, b in segs:
-                    w[dst] = v + b
-                if not pick(k + 1, rem - v, total + v):
-                    if v == lo:
-                        return False
-                    break
-            return hi >= lo
 
-        pick(0, len(moves) - 1, 0)
+_ROWS_PER_FUNCTION = 16  # CPython nests at most 20 blocks in a function
+
+
+@lru_cache(maxsize=64)  # a catalog pass fills 26 (two per row layout)
+def _kernel(plan: tuple) -> Callable[..., None]:
+    """Compile a ``_ScanTable`` plan into the function that appends the
+    moves of one state: ``kernel(state, moves, need, lo, hi, level, pack,
+    ids, intern)`` (see ``_ScanTable.successors``).
+
+    The cells the plan reads, the state's and the new column's, are the
+    locals ``x<i>`` (-inf as -2^60); a cell that equals another cell or 0
+    is not copied.  Each new row, bottom-up, is one ``for`` over its
+    entry, from max(lo[r], need less the sum so far ``t<k>`` and what the
+    rows above can add) to ``h<k>``, the least of hi[r], what is left of
+    the sum and the level less the best paths through the row.  Before
+    the loop, each segment from the row down to a lower new row, less
+    the row's entry, is one inlined ``max(a + b, c + d)`` (``b<i>``), and
+    ``e<k>`` is the best path from the row to the last row, less the
+    row's entry.  The flag ``ok<k>`` is the early exit: it is false when
+    row k admits no entry, or when the row above it fails at row k's
+    least entry, and then the loop of the row below breaks too.  The
+    innermost body packs the next state from a tuple literal and interns
+    it through ``ids.get``.  Every ``_ROWS_PER_FUNCTION`` rows the loops
+    go on in a new function, which returns its first row's flag.  The
+    source is built from the plan's ints alone.
+    """
+    par, choose, leaf, out = plan
+    last = len(choose)
+    leaf = [(dst, terms) for dst, terms in leaf if dst in out]
+    reads = [{pre, e} | {i for _, e2, terms in rel
+                         for i in (e2,) + sum(terms, ())}
+             for _, pre, e, rel, _, _ in choose]
+    reads.append({i for _, terms in leaf for t in terms for i in t} | set(out))
+    writes = [{own, end} | {dst for dst, _, _ in rel}
+              for _, _, _, rel, own, end in choose]
+    writes.append({dst for dst, _ in leaf})
+    needed = set().union(*reads)
+    name = {0: "0"}
+    entries = {"0"} | {"x%d" % row[4] for row in choose}  # known >= 0
+    lines: list[str] = []
+
+    def x(i: int) -> str:
+        return name.get(i, "x%d" % i)
+
+    def plus(*terms: str) -> str:
+        return " + ".join(s for s in terms if s != "0") or "0"
+
+    def best(terms) -> str:
+        sums = [plus(*map(x, t)) if isinstance(t, tuple) else t
+                for t in terms]
+        return sums[0] if len(sums) == 1 else "max(%s)" % ", ".join(sums)
+
+    def args(k: int) -> str:
+        """The arguments of the function that goes on at row k."""
+        ins = set().union(*reads[k:]) - set().union(*writes[k:]) - {0, -1}
+        return ", ".join(["moves, need, lo, hi, level, pack, ids, intern, top",
+                          "t%d" % k] + sorted({x(i) for i in ins}))
+
+    def let(pad: str, var: str, value: str) -> str:
+        """Emit var = value, unless value is a name or 0; what to read."""
+        if value.isidentifier() or value == "0":
+            return value
+        lines.append("%s%s = %s" % (pad, var, value))
+        return var
+
+    def rows(k: int, pad: str, first: int, t: str) -> str | None:
+        """Emit rows k.. at indent pad, with the sum so far in t; the name
+        of row k's flag, if any."""
+        if k == last:
+            for dst, terms in leaf:
+                name[dst] = let(pad, "x%d" % dst, best(terms))
+            cells = ["0" if i < 0 else x(i) + " + 1" if x(i) in entries
+                     else "%s + 1 if %s >= 0 else 0" % (x(i), x(i))
+                     for i in out]
+            lines.extend([
+                "%snxt = pack((%s,))" % (pad, ", ".join([str(par)] + cells)),
+                "%ssid = ids.get(nxt)" % pad,
+                "%smoves[%s].append(intern(nxt) if sid is None else sid)"
+                % (pad, t)])
+            return None
+        if k > first and k % _ROWS_PER_FUNCTION == 0:
+            lines.append("%sok%d = _k%d(%s)" % (pad, k, k, args(k)))
+            return "ok%d" % k
+        r1, pre, e, rel, own, end = choose[k]
+        v = name[own] = "x%d" % own
+        segs = [(dst, e2, let(pad, "b%d" % dst, best(terms)))
+                for dst, e2, terms in rel]
+        tail = let(pad, "e%d" % k,
+                   best([x(e)] + [plus(b, x(e2)) for _, e2, b in segs]))
+        paths = [s for s in (x(pre), tail) if s != "0"]
+        bound = " - ".join(["level"] + paths)
+        if paths:
+            bound += " if %s else level" % " and ".join(
+                s + " >= 0" for s in paths)
+        start = ["need"] + [t] * (k > 0) + [
+            "level * %d" % (last - 1 - k)] * (k < last - 1)
+        lines.extend([
+            "%sh%d = min(%s, hi[%d], %s)" % (pad, k, bound, r1,
+                                             "top - " + t if k else "top"),
+            "%sl%d = lo[%d]" % (pad, k, r1),
+            "%sok%d = h%d >= l%d" % (pad, k, k, k),
+            "%sfor %s in range(max(l%d, %s), h%d + 1):"
+            % (pad, v, k, " - ".join(start), k)])
+        pad += "    "
+        if end in needed:
+            name[end] = let(pad, "x%d" % end, plus(v, tail))
+        for dst, _, b in segs:
+            if dst in needed:
+                name[dst] = let(pad, "x%d" % dst, plus(v, b))
+        total = plus(t, v)
+        if k + 1 < last:
+            total = let(pad, "t%d" % (k + 1), total)
+        flag = rows(k + 1, pad, first, total)
+        if flag:
+            lines.extend(["%sif not %s:" % (pad, flag),
+                          "%s    if %s == l%d:" % (pad, v, k),
+                          "%s        ok%d = False" % (pad, k),
+                          "%s    break" % pad])
+        return "ok%d" % k
+
+    lines.append("def _k0(state, moves, need, lo, hi, level, pack, ids, "
+                 "intern):")
+    lines.append("    top = len(moves) - 1")
+    lines.extend("    x%d = v - 1 if (v := state[%d]) else %d" % (i, i, _NEG)
+                 for i in sorted(needed - set().union(*writes) - {0, -1}))
+    rows(0, "    ", 0, "0")
+    for first in range(_ROWS_PER_FUNCTION, last, _ROWS_PER_FUNCTION):
+        lines.append("def _k%d(%s):" % (first, args(first)))
+        flag = rows(first, "    ", first, "t%d" % first)
+        lines.append("    return " + flag)
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<scan kernel>", "exec"), namespace)
+    return namespace["_k0"]
 
 
 @lru_cache(maxsize=64)  # a catalog pass fills 37 (a table keeps its states)

@@ -197,6 +197,61 @@ def gen_fun_reference(family: str, n: int, boundary: tuple[int, ...],
                    _clean=True)
 
 
+def successors_by_plan(table, state, moves: list[list], need: int,
+                       fixed: list[int] | None = None) -> None:
+    """``_ScanTable.successors`` by interpreting the table's plan, as the
+    scan did before its plans were compiled: append each next state (the
+    packed state itself, not its id; the table is left as it was) to
+    moves[sum].
+
+    One list w holds the values: w[0] = 0, the state's cells, the next
+    state's cells, and w[-1] = -inf.  A recursive ``pick`` chooses the
+    rows bottom-up with the early exits of ``successors``.
+    """
+    par, choose, leaf, out = table.plans[state[0]]
+    w = [0] + [v - 1 if v else _NEG for v in state[1:]] \
+        + [_NEG] * (len(out) + 1)
+    level, last, pack = table.level, len(choose), table.pack
+
+    def pick(k: int, rem: int, total: int) -> bool:
+        if k == last:
+            for dst, terms in leaf:
+                w[dst] = max([w[x] + w[y] for x, y in terms])
+            moves[total].append(pack([par] + [
+                v + 1 if v >= 0 else 0 for v in [w[i] for i in out]]))
+            return True
+        r1, pre, e, rel, own, end = choose[k]
+        # segments from row r1 to each new row below, less r1's entry
+        e0 = w[e]
+        segs = []
+        for dst, e, terms in rel:
+            b = max([w[x] + w[y] for x, y in terms])
+            segs.append((dst, b))
+            e0 = max(e0, b + w[e])
+        pre = w[pre]
+        hi = level - pre - e0 if pre >= 0 and e0 >= 0 else level
+        if fixed is None:
+            lo, hi = 0, min(hi, rem)
+        else:
+            lo = fixed[r1]
+            if lo > hi:
+                return False
+            hi = lo
+        for v in range(max(lo, need - total - level * (last - 1 - k)),
+                       hi + 1):
+            w[own] = v
+            w[end] = v + e0
+            for dst, b in segs:
+                w[dst] = v + b
+            if not pick(k + 1, rem - v, total + v):
+                if v == lo:
+                    return False
+                break
+        return hi >= lo
+
+    pick(0, len(moves) - 1, 0)
+
+
 # -- ordinary partitions ------------------------------------------------------
 
 

@@ -1,12 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from cmpplab import cmpp
 from cmpplab.cmpp import (_row_layout, _ScanTable, family_rows, gen_fun,
                           gen_fun_z1, gordon_series)
-from oracles import FrequencyArray, gen_fun_reference, max_path_sum
+from oracles import (FrequencyArray, gen_fun_reference, max_path_sum,
+                     successors_by_plan)
 
 
 def test_family_rows():
@@ -266,6 +271,106 @@ def _all_moves(table: _ScanTable, state) -> list[list[int]]:
     return moves
 
 
+def _explored_table(fam: str, n: int, level: int) -> _ScanTable:
+    """A fresh table with every state that a scan of any boundary of the
+    level reaches, each explored through every column sum."""
+    m = family_rows(fam, n)
+    table = _ScanTable(tuple(_row_layout(fam, n, (level,) + (0,) * n)[0]),
+                       level)
+    for w in product(range(level + 1), repeat=n + 1):
+        if sum(w) == level:
+            table.start(_row_layout(fam, n, w)[1])
+    sid = 0
+    while sid < len(table.states):
+        table.column_moves(sid, level * m)
+        sid += 1
+    return table
+
+
+def _kernel_and_plan_moves(table: _ScanTable, state, top: int, need: int,
+                           fixed=None) -> tuple[list, list]:
+    """The next states by sum through top, from the table's compiled
+    kernel and from the plan interpreter of the oracles."""
+    got: list[list[int]] = [[] for _ in range(top + 1)]
+    table.successors(state, got, need, fixed)
+    want: list[list] = [[] for _ in range(top + 1)]
+    successors_by_plan(table, state, want, need, fixed)
+    return [[table.states[sid] for sid in ids] for ids in got], want
+
+
+def test_kernel_moves_match_the_plan_interpreter():
+    # every state of fully explored tables, A and C with n <= 3 and D with
+    # n <= 4 at levels 1-4: all moves, the moves from a sum need > 0 on
+    # (as column_moves asks for when its cap grows), and both boundary
+    # columns of every boundary, whose entries are fixed
+    states = 0
+    for fam, ns in (("A", (1, 2, 3)), ("C", (0, 1, 2, 3)),
+                    ("D", (1, 2, 3, 4))):
+        for n in ns:
+            for level in range(1, 5):
+                table = _explored_table(fam, n, level)
+                for state in list(table.states):
+                    top = level * len(table.plans[state[0]][1])
+                    for need in (0, (top + 1) // 2):
+                        got, want = _kernel_and_plan_moves(table, state,
+                                                           top, need)
+                        assert got == want, (fam, n, level, state, need)
+                    states += 1
+                for w in product(range(level + 1), repeat=n + 1):
+                    if sum(w) != level:
+                        continue
+                    bases = _row_layout(fam, n, w)[1]
+                    state = table.pack([0] * (1 + len(table.plans[1][3])))
+                    for _ in range(2):
+                        got, want = _kernel_and_plan_moves(table, state,
+                                                           level, 0, bases)
+                        assert got == want, (fam, n, w)
+                        [[state]] = [s for s in got if s]
+    assert states == 10415
+    # levels above 254, whose states are tuples: the tables as the scans
+    # leave them; a boundary entry of 255 or 300 keeps the level bound of
+    # every row tight at small sums
+    for fam, n, w, N in (("A", 1, (300, 2), 8), ("C", 1, (255, 0), 6),
+                         ("A", 2, (0, 300, 1), 5)):
+        gen_fun(fam, n, w, N)
+        parities = _row_layout(fam, n, w)[0]
+        table = cmpp._scan_table(tuple(parities), sum(w))
+        assert table.pack is tuple
+        for state in list(table.states):
+            for need in (0, 5):
+                got, want = _kernel_and_plan_moves(table, state, 40, need)
+                assert got == want, (fam, n, w, state, need)
+
+
+def test_a_layout_deeper_than_the_block_limit_builds():
+    # C20 has 21 rows of one parity, more nested loops than CPython allows
+    # in one function, so its kernel goes on in a second function
+    parities = tuple(_row_layout("C", 20, (1,) + (0,) * 20)[0])
+    assert max(map(parities.count, (0, 1))) == 21
+    g = gen_fun("C", 20, (1,) + (0,) * 20, 5)
+    assert g == gen_fun_reference("C", 20, (1,) + (0,) * 20, 5)
+    table = cmpp._scan_table(parities, 1)
+    for sid, state in enumerate(list(table.states)):
+        top = len(table.moves[sid]) - 1
+        got, want = _kernel_and_plan_moves(table, state, top, 0)
+        assert got == want, state
+
+
+def test_importing_compiles_no_kernel():
+    # kernels compile with the first table that needs them, so importing
+    # the package (what every CLI call pays first) compiles none
+    code = ("import cmpplab, cmpplab.cli; from cmpplab import cmpp; "
+            "print(cmpp._kernel.cache_info().currsize, "
+            "cmpp._scan_table.cache_info().currsize)")
+    src = str(Path(cmpp.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.split() == ["0", "0"]
+    gen_fun("C", 1, (1, 1), 3)
+    assert cmpp._kernel.cache_info().currsize >= 2
+
+
 def test_unread_scan_cells_do_not_change_moves():
     # the cells A[0, .], A[., m-1], S[m-1] and E[0] of every state of a
     # fully explored table are stored as -inf; any other value there gives
@@ -275,14 +380,7 @@ def test_unread_scan_cells_do_not_change_moves():
                           ("C", 1, 4), ("D", 2, 3)):
         m = family_rows(fam, n)
         parities = _row_layout(fam, n, (level,) + (0,) * n)[0]
-        table = _ScanTable(tuple(parities), level)
-        for w in product(range(level + 1), repeat=n + 1):
-            if sum(w) == level:
-                table.start(_row_layout(fam, n, w)[1])
-        sid = 0
-        while sid < len(table.states):
-            table.column_moves(sid, level * m)
-            sid += 1
+        table = _explored_table(fam, n, level)
         changed = 0
         for state in list(table.states):
             old = [r for r, p in enumerate(parities) if p == state[0]]
