@@ -206,15 +206,15 @@ class _ScanTable:
             state = self.states[sid]
         return sid
 
-    def column_moves(self, sid: int, cap: int) -> list[list[int]]:
-        """The moves of state ``sid`` by sum, through cap (maybe more)."""
+    def column_moves(self, sid: int, cap: int) -> None:
+        """Explore ``moves[sid]``, the moves of state ``sid`` by sum,
+        through cap (maybe more)."""
         state, moves = self.states[sid], self.moves[sid]
         cap = min(cap, self.level * len(self.plans[state[0]][1]))
         if len(moves) <= cap:
             need = len(moves)
             moves.extend([] for _ in range(cap + 1 - need))
             self.successors(state, moves, need)
-        return moves
 
     def successors(self, state, moves: list[list[int]], need: int,
                    fixed: list[int] | None = None) -> None:
@@ -401,22 +401,48 @@ def _slot_bits(rows: int, N: int) -> int:
     return sum(p).bit_length()
 
 
-def _scan(family: str, n: int, boundary: tuple[int, ...], N: int, W: int,
+@lru_cache(maxsize=64)  # a catalog pass fills 35
+def _length_bound(parities: tuple[int, ...], level: int, N: int) -> int:
+    """L: no admissible partition of weight <= N has more than L parts.
+
+    Rows alternate in parity, so for every c >= 0 the path through index
+    2c of each parity-0 row and index 2c + 1 of each parity-1 row sums to
+    at most the level; index 0 is a boundary column, with entries >= 0.
+    So each band {2c, 2c + 1} holds at most ``level`` parts, counting
+    only the sizes the layout has (even sizes >= 2 on parity-0 rows, odd
+    sizes on parity-1 rows).  The most parts of weight <= N under that
+    bound take ``level`` parts at each band's least size, bands in
+    increasing order, until the weight runs out.
+    """
+    length, left = 0, N
+    for c in range(N // 2 + 1):
+        size = 2 * c if c and 0 in parities else 2 * c + 1  # band c's least
+        if size % 2 in parities:
+            parts = min(level, left // size)
+            length += parts
+            left -= parts * size
+    return length
+
+
+def _scan(family: str, n: int, boundary: tuple[int, ...], N: int,
           dz: int) -> QSeries:
     """sum z^{dz l} q^w over the admissible coloured partitions of weight
-    w <= N and length l: ``gen_fun`` with W = N + 1 and dz = 1, and
-    ``gen_fun_z1`` with W = 1 and dz = 0.
+    w <= N and length l: ``gen_fun`` with dz = 1, and ``gen_fun_z1`` with
+    dz = 0.
 
     Scans the part sizes j = 1..N as columns of the frequency array (see
     ``_ScanTable``).  A state of the scan carries its counts as one int,
     a slot of B bits per key w W + dz l (Kronecker substitution, B from
     ``_slot_bits``): a column with entry sum s at part j shifts the slots
-    up by s (j W + dz), and a mask cuts the weights above N.  Keyed by
-    length too, keys cannot collide, as l <= w <= N < W.  Columns above
-    a partition's weight budget are zero, and zero columns at j >= 1
-    never fail the path bound (a path's visits to such a column fold back
-    two columns onto entries >= 0), so a count leaves the scan as soon as
-    no nonzero column fits its weight budget.
+    up by s (j W + dz), and a mask cuts the weights above N.  Columns
+    above a partition's weight budget are zero, and zero columns at
+    j >= 1 never fail the path bound (a path's visits to such a column
+    fold back two columns onto entries >= 0), so a count leaves the scan
+    as soon as no nonzero column fits its weight budget.  So every count
+    the scan forms is of a prefix that zero columns extend to an
+    admissible partition of the same weight and length.  Keyed by length
+    too, W = L + 1 with L from ``_length_bound``, and keys cannot
+    collide, as l <= L < W; keyed by weight alone, W = 1.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -427,25 +453,31 @@ def _scan(family: str, n: int, boundary: tuple[int, ...], N: int, W: int,
         return QSeries({(0, 0, 0): 1}, N, 0, _clean=True)
     table = _scan_table(tuple(parities), level)
     B = _slot_bits(len(parities), N)
+    W = _length_bound(tuple(parities), level, N) + 1 if dz else 1
     full = (1 << B * W * (N + 1)) - 1
     cur = {table.start(bases): 1}
     out = 0
     for j in range(1, N + 2):
         nxt: dict[int, int] = {}
-        room = (1 << B * W * (N - j + 1)) - 1  # the weights with room for j
+        width = B * W * (N - j + 1)  # the slots of weights with room for j
+        room = (1 << width) - 1
+        step = B * (j * W + dz)  # the shift of one part j
         for sid, counts in cur.items():
-            live = counts & room
-            out += counts ^ live
-            if not live:
-                continue
-            cap = (N - ((live & -live).bit_length() - 1) // (B * W)) // j
-            moves = table.column_moves(sid, cap)
-            for total in range(min(cap + 1, len(moves))):
-                if not moves[total]:
+            live = counts
+            if counts.bit_length() > width:
+                live = counts & room
+                out += counts ^ live
+                if not live:
                     continue
-                moved = (live << B * total * (j * W + dz)) & full
-                for nid in moves[total]:
-                    nxt[nid] = nxt.get(nid, 0) + moved
+            cap = (N - ((live & -live).bit_length() - 1) // (B * W)) // j
+            moves = table.moves[sid]
+            if len(moves) <= cap:  # not yet explored through cap
+                table.column_moves(sid, cap)
+            for total, ids in enumerate(moves[:cap + 1]):
+                if ids:
+                    moved = (live << step * total) & full if total else live
+                    for nid in ids:
+                        nxt[nid] = nxt.get(nid, 0) + moved
         cur = nxt
     # cut out each weight's W slots first: shifting the small blocks is
     # cheaper than shifting out once per key
@@ -458,8 +490,10 @@ def _scan(family: str, n: int, boundary: tuple[int, ...], N: int, W: int,
 
 def gen_fun(family: str, n: int, boundary: tuple[int, ...], N: int) -> QSeries:
     """Two-variable generating function sum z^{l} q^{|lambda|} over
-    admissible coloured partitions with |lambda| <= N (see ``_scan``)."""
-    return _scan(family, n, boundary, N, N + 1, 1)
+    admissible coloured partitions with |lambda| <= N.  The scan keys a
+    partition by w (L + 1) + l, where L from ``_length_bound`` bounds the
+    length, so keys cannot collide, as l <= L (see ``_scan``)."""
+    return _scan(family, n, boundary, N, 1)
 
 
 def gen_fun_z1(family: str, n: int, boundary: tuple[int, ...],
@@ -467,7 +501,7 @@ def gen_fun_z1(family: str, n: int, boundary: tuple[int, ...],
     """``gen_fun(family, n, boundary, N).at_one("z")``: the admissible
     coloured partitions with |lambda| <= N counted by weight alone (see
     ``_scan``)."""
-    return _scan(family, n, boundary, N, 1, 0)
+    return _scan(family, n, boundary, N, 0)
 
 
 def gordon_series(k: int, a: int, N: int) -> QSeries:

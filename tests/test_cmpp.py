@@ -161,9 +161,20 @@ def test_brute_force_oracle_small():
         assert {(z, d): c for (z, _, d), c in g.terms.items()} == counts
 
 
+def _length_bound(fam: str, n: int, w: tuple[int, ...], N: int) -> int:
+    parities, _ = _row_layout(fam, n, w)
+    return cmpp._length_bound(tuple(parities), sum(w), N)
+
+
+def _longest(s) -> int:
+    return max(z for z, _, _ in s.terms)
+
+
 def test_scan_matches_reference():
     # the column scan against the brute force: A with n <= 3, C with
-    # n <= 3, D with n <= 4, every boundary of level <= 3 (<= 2 from n = 3)
+    # n <= 3, D with n <= 4, every boundary of level <= 3 (<= 2 from n = 3);
+    # no admissible partition is longer than the length bound L, so
+    # gen_fun's keys w (L + 1) + l never collide
     cases = 0
     for fam, ns in (("A", (1, 2, 3)), ("C", (0, 1, 2, 3)),
                     ("D", (1, 2, 3, 4))):
@@ -177,13 +188,17 @@ def test_scan_matches_reference():
                     b = gen_fun_reference(fam, n, w, N)
                     assert (a.terms, a.q_order, a.q_floor) == \
                         (b.terms, b.q_order, b.q_floor), (fam, n, w, N)
+                    assert _longest(b) <= _length_bound(fam, n, w, N) <= N, \
+                        (fam, n, w, N)
                     cases += 1
     assert cases == 640
-    # levels above 254 keep their states as tuples instead of bytes
+    # levels above 254 keep their states as tuples instead of bytes; at
+    # them, N parts of size 1 fit the bound
     for fam, n, w, N in (("A", 1, (300, 2), 8), ("C", 1, (255, 0), 6),
                          ("A", 2, (0, 300, 1), 5)):
         a, b = gen_fun(fam, n, w, N), gen_fun_reference(fam, n, w, N)
         assert a.terms == b.terms, (fam, n, w, N)
+        assert _length_bound(fam, n, w, N) == N
 
 
 def test_scan_matches_reference_at_level_4():
@@ -263,6 +278,25 @@ def test_too_narrow_slots_are_caught(monkeypatch):
     monkeypatch.setattr(cmpp, "_slot_bits", lambda rows, N: 3)
     assert gen_fun(*ref) != right
     assert gen_fun_z1(*ref) != right_z1
+
+
+def test_length_bound_is_reached(monkeypatch):
+    # a single row holds at most `level` parts of each of its sizes, so
+    # the longest partition of C0 and D1 has L parts, and A1's does at
+    # these two refs; one length slot fewer makes keys collide
+    refs = [("A", 1, (0, 1), 10), ("A", 1, (0, 2), 9)]
+    refs += [(fam, n, w, N) for fam, n in (("C", 0), ("D", 1))
+             for w in product(range(3), repeat=n + 1) if 1 <= sum(w) <= 2
+             for N in range(1, 13)]
+    assert len(refs) == 2 + 2 * 12 + 5 * 12
+    right = {ref: gen_fun_reference(*ref) for ref in refs}
+    for ref in refs:
+        assert _longest(right[ref]) == _length_bound(*ref), ref
+        assert gen_fun(*ref) == right[ref], ref
+    bound = cmpp._length_bound
+    monkeypatch.setattr(cmpp, "_length_bound", lambda *key: bound(*key) - 1)
+    for ref in refs:
+        assert gen_fun(*ref) != right[ref], ref
 
 
 def _all_moves(table: _ScanTable, state) -> list[list[int]]:
