@@ -155,8 +155,8 @@ class _OrderMemo:
         self.hits = self.misses = 0
 
 
-# Refs the series memo keeps: a catalog pass over every acceptance point
-# asks for 2,210 distinct refs, and none may be evicted on the way.
+# Refs the series memo keeps: a seed-1 pass of perfbench's catalog pool
+# leaves 2,179 distinct refs in len(_series.kept); none may be evicted.
 _SERIES_MEMO_SIZE = 4096
 
 _series = _OrderMemo(_build, _SERIES_MEMO_SIZE)
@@ -1089,8 +1089,8 @@ def _hltri(r, s, L, m, route=0):
            "the alpha-to-beta Bailey transform against the Hall-Littlewood "
            "beta, r tagged by the z-exponent")
 def _bailey(s, m, r_max=4):
-    if s < 0 or m < 1 or r_max > 6:
-        raise ParamError("s >= 0, m >= 1, r_max <= 6")
+    if s < 0 or m < 1 or not 0 <= r_max <= 6:
+        raise ParamError("s >= 0, m >= 1, 0 <= r_max <= 6")
     terms = [Term(1, ("baileyl", s, m, r_max)),
              Term(-1, ("baileyr", s, m, r_max))]
     return terms, "proved"

@@ -9,13 +9,12 @@ skipped (the usual 1/(q;q)_{negative} = 0 convention).
 Every double sum has the exponent sum_i (r_i+s_i)^2 + s_i^2 plus a
 linear term sum_i lin_r[i] r_i + lin_s[i] s_i.  A variant is data: the
 tables _SHUN2_ROWS and _WZ_ROWS map it to (lin_r, lin_s, omega), its two
-coefficient rows and whether it carries the Omega weight, and
-_double_sum evaluates them all.
+coefficient rows and whether it carries the Omega weight, s_series is one
+row pair, and _double_sum evaluates them all.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from math import isqrt
 
 from .hall_littlewood import multisum_term
@@ -82,8 +81,17 @@ def _double_sum(k: int, N: int, lin_r, lin_s, w_apart: bool = False,
     (q^2;q^2)_{s_i-s_{i-1}}), times Omega = sum_{i<k} q^{r_i+2s_i}
     (1-q^{2s_{i+1}-2s_i}) + q^{r_k+2s_k} if omega.
 
-    A row shorter than k repeats its last entry.  Entries are >= 0, so the
-    exponent grows with every r_i and s_i; the enumeration prunes on that.
+    A row shorter than k repeats its last entry; entries may have any sign.
+    Index i adds g = (r+s)^2 + s^2 + a r + b s, (a, b) = (lin_r[i],
+    lin_s[i]), and g >= (r^2 + a r) + (2s^2 + b s) >= least[i], the sum of
+    the brackets' minima over integers r, s >= 0.  Indices fill from k-1
+    down (r grows, s shrinks); those left add at least low[i] = least[0] +
+    ... + least[i-1] (Omega adds exponents >= 0), so f + low[i] > N prunes.
+    g is convex in s: past an s over budget with forward difference 2r + 4s
+    + 2 + b >= 0, no s fits.  Past an r where r^2 + a r + min(2s^2 + b s) is
+    over budget and 2r + 1 + a >= 0, no r fits.  The cap: with c = max(0,
+    -min entry), r^2 + a r <= N - sum(least) = M and r^2 + a r >= (r -
+    c/2)^2 - c^2/4 give r <= c + isqrt(M), and s alike.
     """
     if k < 0:
         raise ValueError("k >= 0")
@@ -91,45 +99,48 @@ def _double_sum(k: int, N: int, lin_r, lin_s, w_apart: bool = False,
         return QSeries.one(N)
     lin_r = [lin_r[min(i, len(lin_r) - 1)] for i in range(k)]
     lin_s = [lin_s[min(i, len(lin_s) - 1)] for i in range(k)]
-    cap = isqrt(N) + 1
-    r, s = [0] * k, [0] * k
+
+    def least(c2: int, c1: int) -> int:  # min of c2 v^2 + c1 v over v >= 0
+        return min(c2 * v * v + c1 * v for v in range(max(0, -c1) + 1))
+
+    ls = [least(2, b) for b in lin_s]
+    low = [0]
+    for a, b in zip(lin_r, ls):
+        low.append(low[-1] + least(1, a) + b)
+    cap = isqrt(N - low[k]) + max(0, -min(lin_r + lin_s)) + 1
+    r, s = [0] * (k + 1), [0] * k  # r[k] = 0 bounds r[k-1] below
 
     def term(e: int) -> QSeries:
         out = multisum_term(e, [
             f for i in range(k)
-            for f in ((1, r[i] - (r[i + 1] if i + 1 < k else 0)),
-                      (2, s[i] - (s[i - 1] if i else 0)))], N)
+            for f in ((1, r[i] - r[i + 1]), (2, s[i] - (s[i - 1] if i else 0)))
+        ], N)
         if omega:
-            om: dict[int, int] = {}
-            for i in range(k - 1):
-                d1 = r[i] + 2 * s[i]
-                om[d1] = om.get(d1, 0) + 1
-                d2 = d1 + 2 * (s[i + 1] - s[i])
-                om[d2] = om.get(d2, 0) - 1
-            dk = r[k - 1] + 2 * s[k - 1]
-            om[dk] = om.get(dk, 0) + 1
-            out = out * QSeries({(0, 0, d): c for d, c in om.items()})
+            one = QSeries.one()
+            out = out * QSeries.collect(
+                [((0, 0, r[i] + 2 * s[i]), one) for i in range(k)] +
+                [((0, 0, r[i] + 2 * s[i + 1]), -one) for i in range(k - 1)],
+                None, 0)
         return out
 
     def parts(i: int, e: int):
-        # index i is filled after i+1 .. k-1, so r only grows and s only
-        # shrinks along the recursion
         if i < 0:
             key = ((sum(r), sum(s), 0) if w_apart
                    else (sum(r) + sum(s), 0, 0))
             yield key, term(e)
             return
-        r_lo = r[i + 1] if i + 1 < k else 0
+        a, b, room = lin_r[i], lin_s[i], N - low[i]
         s_hi = s[i + 1] if i + 1 < k else cap
-        for r[i] in range(r_lo, cap + 1):
-            if e + r[i] ** 2 + lin_r[i] * r[i] > N:
-                break  # s_i = 0 is already over budget
+        for r[i] in range(r[i + 1], cap + 1):
+            if (e + r[i] ** 2 + a * r[i] + ls[i] > room
+                    and 2 * r[i] + 1 + a >= 0):
+                break
             for s[i] in range(s_hi + 1):
-                f = (e + (r[i] + s[i]) ** 2 + s[i] ** 2 + lin_r[i] * r[i]
-                     + lin_s[i] * s[i])
-                if f > N:
+                f = e + (r[i] + s[i]) ** 2 + s[i] ** 2 + a * r[i] + b * s[i]
+                if f <= room:
+                    yield from parts(i - 1, f)
+                elif 2 * r[i] + 4 * s[i] + 2 + b >= 0:
                     break
-                yield from parts(i - 1, f)
 
     return QSeries.collect(parts(k - 1, 0), N, 0)
 
@@ -198,25 +209,11 @@ def s_series(k1: int, k2: int, l1: int, l2: int, N: int) -> QSeries:
     q^{(M1+N2)^2 + (M2+N1)^2 + N1^2 + N2^2 + k1 m1 + k2 m2 + 2 l1 n1 +
     2 l2 n2} / ((q;q)_{m1} (q;q)_{m2} (q^2;q^2)_{n1} (q^2;q^2)_{n2}).
 
-    Satisfies S(z q^m, w q^{2n}) = S_{k1+m, k2+2m, l1+n, l2+2n}(z, w)."""
-    def axis_cap(c: int) -> int:
-        # v^2 + c v <= N  =>  v <= (-c + sqrt(c^2 + 4N)) / 2
-        v = (-c + isqrt(c * c + 4 * N)) // 2 + 1
-        return max(v, 0)
+    Satisfies S(z q^m, w q^{2n}) = S_{k1+m, k2+2m, l1+n, l2+2n}(z, w).
 
-    caps = (axis_cap(k1), axis_cap(k2), axis_cap(2 * l1), axis_cap(2 * l2))
-
-    def parts():
-        for m1, m2, n1, n2 in product(*(range(c + 1) for c in caps)):
-            M1, M2 = m1 + m2, m2
-            N1, N2 = n1 + n2, n2
-            e = ((M1 + N2) ** 2 + (M2 + N1) ** 2 + N1 * N1 + N2 * N2
-                 + k1 * m1 + k2 * m2 + 2 * l1 * n1 + 2 * l2 * n2)
-            if e <= N:
-                yield (M1 + M2, N1 + N2, 0), multisum_term(
-                    e, ((1, m1), (1, m2), (2, n1), (2, n2)), N)
-
-    return QSeries.collect(parts(), N, 0)
+    It is the k = 2 double sum at r = (M1, M2), s = (N2, N1)."""
+    return _double_sum(2, N, (k1, k2 - k1), (2 * l2 - 2 * l1, 2 * l1),
+                       w_apart=True)
 
 
 # R1..R4 at p = (k1, k2, l1, l2):

@@ -210,6 +210,8 @@ def _level_one(a: int, mod: int) -> ProductSpec:
 
 def gordon_product(k: int, a: int) -> ProductSpec:
     """(q^{a+1}, q^{2k-a+2}, q^{2k+3}; q^{2k+3})_inf / (q; q)_inf."""
+    if not 0 <= a <= k:
+        raise ValueError("0 <= a <= k")
     return _level_one(a + 1, 2 * k + 3)
 
 

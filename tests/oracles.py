@@ -12,6 +12,8 @@
 * ``hl_ls_2r1s_by_factors``, ``bailey_alpha_side_by_factors``,
   ``h_step_by_factors`` and ``psi_poly_by_factors``: the Hall-Littlewood
   q-products multiplied out one ``qbin`` or Pochhammer factor at a time;
+* ``double_sum_by_box`` and ``s_series_by_box``: ``multisums._double_sum``
+  and ``multisums.s_series`` summed over a box of their indices;
 * ``outcome``: what the differential tests compare;
 * ``is_zero_through``: whether a series has no term through a q order.
 """
@@ -19,6 +21,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import product
 from typing import Iterator, Optional
 
 from cmpplab.cmpp import _NEG, _row_layout, family_rows
@@ -445,3 +449,76 @@ def psi_poly_by_factors(mu: Partition, nu: Partition,
         if f == mn.get(i, 0) + 1:
             poly = poly * (QSeries.one() - QSeries.monomial(1, dq=m * f))
     return tuple(sorted((dq, c) for (_, _, dq), c in poly.terms.items()))
+
+
+# -- double sums over a box --------------------------------------------------
+
+
+def _box(parts: list[tuple[int, int]], N: int) -> list[int]:
+    """Caps on the indices v >= 0 of a sum whose exponent is at least the
+    sum of c2 v^2 + c1 v over its indices, (c2, c1) in parts, c2 >= 1.  A
+    term within N has each part at most N minus the least values of the
+    other parts, and a part with v > |c1| is at least v."""
+    least = [min(c2 * v * v + c1 * v for v in range(abs(c1) + 1))
+             for c2, c1 in parts]
+    caps = []
+    for (c2, c1), lo in zip(parts, least):
+        room = N - sum(least) + lo
+        caps.append(max((v for v in range(abs(c1) + max(room, 0) + 1)
+                         if c2 * v * v + c1 * v <= room), default=-1))
+    return caps
+
+
+@lru_cache(maxsize=None)
+def _inv_poch(base: int, count: int, n: int) -> QSeries:
+    """1 / (q^base; q^base)_count to order n."""
+    return poch_by_factors(base, base, count, n).invert(n)
+
+
+def _box_sum(terms, N: int) -> QSeries:
+    """The sum of z^a w^b q^e / prod (q^base; q^base)_count over the
+    ((a, b), e, ((base, count), ...)) in terms with e <= N, cut at N."""
+    parts = []
+    for (a, b), e, factors in terms:
+        if e <= N:
+            s = QSeries.one(N - e)
+            for base, count in factors:
+                s = s * _inv_poch(base, count, N - e)
+            parts.append(((a, b, e), s))
+    return QSeries.collect(parts, N, 0)
+
+
+def double_sum_by_box(k: int, N: int, lin_r, lin_s) -> QSeries:
+    """multisums._double_sum with w_apart and without Omega, rows of length
+    k, summed over every (r, s) in a box.  The exponent is at least the sum
+    of r_i^2 + lin_r[i] r_i and 2 s_i^2 + lin_s[i] s_i, as 2 r_i s_i >= 0;
+    tuples off the chains r_1 >= ... >= r_k and s_1 <= ... <= s_k are
+    skipped."""
+    caps = _box([(1, a) for a in lin_r] + [(2, b) for b in lin_s], N)
+
+    def terms():
+        for v in product(*(range(c + 1) for c in caps)):
+            r, s = v[:k] + (0,), (0,) + v[k:]
+            if any(r[i] < r[i + 1] or s[i] > s[i + 1] for i in range(k)):
+                continue
+            e = sum((r[i] + s[i + 1]) ** 2 + s[i + 1] ** 2 + lin_r[i] * r[i]
+                    + lin_s[i] * s[i + 1] for i in range(k))
+            yield (sum(r), sum(s)), e, tuple(
+                f for i in range(k)
+                for f in ((1, r[i] - r[i + 1]), (2, s[i + 1] - s[i])))
+
+    return _box_sum(terms(), N)
+
+
+def s_series_by_box(k1: int, k2: int, l1: int, l2: int, N: int) -> QSeries:
+    """multisums.s_series by its four-fold definition, summed over every
+    (m1, m2, n1, n2) in a box.  Expanding the squares, the exponent is at
+    least m1^2 + 2 m2^2 + n1^2 + 2 n2^2 + k1 m1 + k2 m2 + 2 l1 n1 + 2 l2 n2,
+    as every cross term is >= 0."""
+    caps = _box([(1, k1), (2, k2), (1, 2 * l1), (2, 2 * l2)], N)
+    return _box_sum(
+        (((m1 + 2 * m2, n1 + 2 * n2),
+          (m1 + m2 + n2) ** 2 + (m2 + n1 + n2) ** 2 + (n1 + n2) ** 2 + n2 ** 2
+          + k1 * m1 + k2 * m2 + 2 * l1 * n1 + 2 * l2 * n2,
+          ((1, m1), (1, m2), (2, n1), (2, n2)))
+         for m1, m2, n1, n2 in product(*(range(c + 1) for c in caps))), N)

@@ -397,7 +397,8 @@ def test_sweep_timings_reach_run_check(monkeypatch, capsys):
          ("mac-quasiperiod", "kind=B,base=7,e1=3,e2=x", "5"))
 ] + [("expand", "--series", "gen_fun(A,boundary=0:1,1)", "--order", "3")
 ] + [("expand", "--series", text, "--order", "5")
-     for text in ("gow(1,-1,1)", "gow(-1,0,1)", "gow(2,0,0)")])
+     for text in ("gow(1,-1,1)", "gow(-1,0,1)", "gow(2,0,0)",
+                  "gordon_product(1,5)", "gordon_product(1,-1)")])
 def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     assert cli.main(list(argv)) == 1
     captured = capsys.readouterr()

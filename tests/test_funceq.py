@@ -42,7 +42,8 @@ def test_param_validation():
                            "two_lambda": (4,)}),
             ("hl-triangle", {"r": 1, "s": 1, "L": 10, "m": 1}),
             ("bailey", {"s": -1, "m": 1, "r_max": 1}),
-            ("bailey", {"s": 0, "m": 1, "r_max": 7})]:
+            ("bailey", {"s": 0, "m": 1, "r_max": 7}),
+            ("bailey", {"s": 0, "m": 1, "r_max": -1})]:
         with pytest.raises(ParamError):
             catalog(cid, params)
 
@@ -214,6 +215,8 @@ def test_atomic_and_sshift():
     check("atomic", i=1, k1=0, k2=0, l1=0, l2=0)
     check("atomic", i=3, k1=2, k2=3, l1=0, l2=1)
     check("atomic", i=2, k1=-2, k2=-1, l1=4, l2=0)
+    # every parameter negative: each S-series index has a least part < 0
+    check("atomic", N=6, i=1, k1=-4, k2=-5, l1=-5, l2=-5)
     for i in (1, 2, 3, 4):
         check("toshow", i=i)
     check("s-shift", k1=0, k2=1, l1=1, l2=0, m=2, n=1)

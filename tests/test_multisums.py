@@ -1,13 +1,14 @@
 import random
+from itertools import product
 
 import pytest
 
 from cmpplab.cmpp import gen_fun
 from cmpplab.hall_littlewood import hl_sum_over_bounded
-from cmpplab.multisums import (ag_sum, atomic_residual, f_sum, s_series,
-                               shun2_sum, shun_sum, wz_sum)
+from cmpplab.multisums import (_double_sum, ag_sum, atomic_residual, f_sum,
+                               s_series, shun2_sum, shun_sum, wz_sum)
 from cmpplab.series import QSeries
-from oracles import is_zero_through
+from oracles import double_sum_by_box, is_zero_through, s_series_by_box
 
 
 def test_f_sum_rr():
@@ -115,6 +116,31 @@ def test_s_series_basics():
     want = (QSeries.monomial(1, dq=2) *
             QSeries({(0, 0, 0): 1, (0, 0, 1): -1}, None, 0).invert(12))
     assert sl == {dq: c for (_, _, dq), c in want.truncate(12).terms.items()}
+
+
+def _window(s: QSeries):
+    return s.terms, s.q_order
+
+
+def test_double_sum_matches_the_box_for_rows_of_any_sign():
+    rng = random.Random(26)
+    for k in (1, 2, 3):
+        rows = list(product((-4, -1, 0, 2), repeat=k))
+        pairs = [(a, b) for a in rows for b in rows]
+        for lin_r, lin_s in (pairs if k < 3 else rng.sample(pairs, 64)):
+            for N in (0, 3, 8):
+                assert _window(_double_sum(k, N, lin_r, lin_s, w_apart=True)) \
+                    == _window(double_sum_by_box(k, N, lin_r, lin_s)), \
+                    (lin_r, lin_s, N)
+
+
+def test_s_series_matches_the_box():
+    grid = [(p, N) for p in product(range(-3, 3), repeat=4) for N in (0, 2, 6)]
+    grid += [(p, N) for p in product((-6, -4, 0, 2), repeat=4)
+             for N in (3, 8)]
+    for p, N in grid:
+        assert _window(s_series(*p, N)) == _window(s_series_by_box(*p, N)), \
+            (p, N)
 
 
 def test_s_series_shift_law():
