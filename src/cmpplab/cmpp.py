@@ -55,47 +55,24 @@ def _row_layout(family: str, n: int,
     """Per row (in path order): allowed-index parity and boundary value.
 
     Parity 0 rows hold even indices >= 0 (boundary at i = 0), parity 1
-    rows hold odd indices >= -1 (boundary at i = -1).
+    rows hold odd indices >= -1 (boundary at i = -1).  Rows alternate in
+    parity: row r has parity (r + f) mod 2, f = 1 in C and 0 otherwise.
+    A parity-1 row r holds k_{(r+1)/2}, a parity-0 row 0, except that row
+    0 holds k_0 in A and D and D's last row holds k_n too (D with n = 1:
+    one row holding k_0 + k_1).
     """
     if len(boundary) != n + 1:
         raise ValueError("boundary must have n+1 = %d entries" % (n + 1))
     if any(k < 0 for k in boundary):
         raise ValueError("boundary entries must be >= 0")
     m = family_rows(family, n)
-    parities: list[int] = []
-    bases: list[int] = []
-    if family == "A":
-        for r in range(m):
-            c = r // 2 + 1
-            if r % 2 == 0:
-                parities.append(0)
-                bases.append(boundary[0] if c == 1 else 0)
-            else:
-                parities.append(1)
-                bases.append(boundary[c])
-    elif family == "C":
-        for r in range(m):
-            c = r + 1
-            if c % 2 == 1:
-                parities.append(1)
-                bases.append(boundary[(c - 1) // 2])
-            else:
-                parities.append(0)
-                bases.append(0)
-    else:  # D
-        for r in range(m):
-            c = r + 1
-            if c % 2 == 1:
-                parities.append(0)
-                base = 0
-                if c == 1:
-                    base += boundary[0]
-                if c == m:
-                    base += boundary[n]
-                bases.append(base)
-            else:
-                parities.append(1)
-                bases.append(boundary[c // 2])
+    parities = [(r + (family == "C")) % 2 for r in range(m)]
+    bases = [boundary[(r + 1) // 2] if p else 0
+             for r, p in enumerate(parities)]
+    if family != "C":
+        bases[0] += boundary[0]
+    if family == "D":
+        bases[-1] += boundary[n]
     return parities, bases
 
 
@@ -111,18 +88,18 @@ class _ScanTable:
     * S[r]: from row 0 (any column) to row r in column j;
     * E[r]: from row r in column j to the last row (any column).
 
-    It is interned as ``bytes`` (the column parity, then the entries plus
-    one, 0 for -inf; a tuple when level > 254) with an int id.  States are
-    canonical: A[0, .], A[., m-1], S[m-1] and E[0] are stored as -inf, so
-    states that differ only there are one state.  No later column reads
-    them.  It joins an A segment to the new column through the rows just
-    above its start and just below its end, which row 0 and row m-1 lack
-    (S and E carry the paths that start or end there), and S[m-1] and E[0]
-    are complete paths, checked against the level when their column was
-    chosen.  The moves of a state are the admissible next columns, as the
-    ids of the next states bucketed by the column's sum of entries.  They
-    depend only on the state, so a table holds no result of any one
-    boundary, and a larger cap only appends the buckets above the old one.
+    It is interned as a tuple (the column parity, then the entries, -inf
+    as ``_NEG``) with an int id.  States are canonical: A[0, .], A[., m-1],
+    S[m-1] and E[0] are stored as -inf, so states that differ only there
+    are one state.  No later column reads them.  It joins an A segment to
+    the new column through the rows just above its start and just below
+    its end, which row 0 and row m-1 lack (S and E carry the paths that
+    start or end there), and S[m-1] and E[0] are complete paths, checked
+    against the level when their column was chosen.  The moves of a state
+    are the admissible next columns, as the ids of the next states
+    bucketed by the column's sum of entries.  They depend only on the
+    state, so a table holds no result of any one boundary, and a larger
+    cap only appends the buckets above the old one.
 
     The moves of a state of parity par are explored by ``kernels[par]``,
     one Python function that ``_kernel`` compiles from ``plans[par]``.
@@ -143,7 +120,6 @@ class _ScanTable:
                      for par in (0, 1))
         pairs = tuple([(a, b) for i, a in enumerate(rs) for b in rs[i:]]
                       for rs in rows)
-        self.pack = bytes if level < 255 else tuple
         self.ids: dict = {}
         self.states: list = []
         self.moves: list[list[list[int]]] = []  # per state: ids by sum
@@ -198,7 +174,7 @@ class _ScanTable:
         """The state after the boundary columns -1 and 0."""
         # the all -inf state of parity 0, whose cells are those that a
         # move from parity 1 writes
-        state = self.pack([0] * (1 + len(self.plans[1][3])))
+        state = (0,) + (_NEG,) * len(self.plans[1][3])
         for _ in range(2):
             moves: list[list[int]] = [[] for _ in range(self.level + 1)]
             self.successors(state, moves, 0, bases)
@@ -235,7 +211,7 @@ class _ScanTable:
         """
         lo, hi = self.free if fixed is None else (fixed, fixed)
         self.kernels[state[0]](state, moves, need, lo, hi, self.level,
-                               self.pack, self.ids, self.intern)
+                               self.ids, self.intern)
 
 
 _ROWS_PER_FUNCTION = 16  # CPython nests at most 20 blocks in a function
@@ -244,25 +220,27 @@ _ROWS_PER_FUNCTION = 16  # CPython nests at most 20 blocks in a function
 @lru_cache(maxsize=64)  # a catalog pass fills 26 (two per row layout)
 def _kernel(plan: tuple) -> Callable[..., None]:
     """Compile a ``_ScanTable`` plan into the function that appends the
-    moves of one state: ``kernel(state, moves, need, lo, hi, level, pack,
-    ids, intern)`` (see ``_ScanTable.successors``).
+    moves of one state: ``kernel(state, moves, need, lo, hi, level, ids,
+    intern)`` (see ``_ScanTable.successors``).
 
     The cells the plan reads, the state's and the new column's, are the
-    locals ``x<i>`` (-inf as -2^60); a cell that equals another cell or 0
-    is not copied.  Each new row, bottom-up, is one ``for`` over its
-    entry, from max(lo[r], need less the sum so far ``t<k>`` and what the
-    rows above can add) to ``h<k>``, the least of hi[r], what is left of
-    the sum and the level less the best paths through the row.  Before
+    locals ``x<i>`` (-inf as ``_NEG``; a state's cell i is read as ``x<i> =
+    state[<i>]``); a cell that equals another cell or 0 is not copied.
+    Each new row, bottom-up, is one ``for`` over its entry, from
+    max(lo[r], need less the sum so far ``t<k>`` and what the rows above
+    can add) to ``h<k>``, the least of hi[r], what is left of the sum and
+    the level less the best paths through the row.  Before
     the loop, each segment from the row down to a lower new row, less
     the row's entry, is one inlined ``max(a + b, c + d)`` (``b<i>``), and
     ``e<k>`` is the best path from the row to the last row, less the
     row's entry.  The flag ``ok<k>`` is the early exit: it is false when
     row k admits no entry, or when the row above it fails at row k's
     least entry, and then the loop of the row below breaks too.  The
-    innermost body packs the next state from a tuple literal and interns
-    it through ``ids.get``.  Every ``_ROWS_PER_FUNCTION`` rows the loops
-    go on in a new function, which returns its first row's flag.  The
-    source is built from the plan's ints alone.
+    innermost body builds the next state as a tuple literal, every
+    negative cell as ``_NEG``, and interns it through ``ids.get``.  Every
+    ``_ROWS_PER_FUNCTION`` rows the loops go on in a new function, which
+    returns its first row's flag.  The source is built from the plan's
+    ints alone.
     """
     par, choose, leaf, out = plan
     last = len(choose)
@@ -276,6 +254,7 @@ def _kernel(plan: tuple) -> Callable[..., None]:
     writes.append({dst for dst, _ in leaf})
     needed = set().union(*reads)
     name = {0: "0"}
+    neg = "%d" % _NEG
     entries = {"0"} | {"x%d" % row[4] for row in choose}  # known >= 0
     lines: list[str] = []
 
@@ -293,7 +272,7 @@ def _kernel(plan: tuple) -> Callable[..., None]:
     def args(k: int) -> str:
         """The arguments of the function that goes on at row k."""
         ins = set().union(*reads[k:]) - set().union(*writes[k:]) - {0, -1}
-        return ", ".join(["moves, need, lo, hi, level, pack, ids, intern, top",
+        return ", ".join(["moves, need, lo, hi, level, ids, intern, top",
                           "t%d" % k] + sorted({x(i) for i in ins}))
 
     def let(pad: str, var: str, value: str) -> str:
@@ -309,11 +288,11 @@ def _kernel(plan: tuple) -> Callable[..., None]:
         if k == last:
             for dst, terms in leaf:
                 name[dst] = let(pad, "x%d" % dst, best(terms))
-            cells = ["0" if i < 0 else x(i) + " + 1" if x(i) in entries
-                     else "%s + 1 if %s >= 0 else 0" % (x(i), x(i))
+            cells = [neg if i < 0 else x(i) if x(i) in entries
+                     else "%s if %s >= 0 else %s" % (x(i), x(i), neg)
                      for i in out]
             lines.extend([
-                "%snxt = pack((%s,))" % (pad, ", ".join([str(par)] + cells)),
+                "%snxt = (%s,)" % (pad, ", ".join([str(par)] + cells)),
                 "%ssid = ids.get(nxt)" % pad,
                 "%smoves[%s].append(intern(nxt) if sid is None else sid)"
                 % (pad, t)])
@@ -358,10 +337,9 @@ def _kernel(plan: tuple) -> Callable[..., None]:
                           "%s    break" % pad])
         return "ok%d" % k
 
-    lines.append("def _k0(state, moves, need, lo, hi, level, pack, ids, "
-                 "intern):")
+    lines.append("def _k0(state, moves, need, lo, hi, level, ids, intern):")
     lines.append("    top = len(moves) - 1")
-    lines.extend("    x%d = v - 1 if (v := state[%d]) else %d" % (i, i, _NEG)
+    lines.extend("    x%d = state[%d]" % (i, i)
                  for i in sorted(needed - set().union(*writes) - {0, -1}))
     rows(0, "    ", 0, "0")
     for first in range(_ROWS_PER_FUNCTION, last, _ROWS_PER_FUNCTION):
@@ -509,6 +487,8 @@ def gordon_series(k: int, a: int, N: int) -> QSeries:
     f_i + f_{i+1} <= k for all i >= 1 and f_1 <= a, by direct enumeration."""
     if not 0 <= a <= k:
         raise ValueError("need 0 <= a <= k")
+    if N < 0:
+        raise ValueError("N must be >= 0")
     acc: dict[tuple[int, int], int] = {}
 
     def rec(size: int, budget: int, prev_f: int, zlen: int, qwt: int):

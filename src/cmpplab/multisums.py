@@ -25,7 +25,12 @@ def _chain_sum(k: int, a: int, last_base: int, z_all: bool,
                N: int) -> QSeries:
     """sum over r_1 >= ... >= r_k >= 0 of z^{r_1+...+r_k if z_all else
     r_1} q^{r_1^2+...+r_k^2+r_{a+1}+...+r_k} / ((q;q)_{r_1-r_2} ...
-    (q;q)_{r_{k-1}-r_k} (q^last_base; q^last_base)_{r_k}), k >= 1."""
+    (q;q)_{r_{k-1}-r_k} (q^last_base; q^last_base)_{r_k}); 1 at k = 0."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    if k == 0:
+        return QSeries.one(N)
+
     def parts(chain: list[int]):
         if len(chain) == k:
             e = sum(v * v for v in chain) + sum(chain[a:])
@@ -65,8 +70,6 @@ def ag_sum(k: int, a: int, N: int) -> QSeries:
     ((q;q)_{r_1-r_2} ... (q;q)_{r_k})."""
     if not 0 <= a <= k:
         raise ValueError("need 0 <= a <= k")
-    if k == 0:
-        return QSeries.one(N)
     return _chain_sum(k, a, 1, True, N)
 
 
@@ -93,6 +96,8 @@ def _double_sum(k: int, N: int, lin_r, lin_s, w_apart: bool = False,
     -min entry), r^2 + a r <= N - sum(least) = M and r^2 + a r >= (r -
     c/2)^2 - c^2/4 give r <= c + isqrt(M), and s alike.
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
     if k < 0:
         raise ValueError("k >= 0")
     if k == 0:

@@ -190,6 +190,8 @@ def c_n0_product(k: int) -> ProductSpec:
 def c_n0_two_variable(k: int, N: int) -> QSeries:
     """prod_{j odd} (1 - (zq^j)^{k+1}) / (1 - zq^j): the bounded-multiplicity
     generating function of odd parts, z tracking the number of parts."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
     out = QSeries.one(N)
     for j in range(1, N + 1, 2):
         # each quotient is 1 + zq^j + ... + (zq^j)^k, cut at q^N

@@ -2,6 +2,10 @@
 
 * ``gen_fun_reference``: ``cmpp.gen_fun`` by a brute-force search over
   frequency arrays, pruned by their max-path sum (``max_path_sum``);
+* ``row_layout_by_family``: ``cmpp._row_layout`` stated family by family,
+  the layout the brute force builds its arrays on;
+* ``successors_by_plan``: ``cmpp._ScanTable.successors`` by interpreting
+  the table's plan;
 * ``partitions_iter`` and ``sub_partitions``: the partitions that the
   Hall-Littlewood pair-DP oracle sums over;
 * ``d_n1_product``: the product side of the one-row D family;
@@ -25,7 +29,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional
 
-from cmpplab.cmpp import _NEG, _row_layout, family_rows
+from cmpplab.cmpp import _NEG, family_rows
 from cmpplab.hall_littlewood import Partition, frequencies
 from cmpplab.products import PochFactor, ProductSpec, theta_reduce
 from cmpplab.series import QSeries, qbin
@@ -90,6 +94,52 @@ class FrequencyArray:
         return sum(self.freq.values())
 
 
+def row_layout_by_family(family: str, n: int, boundary: tuple[int, ...]
+                         ) -> tuple[list[int], list[int]]:
+    """``cmpp._row_layout`` with one loop per family: per row (in path
+    order), the allowed-index parity and the boundary value."""
+    if len(boundary) != n + 1:
+        raise ValueError("boundary must have n+1 = %d entries" % (n + 1))
+    if any(k < 0 for k in boundary):
+        raise ValueError("boundary entries must be >= 0")
+    m = family_rows(family, n)
+    parities: list[int] = []
+    bases: list[int] = []
+    if family == "A":
+        for r in range(m):
+            c = r // 2 + 1
+            if r % 2 == 0:
+                parities.append(0)
+                bases.append(boundary[0] if c == 1 else 0)
+            else:
+                parities.append(1)
+                bases.append(boundary[c])
+    elif family == "C":
+        for r in range(m):
+            c = r + 1
+            if c % 2 == 1:
+                parities.append(1)
+                bases.append(boundary[(c - 1) // 2])
+            else:
+                parities.append(0)
+                bases.append(0)
+    else:  # D
+        for r in range(m):
+            c = r + 1
+            if c % 2 == 1:
+                parities.append(0)
+                base = 0
+                if c == 1:
+                    base += boundary[0]
+                if c == m:
+                    base += boundary[n]
+                bases.append(base)
+            else:
+                parities.append(1)
+                bases.append(boundary[c // 2])
+    return parities, bases
+
+
 def _freq_row(family: str, colour: int, size: int) -> int:
     """Row index (path order) holding f_size^{(colour)}."""
     if family == "A":
@@ -141,7 +191,8 @@ def _build_vals(parities: list[int], bases: list[int],
 
 def max_path_sum(array: FrequencyArray, boundary: tuple[int, ...]) -> int:
     """Maximum path sum of the frequency array with the given boundary."""
-    parities, bases = _row_layout(array.family, array.n, tuple(boundary))
+    parities, bases = row_layout_by_family(array.family, array.n,
+                                           tuple(boundary))
     jmax = max((i for (_, i) in array.freq), default=0)
     vals = _build_vals(parities, bases, jmax)
     for (c, i), f in array.freq.items():
@@ -163,7 +214,7 @@ def gen_fun_reference(family: str, n: int, boundary: tuple[int, ...],
     if N < 0:
         raise ValueError("N must be >= 0")
     boundary = tuple(boundary)
-    parities, bases = _row_layout(family, n, boundary)
+    parities, bases = row_layout_by_family(family, n, boundary)
     level = sum(boundary)
     acc: dict[tuple[int, int], int] = {}
     if level == 0 or N == 0:
@@ -205,24 +256,24 @@ def successors_by_plan(table, state, moves: list[list], need: int,
                        fixed: list[int] | None = None) -> None:
     """``_ScanTable.successors`` by interpreting the table's plan, as the
     scan did before its plans were compiled: append each next state (the
-    packed state itself, not its id; the table is left as it was) to
+    state tuple itself, not its id; the table is left as it was) to
     moves[sum].
 
     One list w holds the values: w[0] = 0, the state's cells, the next
-    state's cells, and w[-1] = -inf.  A recursive ``pick`` chooses the
-    rows bottom-up with the early exits of ``successors``.
+    state's cells, and w[-1] = -inf; a next state stores every negative
+    cell as -inf.  A recursive ``pick`` chooses the rows bottom-up with
+    the early exits of ``successors``.
     """
     par, choose, leaf, out = table.plans[state[0]]
-    w = [0] + [v - 1 if v else _NEG for v in state[1:]] \
-        + [_NEG] * (len(out) + 1)
-    level, last, pack = table.level, len(choose), table.pack
+    w = [0] + list(state[1:]) + [_NEG] * (len(out) + 1)
+    level, last = table.level, len(choose)
 
     def pick(k: int, rem: int, total: int) -> bool:
         if k == last:
             for dst, terms in leaf:
                 w[dst] = max([w[x] + w[y] for x, y in terms])
-            moves[total].append(pack([par] + [
-                v + 1 if v >= 0 else 0 for v in [w[i] for i in out]]))
+            moves[total].append(tuple([par] + [
+                v if v >= 0 else _NEG for v in [w[i] for i in out]]))
             return True
         r1, pre, e, rel, own, end = choose[k]
         # segments from row r1 to each new row below, less r1's entry

@@ -444,3 +444,19 @@ def test_error_evaluating_a_valid_spec_propagates(monkeypatch, capsys):
     with pytest.raises(ValueError, match="builder bug"):
         cli.main(["verify", "--check", "gordon", "--params", "k=1,a=1",
                   "--order", "5"])
+
+
+def test_output_digest_covers_one_check():
+    # the output-digest script's generator over one check at N = 2: a
+    # report JSON or a one-line error text per point of the check's grid
+    import output_digest
+    from cmpplab import funceq
+
+    lines = list(output_digest.grid_lines([funceq.CHECKS["gordon"]], (2,)))
+    assert len(lines) == 25 and all("\n" not in line for line in lines)
+    reports = [json.loads(line) for line in lines if line.startswith("{")]
+    assert len(reports) == 10
+    assert {(r["status"], r["order"]) for r in reports} == {("pass", 2)}
+    assert {line for line in lines if not line.startswith("{")} == \
+        {"ParamError: 0 <= a <= k"}
+    assert output_digest.digest(lines)[0] == 25

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 from cmpplab import cmpp
-from cmpplab.cmpp import (_row_layout, _ScanTable, family_rows, gen_fun,
-                          gen_fun_z1, gordon_series)
+from cmpplab.cmpp import (_NEG, _row_layout, _ScanTable, family_rows,
+                          gen_fun, gen_fun_z1, gordon_series)
 from oracles import (FrequencyArray, gen_fun_reference, max_path_sum,
-                     successors_by_plan)
+                     outcome, row_layout_by_family, successors_by_plan)
 
 
 def test_family_rows():
@@ -22,6 +22,27 @@ def test_family_rows():
         family_rows("A", 0)
     with pytest.raises(ValueError):
         family_rows("D", 0)
+
+
+def test_row_layout_matches_the_layout_by_family():
+    # the one alternating-parity rule against the layout stated family by
+    # family: every boundary with entries in 0..2 of A and D with n 1..7
+    # and of C with n 0..7, and the error texts of bad input
+    cases = [(fam, n, w) for fam, ns in (("A", range(1, 8)), ("C", range(8)),
+                                         ("D", range(1, 8)))
+             for n in ns for w in product(range(3), repeat=n + 1)]
+    assert len(cases) == 29514
+    for case in cases:
+        assert _row_layout(*case) == row_layout_by_family(*case), case
+    for case, text in (
+            (("B", 1, (1, 1)), "unknown family 'B'"),
+            (("A", 0, (1,)), "family A requires n >= 1"),
+            (("C", -1, ()), "family C requires n >= 0"),
+            (("D", 0, (1,)), "family D requires n >= 1"),
+            (("C", 2, (1, 1)), "boundary must have n+1 = 3 entries"),
+            (("D", 2, (1, -1, 0)), "boundary entries must be >= 0")):
+        assert outcome(_row_layout, *case) == text \
+            == outcome(row_layout_by_family, *case), case
 
 
 def test_max_path_boundary_zigzag():
@@ -192,8 +213,8 @@ def test_scan_matches_reference():
                         (fam, n, w, N)
                     cases += 1
     assert cases == 640
-    # levels above 254 keep their states as tuples instead of bytes; at
-    # them, N parts of size 1 fit the bound
+    # levels of 255 and 300, far above every other level here; at them, N
+    # parts of size 1 fit the bound
     for fam, n, w, N in (("A", 1, (300, 2), 8), ("C", 1, (255, 0), 6),
                          ("A", 2, (0, 300, 1), 5)):
         a, b = gen_fun(fam, n, w, N), gen_fun_reference(fam, n, w, N)
@@ -239,10 +260,10 @@ def test_weight_scan_matches_the_bivariate_scan_and_reference():
                                    .at_one("z")), (fam, n, w, N)
                     cases += 1
     assert cases == 13 * (10 + 20 + 4 + 10 + 20 + 10 + 20 + 35)
-    # counts up to 1.3 * 10^8 (at N = 60) and levels above 254, whose
-    # states are tuples; both sides run through _scan, so these rows check
-    # the two keyings against each other only (the criterion-3 grid checks
-    # z = 1 at large N against the products, an independent route)
+    # counts up to 1.3 * 10^8 (at N = 60) and levels of 255 and 300; both
+    # sides run through _scan, so these rows check the two keyings against
+    # each other only (the criterion-3 grid checks z = 1 at large N against
+    # the products, an independent route)
     for fam, n, w, N in (("A", 3, (1, 0, 1, 1), 40), ("C", 2, (2, 1, 1), 60),
                          ("D", 4, (1, 0, 1, 0, 1), 40), ("A", 1, (300, 2), 8),
                          ("C", 1, (255, 0), 6)):
@@ -354,22 +375,21 @@ def test_kernel_moves_match_the_plan_interpreter():
                     if sum(w) != level:
                         continue
                     bases = _row_layout(fam, n, w)[1]
-                    state = table.pack([0] * (1 + len(table.plans[1][3])))
+                    state = (0,) + (_NEG,) * len(table.plans[1][3])
                     for _ in range(2):
                         got, want = _kernel_and_plan_moves(table, state,
                                                            level, 0, bases)
                         assert got == want, (fam, n, w)
                         [[state]] = [s for s in got if s]
     assert states == 10415
-    # levels above 254, whose states are tuples: the tables as the scans
-    # leave them; a boundary entry of 255 or 300 keeps the level bound of
-    # every row tight at small sums
+    # levels of 255 and 300: the tables as the scans leave them; a
+    # boundary entry of 255 or 300 keeps the level bound of every row
+    # tight at small sums
     for fam, n, w, N in (("A", 1, (300, 2), 8), ("C", 1, (255, 0), 6),
                          ("A", 2, (0, 300, 1), 5)):
         gen_fun(fam, n, w, N)
         parities = _row_layout(fam, n, w)[0]
         table = cmpp._scan_table(tuple(parities), sum(w))
-        assert table.pack is tuple
         for state in list(table.states):
             for need in (0, 5):
                 got, want = _kernel_and_plan_moves(table, state, 40, need)
@@ -425,15 +445,15 @@ def test_unread_scan_cells_do_not_change_moves():
                       or cell in (("S", m - 1), ("E", 0))]
             moves = _all_moves(table, state)
             for i in unread:
-                assert state[i] == 0, (fam, n, state)
+                assert state[i] == _NEG, (fam, n, state)
             for _ in range(2):
                 other = list(state)
                 for i in unread:
-                    other[i] = rng.randint(1, level + 1)
-                assert _all_moves(table, table.pack(other)) == moves, \
+                    other[i] = rng.randint(0, level)
+                assert _all_moves(table, tuple(other)) == moves, \
                     (fam, n, state, other)
             if ("S", m - 2) in cells:
                 other = list(state)
-                other[1 + cells.index(("S", m - 2))] = 0
-                changed += _all_moves(table, table.pack(other)) != moves
+                other[1 + cells.index(("S", m - 2))] = _NEG
+                changed += _all_moves(table, tuple(other)) != moves
         assert changed, (fam, n)

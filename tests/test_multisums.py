@@ -3,12 +3,14 @@ from itertools import product
 
 import pytest
 
-from cmpplab.cmpp import gen_fun
+from cmpplab.cmpp import gen_fun, gordon_series
 from cmpplab.hall_littlewood import hl_sum_over_bounded
 from cmpplab.multisums import (_double_sum, ag_sum, atomic_residual, f_sum,
                                s_series, shun2_sum, shun_sum, wz_sum)
+from cmpplab.products import c_n0_two_variable
 from cmpplab.series import QSeries
-from oracles import double_sum_by_box, is_zero_through, s_series_by_box
+from oracles import (double_sum_by_box, is_zero_through, outcome,
+                     s_series_by_box)
 
 
 def test_f_sum_rr():
@@ -16,6 +18,17 @@ def test_f_sum_rr():
     assert f_sum(2, 0, 0, 0).q_coeffs(0) == [1]
     with pytest.raises(ValueError):
         f_sum(2, 3, 1, 5)
+
+
+def test_negative_orders_are_rejected():
+    # no series is cut below q^0, so an order N < 0 is an error, also where
+    # k = 0 or a negative row makes the sum trivial
+    for build, args in ((shun_sum, (1,)), (shun_sum, (0,)),
+                        (s_series, (0, 0, 0, 0)), (s_series, (-2, 0, 0, 0)),
+                        (wz_sum, ("A",)), (f_sum, (1, 0, 1)),
+                        (ag_sum, (1, 0)), (ag_sum, (0, 0)),
+                        (gordon_series, (1, 0)), (c_n0_two_variable, (1,))):
+        assert outcome(build, *args, -1) == "N must be >= 0", build
 
 
 def test_f_sum_z_tracks_r1():
