@@ -31,7 +31,7 @@ from functools import lru_cache
 
 from .series import QSeries
 
-_NEG = -(1 << 60)
+_NEG = float("-inf")
 
 
 def family_rows(family: str, n: int) -> int:
@@ -89,13 +89,14 @@ class _ScanTable:
     * E[r]: from row r in column j to the last row (any column).
 
     It is interned as a tuple (the column parity, then the entries, -inf
-    as ``_NEG``) with an int id.  States are canonical: A[0, .], A[., m-1],
-    S[m-1] and E[0] are stored as -inf, so states that differ only there
-    are one state.  No later column reads them.  It joins an A segment to
-    the new column through the rows just above its start and just below
-    its end, which row 0 and row m-1 lack (S and E carry the paths that
-    start or end there), and S[m-1] and E[0] are complete paths, checked
-    against the level when their column was chosen.  The moves of a state
+    as ``_NEG``, the float -inf) with an int id.  States are canonical:
+    A[0, .], A[., m-1], S[m-1] and E[0] are stored as -inf, so states that
+    differ only there are one state.  No later column reads them.  It
+    joins an A segment to the new column through the rows just above its
+    start and just below its end, which row 0 and row m-1 lack (S and E
+    carry the paths that start or end there), and S[m-1] and E[0] are
+    complete paths, checked against the level when their column was
+    chosen.  The moves of a state
     are the admissible next columns, as the ids of the next states
     bucketed by the column's sum of entries.  They depend only on the
     state, so a table holds no result of any one boundary, and a larger
@@ -106,9 +107,8 @@ class _ScanTable:
     Its locals are the state's cells and the new column's cells A', S'
     and E'.  Its loops are one nested ``for`` per row of the new column,
     bottom-up, over the row's entry, with each segment sum inlined as a
-    ``max`` of sums before the loop.  Its exits are one flag per row,
-    which breaks the loop of the row below (see ``successors``), and its
-    innermost body interns the next state.
+    ``max`` of sums before the loop, and its innermost body interns the
+    next state.
     """
 
     def __init__(self, parities: tuple[int, ...], level: int):
@@ -201,17 +201,16 @@ class _ScanTable:
         Rows are chosen from the bottom up.  The paths that enter the new
         column first at row r are checked as soon as row r is chosen:
         S[r - 1] (0 at row 0) + E'[r] <= level, where E'[r] is the best
-        path from row r of the new column to the last row.  Every entry of
-        A', S' and E' is non-decreasing in each cell, so a row's loop ends
-        at its first failing value, and a failure at a row's smallest value
-        ends the loop of the row below as well.  A row's values start where
-        the rows above it, at most level each, can still bring the sum to
-        need.  Row r's entries lie in lo[r]..hi[r]: 0..level, or the given
-        entry.
+        path from row r of the new column to the last row.  So row r's
+        entry is at most the level less S[r - 1] and less the best path
+        on from below the entry, and a -inf path bounds nothing (level -
+        (-inf) is +inf).  A row's values start where the rows above it, at
+        most level each, can still bring the sum to need.  Row r's entries
+        lie in lo[r]..hi[r]: 0..level, or the given entry.
         """
         lo, hi = self.free if fixed is None else (fixed, fixed)
         self.kernels[state[0]](state, moves, need, lo, hi, self.level,
-                               self.ids, self.intern)
+                               self.intern)
 
 
 _ROWS_PER_FUNCTION = 16  # CPython nests at most 20 blocks in a function
@@ -220,27 +219,27 @@ _ROWS_PER_FUNCTION = 16  # CPython nests at most 20 blocks in a function
 @lru_cache(maxsize=64)  # a catalog pass fills 26 (two per row layout)
 def _kernel(plan: tuple) -> Callable[..., None]:
     """Compile a ``_ScanTable`` plan into the function that appends the
-    moves of one state: ``kernel(state, moves, need, lo, hi, level, ids,
+    moves of one state: ``kernel(state, moves, need, lo, hi, level,
     intern)`` (see ``_ScanTable.successors``).
 
     The cells the plan reads, the state's and the new column's, are the
-    locals ``x<i>`` (-inf as ``_NEG``; a state's cell i is read as ``x<i> =
-    state[<i>]``); a cell that equals another cell or 0 is not copied.
-    Each new row, bottom-up, is one ``for`` over its entry, from
-    max(lo[r], need less the sum so far ``t<k>`` and what the rows above
-    can add) to ``h<k>``, the least of hi[r], what is left of the sum and
-    the level less the best paths through the row.  Before
-    the loop, each segment from the row down to a lower new row, less
-    the row's entry, is one inlined ``max(a + b, c + d)`` (``b<i>``), and
-    ``e<k>`` is the best path from the row to the last row, less the
-    row's entry.  The flag ``ok<k>`` is the early exit: it is false when
-    row k admits no entry, or when the row above it fails at row k's
-    least entry, and then the loop of the row below breaks too.  The
-    innermost body builds the next state as a tuple literal, every
-    negative cell as ``_NEG``, and interns it through ``ids.get``.  Every
-    ``_ROWS_PER_FUNCTION`` rows the loops go on in a new function, which
-    returns its first row's flag.  The source is built from the plan's
-    ints alone.
+    locals ``x<i>`` (a state's cell i is read as ``x<i> = state[<i>]``); a
+    cell that equals another cell or 0 is not copied.  Each new row,
+    bottom-up, is one ``for`` over its entry, from max(lo[r], need less
+    the sum so far ``t<k>`` and what the rows above can add) to ``h<k>``,
+    the least of hi[r], what is left of the sum and the level less the
+    best paths through the row.  Before the loop, each segment from the
+    row down to a lower new row, less the row's entry, is one inlined
+    ``max(a + b, c + d)`` (``b<i>``), and ``e<k>`` is the best path from
+    the row to the last row, less the row's entry.  The innermost body
+    builds the next state as a tuple literal and interns it.  Every
+    ``_ROWS_PER_FUNCTION`` rows the loops go on in a new function.  The
+    source is built from the plan's ints alone.
+
+    -inf is the float -inf, which a sum keeps, so every cell the kernel
+    forms is an int in 0..level or -inf, as a state stores it, and a
+    bound ``level - <path>`` with a -inf path is +inf, which the row's
+    other bounds undercut.
     """
     par, choose, leaf, out = plan
     last = len(choose)
@@ -253,9 +252,7 @@ def _kernel(plan: tuple) -> Callable[..., None]:
               for _, _, _, rel, own, end in choose]
     writes.append({dst for dst, _ in leaf})
     needed = set().union(*reads)
-    name = {0: "0"}
-    neg = "%d" % _NEG
-    entries = {"0"} | {"x%d" % row[4] for row in choose}  # known >= 0
+    name = {0: "0", -1: "_NEG"}
     lines: list[str] = []
 
     def x(i: int) -> str:
@@ -272,7 +269,7 @@ def _kernel(plan: tuple) -> Callable[..., None]:
     def args(k: int) -> str:
         """The arguments of the function that goes on at row k."""
         ins = set().union(*reads[k:]) - set().union(*writes[k:]) - {0, -1}
-        return ", ".join(["moves, need, lo, hi, level, ids, intern, top",
+        return ", ".join(["moves, need, lo, hi, level, intern, top",
                           "t%d" % k] + sorted({x(i) for i in ins}))
 
     def let(pad: str, var: str, value: str) -> str:
@@ -282,44 +279,31 @@ def _kernel(plan: tuple) -> Callable[..., None]:
         lines.append("%s%s = %s" % (pad, var, value))
         return var
 
-    def rows(k: int, pad: str, first: int, t: str) -> str | None:
-        """Emit rows k.. at indent pad, with the sum so far in t; the name
-        of row k's flag, if any."""
+    def rows(k: int, pad: str, first: int, t: str) -> None:
+        """Emit rows k.. at indent pad, with the sum so far in t."""
         if k == last:
             for dst, terms in leaf:
                 name[dst] = let(pad, "x%d" % dst, best(terms))
-            cells = [neg if i < 0 else x(i) if x(i) in entries
-                     else "%s if %s >= 0 else %s" % (x(i), x(i), neg)
-                     for i in out]
-            lines.extend([
-                "%snxt = (%s,)" % (pad, ", ".join([str(par)] + cells)),
-                "%ssid = ids.get(nxt)" % pad,
-                "%smoves[%s].append(intern(nxt) if sid is None else sid)"
-                % (pad, t)])
-            return None
+            lines.append("%smoves[%s].append(intern((%s,)))" % (
+                pad, t, ", ".join([str(par)] + [x(i) for i in out])))
+            return
         if k > first and k % _ROWS_PER_FUNCTION == 0:
-            lines.append("%sok%d = _k%d(%s)" % (pad, k, k, args(k)))
-            return "ok%d" % k
+            lines.append("%s_k%d(%s)" % (pad, k, args(k)))
+            return
         r1, pre, e, rel, own, end = choose[k]
         v = name[own] = "x%d" % own
         segs = [(dst, e2, let(pad, "b%d" % dst, best(terms)))
                 for dst, e2, terms in rel]
         tail = let(pad, "e%d" % k,
                    best([x(e)] + [plus(b, x(e2)) for _, e2, b in segs]))
-        paths = [s for s in (x(pre), tail) if s != "0"]
-        bound = " - ".join(["level"] + paths)
-        if paths:
-            bound += " if %s else level" % " and ".join(
-                s + " >= 0" for s in paths)
+        bound = " - ".join(["level"] + [s for s in (x(pre), tail) if s != "0"])
         start = ["need"] + [t] * (k > 0) + [
             "level * %d" % (last - 1 - k)] * (k < last - 1)
         lines.extend([
             "%sh%d = min(%s, hi[%d], %s)" % (pad, k, bound, r1,
                                              "top - " + t if k else "top"),
-            "%sl%d = lo[%d]" % (pad, k, r1),
-            "%sok%d = h%d >= l%d" % (pad, k, k, k),
-            "%sfor %s in range(max(l%d, %s), h%d + 1):"
-            % (pad, v, k, " - ".join(start), k)])
+            "%sfor %s in range(max(lo[%d], %s), h%d + 1):"
+            % (pad, v, r1, " - ".join(start), k)])
         pad += "    "
         if end in needed:
             name[end] = let(pad, "x%d" % end, plus(v, tail))
@@ -329,24 +313,17 @@ def _kernel(plan: tuple) -> Callable[..., None]:
         total = plus(t, v)
         if k + 1 < last:
             total = let(pad, "t%d" % (k + 1), total)
-        flag = rows(k + 1, pad, first, total)
-        if flag:
-            lines.extend(["%sif not %s:" % (pad, flag),
-                          "%s    if %s == l%d:" % (pad, v, k),
-                          "%s        ok%d = False" % (pad, k),
-                          "%s    break" % pad])
-        return "ok%d" % k
+        rows(k + 1, pad, first, total)
 
-    lines.append("def _k0(state, moves, need, lo, hi, level, ids, intern):")
+    lines.append("def _k0(state, moves, need, lo, hi, level, intern):")
     lines.append("    top = len(moves) - 1")
     lines.extend("    x%d = state[%d]" % (i, i)
                  for i in sorted(needed - set().union(*writes) - {0, -1}))
     rows(0, "    ", 0, "0")
     for first in range(_ROWS_PER_FUNCTION, last, _ROWS_PER_FUNCTION):
         lines.append("def _k%d(%s):" % (first, args(first)))
-        flag = rows(first, "    ", first, "t%d" % first)
-        lines.append("    return " + flag)
-    namespace: dict = {}
+        rows(first, "    ", first, "t%d" % first)
+    namespace: dict = {"_NEG": _NEG}
     exec(compile("\n".join(lines), "<scan kernel>", "exec"), namespace)
     return namespace["_k0"]
 
@@ -379,7 +356,6 @@ def _slot_bits(rows: int, N: int) -> int:
     return sum(p).bit_length()
 
 
-@lru_cache(maxsize=64)  # a catalog pass fills 35
 def _length_bound(parities: tuple[int, ...], level: int, N: int) -> int:
     """L: no admissible partition of weight <= N has more than L parts.
 
@@ -390,7 +366,8 @@ def _length_bound(parities: tuple[int, ...], level: int, N: int) -> int:
     only the sizes the layout has (even sizes >= 2 on parity-0 rows, odd
     sizes on parity-1 rows).  The most parts of weight <= N under that
     bound take ``level`` parts at each band's least size, bands in
-    increasing order, until the weight runs out.
+    increasing order, until the weight runs out.  It is one short
+    pass over N // 2 + 1 bands, so it goes uncached.
     """
     length, left = 0, N
     for c in range(N // 2 + 1):
@@ -484,24 +461,27 @@ def gen_fun_z1(family: str, n: int, boundary: tuple[int, ...],
 
 def gordon_series(k: int, a: int, N: int) -> QSeries:
     """Two-variable generating function of Gordon's partitions B_{k,a}:
-    f_i + f_{i+1} <= k for all i >= 1 and f_1 <= a, by direct enumeration."""
+    f_i + f_{i+1} <= k for all i >= 1 and f_1 <= a, summed one part size
+    at a time.  The state is the previous frequency f (a virtual f_0 = k -
+    a makes f_1 <= a), mapped to the count of each (length, weight); a
+    count leaves once the next size no longer fits its weight."""
     if not 0 <= a <= k:
         raise ValueError("need 0 <= a <= k")
     if N < 0:
         raise ValueError("N must be >= 0")
     acc: dict[tuple[int, int], int] = {}
-
-    def rec(size: int, budget: int, prev_f: int, zlen: int, qwt: int):
-        if size > budget:
-            kk = (zlen, qwt)
-            acc[kk] = acc.get(kk, 0) + 1
-            return
-        cap = k - prev_f
-        if size == 1:
-            cap = min(cap, a)
-        for f in range(0, min(cap, budget // size) + 1):
-            rec(size + 1, budget - f * size, f, zlen + f, qwt + f * size)
-
-    rec(1, N, 0, 0, 0)
+    cur = {k - a: {(0, 0): 1}}
+    for size in range(1, N + 2):
+        nxt: dict[int, dict[tuple[int, int], int]] = {}
+        for prev, counts in cur.items():
+            for (zlen, qwt), c in counts.items():
+                if qwt + size > N:
+                    acc[zlen, qwt] = acc.get((zlen, qwt), 0) + c
+                    continue
+                for f in range(min(k - prev, (N - qwt) // size) + 1):
+                    to = nxt.setdefault(f, {})
+                    key = (zlen + f, qwt + f * size)
+                    to[key] = to.get(key, 0) + c
+        cur = nxt
     return QSeries({(z, 0, d): c for (z, d), c in acc.items()}, N, 0,
                    _clean=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
-from .series import QSeries, euler_product, poch
+from .series import QSeries, _qbin_factors, euler_product, poch
 
 # A partition is a tuple of weakly decreasing positive ints; the empty
 # tuple is the unique partition of 0.
@@ -61,12 +61,6 @@ def multisum_term(e: int, factors, N: int) -> QSeries:
     if not pochs:
         return QSeries.monomial(1, dq=e, order=None)
     return euler_product(pochs, N, 1, e)
-
-
-def _qbin_factors(n: int, k: int, m: int) -> list:
-    """[n, k]_t at t = q^m, 0 <= k <= n, as the euler_product factors of
-    (t^{n-k+1}; t)_k / (t; t)_k."""
-    return [(m * (n - k + 1), m, k, 1), (m, m, k, -1)]
 
 
 def _ls_factors(i: int, s: int, m: int) -> list:

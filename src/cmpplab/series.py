@@ -373,16 +373,20 @@ def poch(c: int, m: int, count: Optional[int], n: int) -> QSeries:
     return euler_product(((c, m, count, 1),), n)
 
 
+def _qbin_factors(n: int, k: int, m: int) -> list:
+    """[n, k]_t at t = q^m, 0 <= k <= n, as the euler_product factors of
+    (t^{n-k+1}; t)_k / (t; t)_k."""
+    return [(m * (n - k + 1), m, k, 1), (m, m, k, -1)]
+
+
 @lru_cache(maxsize=128)  # a catalog pass fills 0 (only `expand qbin`)
 def _qbin_poly(n: int, k: int) -> QSeries:
-    """Gaussian binomial [n, k]_q as an exact polynomial."""
+    """Gaussian binomial [n, k]_q as an exact polynomial: the product of
+    its factors through its degree k (n - k), by Euler's recurrence."""
     if k < 0 or k > n:
         return QSeries.zero()
-    if k == 0 or k == n:
-        return QSeries.one()
-    # [n,k] = [n-1,k-1] + q^k [n-1,k]
-    return QSeries.collect((((0, 0, 0), _qbin_poly(n - 1, k - 1)),
-                            ((0, 0, k), _qbin_poly(n - 1, k))), None, 0)
+    return QSeries(euler_product(_qbin_factors(n, k, 1), k * (n - k)).terms,
+                   None, 0, _clean=True)
 
 
 def qbin(n: int, k: int, m: int = 1) -> QSeries:

@@ -6,6 +6,8 @@
   the layout the brute force builds its arrays on;
 * ``successors_by_plan``: ``cmpp._ScanTable.successors`` by interpreting
   the table's plan;
+* ``gordon_series_by_enumeration``: ``cmpp.gordon_series`` partition by
+  partition;
 * ``partitions_iter`` and ``sub_partitions``: the partitions that the
   Hall-Littlewood pair-DP oracle sums over;
 * ``d_n1_product``: the product side of the one-row D family;
@@ -13,9 +15,11 @@
   ``series.poch``, ``products.theta_q`` and ``products.expand`` multiplied
   out one factor 1 - q^e at a time, each denominator by
   ``QSeries.invert``;
+* ``qbin_by_pascal``: ``series.qbin`` by the q-Pascal rule;
 * ``hl_ls_2r1s_by_factors``, ``bailey_alpha_side_by_factors``,
   ``h_step_by_factors`` and ``psi_poly_by_factors``: the Hall-Littlewood
-  q-products multiplied out one ``qbin`` or Pochhammer factor at a time;
+  q-products multiplied out one ``qbin_by_pascal`` or Pochhammer factor
+  at a time;
 * ``double_sum_by_box`` and ``s_series_by_box``: ``multisums._double_sum``
   and ``multisums.s_series`` summed over a box of their indices;
 * ``outcome``: what the differential tests compare;
@@ -32,7 +36,7 @@ from typing import Iterator, Optional
 from cmpplab.cmpp import _NEG, family_rows
 from cmpplab.hall_littlewood import Partition, frequencies
 from cmpplab.products import PochFactor, ProductSpec, theta_reduce
-from cmpplab.series import QSeries, qbin
+from cmpplab.series import QSeries
 
 
 def outcome(build, *args):
@@ -252,6 +256,31 @@ def gen_fun_reference(family: str, n: int, boundary: tuple[int, ...],
                    _clean=True)
 
 
+def gordon_series_by_enumeration(k: int, a: int, N: int) -> QSeries:
+    """``cmpp.gordon_series`` by enumerating the partitions one by one,
+    recursing once per part size."""
+    if not 0 <= a <= k:
+        raise ValueError("need 0 <= a <= k")
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    acc: dict[tuple[int, int], int] = {}
+
+    def rec(size: int, budget: int, prev_f: int, zlen: int, qwt: int):
+        if size > budget:
+            kk = (zlen, qwt)
+            acc[kk] = acc.get(kk, 0) + 1
+            return
+        cap = k - prev_f
+        if size == 1:
+            cap = min(cap, a)
+        for f in range(0, min(cap, budget // size) + 1):
+            rec(size + 1, budget - f * size, f, zlen + f, qwt + f * size)
+
+    rec(1, N, 0, 0, 0)
+    return QSeries({(z, 0, d): c for (z, d), c in acc.items()}, N, 0,
+                   _clean=True)
+
+
 def successors_by_plan(table, state, moves: list[list], need: int,
                        fixed: list[int] | None = None) -> None:
     """``_ScanTable.successors`` by interpreting the table's plan, as the
@@ -261,8 +290,11 @@ def successors_by_plan(table, state, moves: list[list], need: int,
 
     One list w holds the values: w[0] = 0, the state's cells, the next
     state's cells, and w[-1] = -inf; a next state stores every negative
-    cell as -inf.  A recursive ``pick`` chooses the rows bottom-up with
-    the early exits of ``successors``.
+    cell as -inf.  A recursive ``pick`` chooses the rows bottom-up, with
+    early exits that the compiled kernels do not take: every entry of A',
+    S' and E' is non-decreasing in each cell, so a row's loop ends at its
+    first failing value, and a failure at a row's least value ends the
+    loop of the row below as well.
     """
     par, choose, leaf, out = table.plans[state[0]]
     w = [0] + list(state[1:]) + [_NEG] * (len(out) + 1)
@@ -434,13 +466,28 @@ def expand_by_factors(spec: ProductSpec, N: int) -> QSeries:
     return out.truncate(N)
 
 
+@lru_cache(maxsize=None)
+def qbin_by_pascal(n: int, k: int, m: int = 1) -> QSeries:
+    """``series.qbin``: [n, k] in base q^m by the q-Pascal rule [n, k] =
+    [n-1, k-1] + q^{mk} [n-1, k], recursing once per n."""
+    if m < 1:
+        raise ValueError("base exponent m must be >= 1")
+    if k < 0 or k > n:
+        return QSeries.zero()
+    if k == 0 or k == n:
+        return QSeries.one()
+    return qbin_by_pascal(n - 1, k - 1, m) + \
+        QSeries.monomial(1, dq=m * k) * qbin_by_pascal(n - 1, k, m)
+
+
 # -- Hall-Littlewood q-products factor by factor ------------------------------
 
 
 def _ls_factor_by_factors(i: int, s: int, m: int, e: int, N: int) -> QSeries:
     """(-1)^i q^e [i+s, s]_t (1 - t^{2i+s}) / (1 - t^{i+s}) at t = q^m,
     to order N; the i = 0 ratio counts as 1."""
-    out = QSeries.monomial((-1) ** i, dq=e, order=None) * qbin(i + s, s, m)
+    out = QSeries.monomial((-1) ** i, dq=e, order=None) * \
+        qbin_by_pascal(i + s, s, m)
     if i > 0:
         num = QSeries({(0, 0, 0): 1, (0, 0, m * (2 * i + s)): -1}, None, 0)
         d = m * (i + s)
@@ -459,7 +506,8 @@ def hl_ls_2r1s_by_factors(r: int, s: int, kvars: int, m: int,
         e = m * (i * (i - 1) // 2) + \
             (r - i) * (r - i - 1) // 2 + (r + s + i) * (r + s + i - 1) // 2
         return (_ls_factor_by_factors(i, s, m, e, N) *
-                qbin(kvars, r - i, 1) * qbin(kvars, r + s + i, 1))
+                qbin_by_pascal(kvars, r - i, 1) *
+                qbin_by_pascal(kvars, r + s + i, 1))
 
     return QSeries.collect((((0, 0, 0), term(i)) for i in range(r + 1)),
                            N, 0)
@@ -482,13 +530,13 @@ def bailey_alpha_side_by_factors(s: int, m: int, r_max: int,
 
 def h_step_by_factors(u: int, l: int, l_next: int, m: int,
                       W: int) -> QSeries:
-    """hall_littlewood._h_step as q^e times a cut qbin, with floor e, and
-    the empty series with floor e when e > W."""
+    """hall_littlewood._h_step as q^e times a cut Gaussian binomial, with
+    floor e, and the empty series with floor e when e > W."""
     e = l + m * ((u - l) * (u - l - 1) // 2)
     if e > W:
         return QSeries({}, W, e)
     return QSeries.monomial(1, dq=e, order=W) * \
-        qbin(u - l_next, u - l, m).truncate(W - e)
+        qbin_by_pascal(u - l_next, u - l, m).truncate(W - e)
 
 
 def psi_poly_by_factors(mu: Partition, nu: Partition,

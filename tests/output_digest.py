@@ -12,7 +12,14 @@ It prints ``<lines> <sha256>``.  The lines are, in order:
   catalog check, every point of ``check_points`` and N = 6, then 13;
 * the output text of every item of the benchmark's ``enum`` and then its
   ``catalog`` pool, in pool order, as ``perfbench/child.py``'s
-  ``run_item`` gives it (a report JSON, or an expand TSV).
+  ``run_item`` gives it (a report JSON, or an expand TSV);
+* the ``dump_tsv()`` of builds that no catalog check reaches at those
+  orders (``builder_lines``): ``gen_fun`` and ``gen_fun_z1`` over every
+  boundary of A with n 1..3, C with n 0..4 and D with n 1..4, entries in
+  0..2 and level <= 3, at N = 0, 1, 5, 13, then at the levels of 255 and
+  300 and at C n = 20; ``gordon_series`` over k 0..4, a -1..k+1 and N =
+  -1, 0, 6, 20; ``qbin`` over n -1..14, k -1..n+1 and m 0..3.  Each
+  build is one line of the digest, its TSV's newlines included.
 
 A call that raises gives the line ``<exception name>: <message>``.
 """
@@ -98,6 +105,27 @@ def pool_lines():
             yield _line(lambda: child.run_item(cli, item)[0])
 
 
+def builder_lines():
+    """The TSV (or error text) of each build of the builder grid."""
+    from cmpplab.cmpp import gen_fun, gen_fun_z1, gordon_series
+    from cmpplab.series import qbin
+
+    scans = [(fam, n, w, N)
+             for fam, ns in (("A", range(1, 4)), ("C", range(5)),
+                             ("D", range(1, 5)))
+             for n in ns for w in product(range(3), repeat=n + 1)
+             if sum(w) <= 3 for N in (0, 1, 5, 13)]
+    scans += [("A", 1, (300, 2), 8), ("C", 1, (255, 0), 6),
+              ("A", 2, (0, 300, 1), 5), ("C", 20, (1,) + (0,) * 20, 5)]
+    calls = [(build, ref) for ref in scans for build in (gen_fun, gen_fun_z1)]
+    calls += [(gordon_series, (k, a, N)) for k in range(5)
+              for a in range(-1, k + 2) for N in (-1, 0, 6, 20)]
+    calls += [(qbin, (n, k, m)) for n in range(-1, 15)
+              for k in range(-1, n + 2) for m in range(4)]
+    for build, args in calls:
+        yield _line(lambda: build(*args).dump_tsv())
+
+
 def digest(lines) -> tuple[int, str]:
     """(number of lines, sha256 of the lines, each ended by a newline)."""
     h = hashlib.sha256()
@@ -114,6 +142,7 @@ def main() -> int:
     def lines():
         yield from grid_lines(funceq.list_checks())
         yield from pool_lines()
+        yield from builder_lines()
 
     print(*digest(lines()))
     return 0

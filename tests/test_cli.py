@@ -94,6 +94,29 @@ def test_verify_pass(capsys):
                         "first_mismatch", "elapsed_ms", "conjecture_status"}
 
 
+@pytest.mark.parametrize("check, params", [
+    ("b-b", "k0=0,k1=0"),
+    ("ag-two-var", "k=0,a=0"),
+])
+def test_gordon_series_verifies_past_the_recursion_limit(capsys, check,
+                                                          params):
+    # Gordon's partitions are summed one part size at a time, so an order
+    # far past Python's recursion limit builds
+    code, out = run(capsys, "verify", "--check", check, "--params", params,
+                    "--order", "1200")
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+
+
+def test_expand_qbin_past_the_recursion_limit(capsys):
+    code, out = run(capsys, "expand", "--series", "qbin(1500,2)",
+                    "--order", "5")
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert [int(row[3]) for row in rows] == [1, 1, 2, 2, 3, 3]
+    assert [int(row[2]) for row in rows] == list(range(6))
+
+
 def test_verify_trivial_order_zero(capsys):
     code, out = run(capsys, "verify", "--check", "con-a2n2",
                     "--params", "n=2,weights=0:0:1", "--order", "0")

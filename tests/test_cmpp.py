@@ -10,8 +10,9 @@ import pytest
 from cmpplab import cmpp
 from cmpplab.cmpp import (_NEG, _row_layout, _ScanTable, family_rows,
                           gen_fun, gen_fun_z1, gordon_series)
-from oracles import (FrequencyArray, gen_fun_reference, max_path_sum,
-                     outcome, row_layout_by_family, successors_by_plan)
+from oracles import (FrequencyArray, gen_fun_reference,
+                     gordon_series_by_enumeration, max_path_sum, outcome,
+                     row_layout_by_family, successors_by_plan)
 
 
 def test_family_rows():
@@ -98,6 +99,18 @@ def test_gen_fun_matches_gordon():
             a = gen_fun("A", 1, (k0, k1), 30)
             b = gordon_series(k0 + k1, k1, 30)
             assert a.compare(b, 30) is None
+
+
+def test_gordon_series_matches_the_enumeration():
+    # the sum one part size at a time against the partitions one by one,
+    # windows and error texts included
+    cases = [(k, a, N) for k in range(5) for a in range(k + 1)
+             for N in range(21)]
+    cases += [(2, 3, 5), (1, -1, 5), (2, 1, -1), (3, 4, -1)]
+    for case in cases:
+        assert outcome(gordon_series, *case) == \
+            outcome(gordon_series_by_enumeration, *case), case
+    assert outcome(gordon_series, 3, 4, -1) == "need 0 <= a <= k"
 
 
 def test_d_n1_depends_on_sum_only():
@@ -342,6 +355,28 @@ def _explored_table(fam: str, n: int, level: int) -> _ScanTable:
     return table
 
 
+def _explored_tables():
+    """(fam, n, level, table) for the fully explored table of A and C with
+    n <= 3 and D with n <= 4, at levels 1-4."""
+    for fam, ns in (("A", (1, 2, 3)), ("C", (0, 1, 2, 3)),
+                    ("D", (1, 2, 3, 4))):
+        for n in ns:
+            for level in range(1, 5):
+                yield fam, n, level, _explored_table(fam, n, level)
+
+
+# boundary entries of 255 and 300, far above every other level here
+HIGH_LEVEL_REFS = (("A", 1, (300, 2), 8), ("C", 1, (255, 0), 6),
+                   ("A", 2, (0, 300, 1), 5))
+
+
+def _high_level_table(fam: str, n: int, w: tuple[int, ...],
+                      N: int) -> _ScanTable:
+    """The shared table of a high-level ref, as its scan leaves it."""
+    gen_fun(fam, n, w, N)
+    return cmpp._scan_table(tuple(_row_layout(fam, n, w)[0]), sum(w))
+
+
 def _kernel_and_plan_moves(table: _ScanTable, state, top: int, need: int,
                            fixed=None) -> tuple[list, list]:
     """The next states by sum through top, from the table's compiled
@@ -359,41 +394,54 @@ def test_kernel_moves_match_the_plan_interpreter():
     # (as column_moves asks for when its cap grows), and both boundary
     # columns of every boundary, whose entries are fixed
     states = 0
-    for fam, ns in (("A", (1, 2, 3)), ("C", (0, 1, 2, 3)),
-                    ("D", (1, 2, 3, 4))):
-        for n in ns:
-            for level in range(1, 5):
-                table = _explored_table(fam, n, level)
-                for state in list(table.states):
-                    top = level * len(table.plans[state[0]][1])
-                    for need in (0, (top + 1) // 2):
-                        got, want = _kernel_and_plan_moves(table, state,
-                                                           top, need)
-                        assert got == want, (fam, n, level, state, need)
-                    states += 1
-                for w in product(range(level + 1), repeat=n + 1):
-                    if sum(w) != level:
-                        continue
-                    bases = _row_layout(fam, n, w)[1]
-                    state = (0,) + (_NEG,) * len(table.plans[1][3])
-                    for _ in range(2):
-                        got, want = _kernel_and_plan_moves(table, state,
-                                                           level, 0, bases)
-                        assert got == want, (fam, n, w)
-                        [[state]] = [s for s in got if s]
+    for fam, n, level, table in _explored_tables():
+        for state in list(table.states):
+            top = level * len(table.plans[state[0]][1])
+            for need in (0, (top + 1) // 2):
+                got, want = _kernel_and_plan_moves(table, state, top, need)
+                assert got == want, (fam, n, level, state, need)
+            states += 1
+        for w in product(range(level + 1), repeat=n + 1):
+            if sum(w) != level:
+                continue
+            bases = _row_layout(fam, n, w)[1]
+            state = (0,) + (_NEG,) * len(table.plans[1][3])
+            for _ in range(2):
+                got, want = _kernel_and_plan_moves(table, state, level, 0,
+                                                   bases)
+                assert got == want, (fam, n, w)
+                [[state]] = [s for s in got if s]
     assert states == 10415
     # levels of 255 and 300: the tables as the scans leave them; a
     # boundary entry of 255 or 300 keeps the level bound of every row
     # tight at small sums
-    for fam, n, w, N in (("A", 1, (300, 2), 8), ("C", 1, (255, 0), 6),
-                         ("A", 2, (0, 300, 1), 5)):
-        gen_fun(fam, n, w, N)
-        parities = _row_layout(fam, n, w)[0]
-        table = cmpp._scan_table(tuple(parities), sum(w))
+    for fam, n, w, N in HIGH_LEVEL_REFS:
+        table = _high_level_table(fam, n, w, N)
         for state in list(table.states):
             for need in (0, 5):
                 got, want = _kernel_and_plan_moves(table, state, 40, need)
                 assert got == want, (fam, n, w, state, need)
+
+
+def test_scan_states_are_canonical():
+    # every state of the fully explored tables and of the high-level
+    # tables is (parity, *cells) with as many cells as a move into its
+    # parity writes, each an int in 0..level or -inf (_NEG itself, so that
+    # equal states intern once), and each is interned once
+    tables = [((fam, n, level), table)
+              for fam, n, level, table in _explored_tables()]
+    assert sum(len(table.states) for _, table in tables) == 10415
+    tables += [(ref, _high_level_table(*ref)) for ref in HIGH_LEVEL_REFS]
+    for key, table in tables:
+        assert len(table.ids) == len(table.states), key
+        for sid, state in enumerate(table.states):
+            parity, *cells = state
+            assert parity in (0, 1), (key, state)
+            assert len(cells) == len(table.plans[1 - parity][3]), (key, state)
+            for v in cells:
+                assert v == _NEG or type(v) is int and 0 <= v <= table.level, \
+                    (key, state)
+            assert table.ids[state] == sid, (key, state)
 
 
 def test_a_layout_deeper_than_the_block_limit_builds():

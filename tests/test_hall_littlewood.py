@@ -11,10 +11,10 @@ from cmpplab.hall_littlewood import (bailey_alpha_side, hl_chain_sum,
                                      hl_weighted_chain, multisum_term,
                                      prop_gow_sum)
 from cmpplab.multisums import ag_sum
-from cmpplab.series import QSeries, qbin
+from cmpplab.series import QSeries
 from oracles import (bailey_alpha_side_by_factors, h_step_by_factors,
                      hl_ls_2r1s_by_factors, outcome, partitions_iter,
-                     psi_poly_by_factors, sub_partitions)
+                     psi_poly_by_factors, qbin_by_pascal, sub_partitions)
 
 
 def test_public_names_resolve():
@@ -38,7 +38,7 @@ def test_elementary_specialisation():
             for m in (1, 2):
                 got = hl_principal_finite((1,) * r, k, m, 40)
                 want = QSeries.monomial(1, dq=m * (r * (r - 1) // 2)) * \
-                    qbin(k, r, m)
+                    qbin_by_pascal(k, r, m)
                 assert got.compare(want, 40) is None
 
 
@@ -179,7 +179,7 @@ def _h_step_uncut(upper, lower, m):
         li = lower[i] if i < len(lower) else 0
         lnext = lower[i + 1] if i + 1 < len(lower) else 0
         e += m * ((u - li) * (u - li - 1) // 2)
-        out = out * qbin(u - lnext, u - li, m)
+        out = out * qbin_by_pascal(u - lnext, u - li, m)
     return QSeries.monomial(1, dq=e) * out
 
 
@@ -200,7 +200,8 @@ def _pair_step(upper, lower, m, W):
         return QSeries({}, W, e, _clean=True)
     out = QSeries.monomial(1, dq=e, order=W)
     for i, u in enumerate(upper):
-        out = out * qbin(u - low[i + 1], u - low[i], m).truncate(W - e)
+        out = out * qbin_by_pascal(u - low[i + 1], u - low[i],
+                                   m).truncate(W - e)
     return out
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cmpplab.series import QSeries, euler_product, poch, qbin
+from oracles import qbin_by_pascal
 
 
 def q_only(coeffs, order):
@@ -174,6 +175,18 @@ def test_qbin_in_base_q_m():
     for m in (0, -1):
         with pytest.raises(ValueError):
             qbin(2, 1, m)
+
+
+def test_qbin_matches_the_pascal_rule():
+    # Euler's recurrence against the q-Pascal rule, the window included,
+    # inside and outside 0 <= k <= n, in bases q, q^2 and q^3
+    cases = 0
+    for n in range(-2, 25):
+        for k in range(-2, n + 3):
+            for m in (1, 2, 3):
+                assert qbin(n, k, m) == qbin_by_pascal(n, k, m), (n, k, m)
+                cases += 1
+    assert cases == 3 * sum(n + 5 for n in range(-2, 25))
 
 
 def test_compare_reports_first_mismatch():
